@@ -27,6 +27,65 @@ from eppa.textio import emit_certificate, emit_structure
 K2 = graph(2, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
 
+# sha256 digests of the certificates each criterion builds, pinned so that a
+# refactor that changes a single byte of any of them fails here
+CRITERION_01_DIGESTS = (
+    "6dfa1c453242ff55ce399248207d02787c5032876834bbc74cfcd604f19897e5",
+    "7b4546f24b709e5a7253646f33ecf6050b36666ba53f1dc2cbbb2998ee7e5a35",
+    "be0be6bb093665e1d2289e1cd47eb534c6440369228cb3b95aa3ee08f7018d58",
+    "2c57e612e9ff99dfcebbe3745358770fdb8374aee42fee9ffa8ae783ca401c49",
+    "b3ca73c842656355dda9d38c6e13997aad5f5530ef67eb8e5f5440d121ea4ef8",
+    "a5d48de0cec58ffa45a29b6e166b9e7c066bd84a09aeba779210851f14cdf787",
+    "49b4d687e712743c07342e3e0dea7ac8dcd40b10004eb778ad3ce5033463437f",
+    "8e72da90881f30ed8ea316ab3326a92a51c1540ccf9a77de3f6e232e0addd542",
+    "be03606483b969e5fb73ba7d40c1f96c84596d72becf5f77ec2160f86c0694d7",
+    "402baddb7127d85dee87f158df43327d3491b185a012d5a4929e1ce4ee7bef40",
+    "5c216aba64473d4bc55558d0b76d6c7d28cebb3fe5fae849bad8599a0ae301cf",
+    "ce370f55d1317291b5edc6288359cbf6360bb80d6b803f0f3373c1bbc8465a6b",
+    "e0177140677ee24e4cefe3ac55e39d63c416ef9283edb1f421649e5cfba57125",
+    "9a493fd456261f770c3edd8a184bf2ca135fbc54f11028518669d56fa7c9d5ad",
+    "ba4ef61e7aa9658854c657699f8a3e634029f4a7908684cdce4f72ef7cb5bf0e",
+    "e6771ddf1538183ce86d46942e27467b0e9713ef598cc8c148c92588760fb449",
+    "2ed3486e5e805ee39333db0e99cd8cb84af7b85f5f887b4889c2da1e5837f3c8",
+    "35a4055237723c61f767de010cc1582b3a5dad378f3387679ccd0a7c9a056db3",
+)
+CRITERION_02_DIGESTS = (
+    "a7742fbfaf5eaf7ff8a4e4770edabd26cb75e529637886bc274f6bbb643695ca",
+    "f0ffdeabe300e19901992100d149030f8b77859eac4beb8b774fd547a7a20a18",
+    "b7e8e07e194538e82bd9056d472db6a0337d665bfc7edc70271deaebf975d629",
+    "b2cf9f7eb9209159e655023b446d73befc3a4f80f484e85aafae3dcc28664109",
+    "febe59f07b6d1cbccc7594cf3621feaa76af7090a734b2a17dce6eb416ac02ff",
+    "d024822a130f06004883993ad8c54a2aced00218eb03407b34725592a49c600b",
+    "849a365c3f89d127f522bb4b16e1c36e41d3b01339753462921c83548f2dc9ca",
+)
+CRITERION_03_DIGESTS = (
+    "98045d177dc5f904ae79a0bf1b727e1e76f33c385d7b59f804071481d746f69e",
+    "d9880b6ac57ec0e3c26452c3c202bbf3f8d33baa8df4bd93728d79ff93bc8309",
+    "58eed6ce51bc312e98475403096c1e76e4b63e9d78e7eb61b5483247b2ee4796",
+    "dfa689f115d614e5a337a94b870e29fe1da8b34c3fc2582d839e6b388eadd06f",
+    "8e2a10e9b96c587ee8461304ef0640418d83bd6ebe77ae5cbf8ee5104a101be1",
+    "1a3e795b6928ff9480447cca6246cbe9d0952b90221f4ed135430708e3b9458a",
+)
+CRITERION_04_DIGESTS = (
+    "619dd700c7e03950ab80a92522f11c84e989dc46787e576b70bbf540f5d49318",
+    "d977f97001906d3e13e19238ecd18cb865e3b909dd7437ffffef7f42ec3e9230",
+    "1bb7377a77f5ea00d66be366e704586e204e6e2d4edc27d80f099e16fb824985",
+    "04e25efc99c1bfe2665a02656f9cbb69902fee84f263aefd1f98255f5be01ef0",
+    "d99ff3535fa8e9a5e807d24e9ed81b5069b0bf525ae0647d8aa697792a377fde",
+    "22b3eba7279a71b8f57cb6c3fd7bd1163b9e521f2bad2bf12afb700336fe5f61",
+    "8fdd3479d63156a1232e6bba206967f458f2c9de2b7ff31f02fb16e555788abe",
+    "dd899743984d1e4a2cb9381c80c486c43020dab6380b56a927344f2c346db10f",
+    "170d68118ec6c2cb2a3cc90718c093e201be00838a7f9879ffc1212bd471cf7e",
+    "540e882f9dde64c77c85540e5453eb8c6acaca444d58a9b88ecf6f790d15e970",
+    "dcddf6679e552fd4185c457ea361a938cdf7188b80cf55ba00daac1664b9f984",
+)
+CRITERION_07_DIGEST = "90762aa49c7ceb3af85d9561eb6084653c66f6e0e7d3f3528f9e4da2034b9466"
+
+
+def digest_of(cert) -> str:
+    """The digest field of the certificate's canonical file."""
+    return emit_certificate(cert).rstrip("\n").rsplit("\n", 1)[1].split()[1]
+
 
 def all_graphs_up_to(n):
     out = []
@@ -45,8 +104,9 @@ def pipeline_certificates():
 def test_criterion_01_base_extension_all_graphs_up_to_four():
     graphs = all_graphs_up_to(4)
     assert len(graphs) == 18
-    for structure in graphs:
+    for structure, digest in zip(graphs, CRITERION_01_DIGESTS, strict=True):
         cert = base_eppa(structure)
+        assert digest_of(cert) == digest
         maps = cert.part()
         assert verify_extension(cert.phi, maps)
         assert verify_coherence(cert.phi, maps)
@@ -56,7 +116,9 @@ def test_criterion_01_base_extension_all_graphs_up_to_four():
 
 def test_criterion_02_clique_faithful_pipeline(pipeline_certificates):
     assert len(pipeline_certificates) == 7
-    for structure, cert in pipeline_certificates:
+    for (structure, cert), digest in zip(pipeline_certificates, CRITERION_02_DIGESTS,
+                                         strict=True):
+        assert digest_of(cert) == digest
         c_structure = cert.structure
         nu_set = set(cert.extension.nu)
         for clique, witness in cert.clique_witnesses.items():
@@ -83,8 +145,9 @@ def test_criterion_03_forbidden_triangle_preserved():
     triangle_free = [s for s in all_graphs_up_to(3)
                      if exists_embedding(K3, s) is None]
     assert len(triangle_free) == 6
-    for structure in triangle_free:
+    for structure, digest in zip(triangle_free, CRITERION_03_DIGESTS, strict=True):
         cert = forb_e_eppa(structure, [K3])
+        assert digest_of(cert) == digest
         assert exists_embedding(K3, cert.structure) is None
         assert verify_faithful_certificate(cert)
     print("[ 3] forb_e extensions of triangle-free graphs stay K3-free: PASS")
@@ -110,10 +173,12 @@ def test_criterion_04_special_extension():
                                       "0>1": Permutation((1, 0))})
     cert = special_extension(K2, (PartialAutomorphism.empty(), p), K2, psi)
     assert verify_special(cert, max_word_len=6)
+    assert digest_of(cert) == CRITERION_04_DIGESTS[0]
     rng = random.Random(20250810)
-    for _ in range(10):
+    for digest in CRITERION_04_DIGESTS[1:]:
         structure, maps, codomain, psi = _random_special_instance(rng)
         cert = special_extension(structure, maps, codomain, psi)
+        assert digest_of(cert) == digest
         assert verify_special(cert, max_word_len=6)
         assert is_embedding(cert.phi.embedding, structure, cert.extension)
         for q in cert.maps:
@@ -196,6 +261,7 @@ def test_criterion_06_clique_characterization():
 def test_criterion_07_dlf_chain():
     cert = build_dlf_chain([K3], 2, K2)
     assert verify_chain(cert)
+    assert digest_of(cert) == CRITERION_07_DIGEST
     assert len(cert.stages) == 3
     assert len(cert.handled) == 2
     for stage in cert.stages:
