@@ -9,15 +9,14 @@ from .structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                          is_homomorphism)
 from .coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
                         coherent_lift, coherent_triples, verify_coherence,
-                        verify_extension)
-from .base_extension import (BaseEppaCertificate, base_eppa, brute_force_eppa,
-                             coherent_assignment, scaffold_certificate,
-                             verify_base_certificate)
+                        verify_coherent_extension, verify_extension)
+from .base_extension import (BaseEppaCertificate, base_eppa, coherent_assignment,
+                             scaffold_certificate, verify_base_certificate)
 from .quotient import (SpecialCertificate, special_extension, verify_special)
 from .faithful import (FaithfulCertificate, LargeSetFamily, ValuedPoint,
                        build_valued_extension, clique_faithful_extension,
                        enumerate_cliques, forb_e_eppa, hat_extend, is_generic,
-                       large_sets, theta, verify_faithful_certificate)
+                       large_sets, theta, verify_faithful_view)
 from .amalgamation import (AmalgamInstance, check_clique_characterization,
                            exists_embedding, forb_e_member, free_amalgam,
                            minimal_forbidden)

@@ -2,7 +2,7 @@
 structure extends to an automorphism of a finite superstructure, and the
 assignment respects composition.
 
-Three realizations sit behind one verified certificate contract:
+Two realizations sit behind one verified certificate contract:
 
 * a functor search that tries the structure itself and then minimal
   point-extensions, assigning automorphisms per connected component of the
@@ -10,8 +10,7 @@ Three realizations sit behind one verified certificate contract:
 * a parity-valuation scaffold that always succeeds: points of the extension
   are (vertex, slot-set) pairs over a powerset-style carrier, permuted by
   order-preserving completions (from the coherent lift) combined with forced
-  parity corrections;
-* the brute-force iterative-deepening search, kept as an independent oracle.
+  parity corrections.
 
 Every certificate is verified before it is returned; realization bugs
 surface as hard errors, never as wrong certificates.
@@ -25,8 +24,8 @@ from typing import Sequence
 
 from . import config
 from .coherence import (ExtensionMap, SetPartialMap, Verdict, check_forced_values,
-                        coherent_lift, verify_coherence, verify_extension)
-from .errors import BoundExceededError, EppaError, VerificationError
+                        coherent_lift, verify_coherent_extension)
+from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
                          is_embedding)
@@ -46,24 +45,13 @@ class BaseEppaCertificate:
 
 
 def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
-    """Full re-check: embedding, automorphism membership, extension,
-    coherence over the complete coherent-triple set, forced values, and the
-    group embedding of Aut(A)."""
+    """Full re-check: embedding, the table over Part(A) (automorphisms,
+    extension, coherence over the complete coherent-triple set), forced
+    values, and the group embedding of Aut(A)."""
     maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
-    for p in maps:
-        try:
-            g = cert.phi.lookup(p)
-        except EppaError as exc:
-            return Verdict.failed("table", str(exc))
-        if not is_embedding(g.images, cert.extension, cert.extension):
-            return Verdict.failed("automorphism",
-                                  f"phi({p.encode()}) does not preserve relations")
-    v = verify_extension(cert.phi, maps)
-    if not v:
-        return v
-    v = verify_coherence(cert.phi, maps)
+    v = verify_coherent_extension(cert.phi, maps, cert.extension)
     if not v:
         return v
     v = check_forced_values(cert.phi, maps)
@@ -265,7 +253,9 @@ def _extension_candidates(base: Structure, extra: int):
 
 
 def _search_certificate(base: Structure, max_extra: int) -> BaseEppaCertificate | None:
-    """Iterative deepening over point-extensions and coherent assignments."""
+    """Iterative deepening over point-extensions and coherent assignments:
+    the first certificate that verifies, or None when the budget is
+    exhausted."""
     emb = tuple(range(base.size))
     for extra in range(max_extra + 1):
         for candidate in _extension_candidates(base, extra):
@@ -280,12 +270,6 @@ def _search_certificate(base: Structure, max_extra: int) -> BaseEppaCertificate 
             if verify_base_certificate(cert):
                 return cert
     return None
-
-
-def brute_force_eppa(base: Structure, max_extra: int) -> BaseEppaCertificate | None:
-    """Independent oracle: first verified certificate found by iterative
-    deepening, or None when the budget is exhausted."""
-    return _search_certificate(base, max_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +466,8 @@ def base_eppa(base: Structure,
 
     Tries the minimal realizations first (the structure itself, then small
     point-extensions) and falls back to the generic scaffold; the returned
-    certificate has been verified in full.
+    certificate has been verified in full, once (the search verifies what it
+    finds).
     """
     bound = config.max_points() if max_points is None else max_points
     if base.size > bound:
@@ -496,7 +481,7 @@ def base_eppa(base: Structure,
             cert = _search_certificate(base, budget)
     if cert is None:
         cert = scaffold_certificate(base)
-    verdict = verify_base_certificate(cert)
-    if not verdict:
-        raise VerificationError(f"internal realization failure: {verdict.message()}")
+        verdict = verify_base_certificate(cert)
+        if not verdict:
+            raise VerificationError(f"internal realization failure: {verdict.message()}")
     return cert

@@ -84,7 +84,7 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
 
         if forbidden:
             cert = forb_e_eppa(current, forbidden)
-            nxt, inclusion, phi = cert.structure, cert.extension.nu, cert.phi
+            nxt, inclusion, phi = cert.structure, cert.phi.embedding, cert.phi
         else:
             cert = base_eppa(current)
             nxt, inclusion, phi = cert.extension, cert.embedding, cert.phi

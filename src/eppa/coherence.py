@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EppaError
-from .structures import PartialAutomorphism, Permutation
+from .structures import PartialAutomorphism, Permutation, Structure, is_embedding
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,28 @@ def verify_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> 
     return Verdict.passed()
 
 
+def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
+                              structure: Structure) -> Verdict:
+    """The checks every certificate makes of its phi table, in this order:
+    its keys are exactly the encodings of `maps`, each phi(p) is an
+    automorphism of `structure`, phi(p) extends p, and phi is coherent."""
+    keys = {p.encode() for p in maps}
+    missing = sorted(keys - phi.table.keys())
+    if missing:
+        return Verdict.failed("table", f"missing table entry for {missing[0]}")
+    extra = sorted(phi.table.keys() - keys)
+    if extra:
+        return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
+    for p in maps:
+        if not is_embedding(phi.lookup(p).images, structure, structure):
+            return Verdict.failed("automorphism",
+                                  f"phi({p.encode()}) is not an automorphism")
+    v = verify_extension(phi, maps)
+    if not v:
+        return v
+    return verify_coherence(phi, maps)
+
+
 @dataclass(frozen=True)
 class SetPartialMap:
     """Partial function on subsets of X (as bitmasks), induced elementwise by
@@ -228,7 +250,8 @@ def mask_atoms(universe: int, masks: Iterable[int]) -> list[int]:
     return sorted(cells, key=lambda c: (c & -c).bit_length())
 
 
-def _bits(mask: int) -> list[int]:
+def mask_points(mask: int) -> list[int]:
+    """Elements of the set `mask`, in increasing order."""
     out = []
     m = mask
     while m:
@@ -255,8 +278,8 @@ def coherent_lift(universe: int, maps: Sequence[SetPartialMap]) -> list[Permutat
         images = [None] * universe
         for atom in atoms:
             target = _apply_mask(m.witness, atom, universe)
-            src = _bits(atom)
-            dst = sorted(_bits(target))
+            src = mask_points(atom)
+            dst = sorted(mask_points(target))
             for i, j in zip(src, dst):
                 images[i] = j
         out.append(Permutation(tuple(images)))

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import config
 from .base_extension import BaseEppaCertificate, base_eppa, verify_base_certificate
-from .coherence import (ExtensionMap, PermutationGroup, Verdict,
-                        check_forced_values, verify_coherence, verify_extension)
+from .coherence import (ExtensionMap, PermutationGroup, Verdict, check_forced_values,
+                        mask_points, verify_coherent_extension)
 from .errors import BoundExceededError, EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
@@ -55,19 +56,17 @@ class LargeSetFamily:
         return bin(self.sets[idx]).count("1")
 
 
-def _mask_points(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return out
+def mover_into(points: Iterable[int], inner: frozenset[int],
+               aut: PermutationGroup) -> Permutation | None:
+    """The first automorphism, in group order, that maps every point into the
+    inner copy; None when the points are large."""
+    pts = list(points)
+    return next((g for g in aut.elements if all(g(x) in inner for x in pts)), None)
 
 
 def is_small(mask: int, inner: frozenset[int], aut: PermutationGroup) -> bool:
     """u is small iff some automorphism maps it inside the inner copy."""
-    pts = _mask_points(mask)
-    return any(all(g(x) in inner for x in pts) for g in aut.elements)
+    return mover_into(mask_points(mask), inner, aut) is not None
 
 
 def large_sets(extension: Structure, inner: Iterable[int],
@@ -150,12 +149,11 @@ def valuation_count(extension: Structure, family: LargeSetFamily) -> int:
     return total
 
 
-def build_valued_extension(base_cert: BaseEppaCertificate,
+def build_valued_extension(extension: Structure, embedding: Sequence[int],
                            family: LargeSetFamily) -> ValuedExtension:
-    """Materialize C with the generic-tuple relation rule and the canonical
-    embedding of A (values index the ascending enumeration of u intersected
-    with A, starting at 1)."""
-    extension = base_cert.extension
+    """Materialize C over the base extension B with the generic-tuple relation
+    rule and the canonical embedding of A along `embedding` (values index the
+    ascending enumeration of u intersected with A, starting at 1)."""
     bound = config.max_valued_points()
     count = valuation_count(extension, family)
     if count > bound:
@@ -179,13 +177,12 @@ def build_valued_extension(base_cert: BaseEppaCertificate,
             points.append(ValuedPoint(owner=b, values=values))
     index = {pt: i for i, pt in enumerate(points)}
 
-    inner = sorted(base_cert.embedding)
+    inner = set(embedding)
     nu_points = []
-    for a in range(base_cert.base.size):
-        b = base_cert.embedding[a]
+    for a, b in enumerate(embedding):
         values = []
         for idx in family.member_indices(b):
-            members = sorted(x for x in _mask_points(family.sets[idx]) if x in set(inner))
+            members = [x for x in mask_points(family.sets[idx]) if x in inner]
             values.append(members.index(b) + 1)
         pt = ValuedPoint(owner=b, values=tuple(values))
         if pt not in index:
@@ -297,21 +294,25 @@ def enumerate_cliques(structure: Structure, max_size: int | None = None) -> list
 
 @dataclass(frozen=True)
 class FaithfulCertificate:
-    """Verified clique-faithful coherent extension, with per-clique witnesses."""
+    """Clique-faithful coherent extension C of A, built over a base extension
+    A <= B: exactly the contents of its certificate file.  phi is defined on
+    Part(A) and extends through its embedding nu of A into C."""
 
-    base_cert: BaseEppaCertificate
-    extension: ValuedExtension
+    base: Structure
+    base_extension: Structure
+    structure: Structure
+    base_embedding: tuple[int, ...]
     phi: ExtensionMap = field(hash=False)
     clique_witnesses: dict[tuple[int, ...], Permutation] = field(hash=False)
     size_cap: int | None = None
     forbidden: tuple[Structure, ...] = ()
 
-    @property
-    def structure(self) -> Structure:
-        return self.extension.structure
-
-    def nu(self) -> tuple[int, ...]:
-        return self.extension.nu
+    @cached_property
+    def extension(self) -> ValuedExtension:
+        """The valued extension C is built as, recomputed from B, the embedding
+        of A into B and the size cap."""
+        family = large_sets(self.base_extension, self.base_embedding, self.size_cap)
+        return build_valued_extension(self.base_extension, self.base_embedding, family)
 
 
 def clique_faithful_extension(base: Structure,
@@ -330,7 +331,7 @@ def clique_faithful_extension(base: Structure,
         if base_cert.base != base:
             raise EppaError("base certificate is for a different structure")
     family = large_sets(base_cert.extension, base_cert.embedding, size_cap)
-    extension = build_valued_extension(base_cert, family)
+    extension = build_valued_extension(base_cert.extension, base_cert.embedding, family)
 
     maps = enumerate_partial_automorphisms(base)
     table: dict[str, Permutation] = {}
@@ -343,23 +344,17 @@ def clique_faithful_extension(base: Structure,
                        codomain_universe=extension.structure.size,
                        embedding=extension.nu, table=table)
 
-    inner = frozenset(base_cert.embedding)
     nu_set = frozenset(extension.nu)
+    back = {b: a for a, b in enumerate(base_cert.embedding)}
     witnesses: dict[tuple[int, ...], Permutation] = {}
     for clique in enumerate_cliques(extension.structure, size_cap):
         pts = [extension.points[i] for i in clique]
         if not is_generic(pts, family):
             raise VerificationError(f"clique {clique} is not generic")
-        projection = [pt.owner for pt in pts]
-        witness_g = None
-        for g in family.aut.elements:
-            if all(g(b) in inner for b in projection):
-                witness_g = g
-                break
+        witness_g = mover_into([pt.owner for pt in pts], family.inner, family.aut)
         if witness_g is None:
             raise VerificationError(
                 f"projection of clique {clique} is large; faithfulness fails")
-        back = {b: a for a, b in enumerate(base_cert.embedding)}
         pairs = [(pt, extension.points[extension.nu[back[witness_g(pt.owner)]]])
                  for pt in pts]
         moved = hat_extend(pairs, witness_g, extension)
@@ -367,41 +362,36 @@ def clique_faithful_extension(base: Structure,
             raise VerificationError(f"witness for clique {clique} misses the inner copy")
         witnesses[clique] = moved
 
-    cert = FaithfulCertificate(base_cert=base_cert, extension=extension, phi=phi,
+    cert = FaithfulCertificate(base=base, base_extension=base_cert.extension,
+                               structure=extension.structure,
+                               base_embedding=base_cert.embedding, phi=phi,
                                clique_witnesses=witnesses, size_cap=size_cap,
                                forbidden=tuple(forbidden))
-    verdict = verify_faithful_certificate(cert)
+    verdict = verify_faithful_view(cert)
     if not verdict:
         raise VerificationError(f"pipeline produced invalid certificate: {verdict.message()}")
     return cert
 
 
-def verify_faithful_view(base: Structure, c_structure: Structure,
-                         phi: ExtensionMap,
-                         clique_witnesses: dict[tuple[int, ...], Permutation],
-                         size_cap: int | None,
-                         forbidden: Sequence[Structure]) -> Verdict:
-    """Verify a faithful certificate from its serializable surface alone."""
-    nu = phi.embedding
-    if not is_embedding(nu, base, c_structure):
+def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
+    """Verify a faithful certificate from its contents alone: both
+    embeddings, the table over Part(A), forced values, a witness for every
+    clique, and freeness from the forbidden family."""
+    base, c_structure, phi = cert.base, cert.structure, cert.phi
+    if not is_embedding(cert.base_embedding, base, cert.base_extension):
+        return Verdict.failed("embedding", "A is not induced in the base extension")
+    if not is_embedding(phi.embedding, base, c_structure):
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
     maps = enumerate_partial_automorphisms(base)
-    for p in maps:
-        try:
-            g = phi.lookup(p)
-        except EppaError as exc:
-            return Verdict.failed("table", str(exc))
-        if not is_embedding(g.images, c_structure, c_structure):
-            return Verdict.failed("automorphism",
-                                  f"phi({p.encode()}) is not an automorphism of C")
-    for check in (verify_extension(phi, maps),
-                  verify_coherence(phi, maps),
-                  check_forced_values(phi, maps)):
-        if not check:
-            return check
-    nu_set = frozenset(nu)
-    cliques = set(enumerate_cliques(c_structure, size_cap))
-    for clique, witness in clique_witnesses.items():
+    v = verify_coherent_extension(phi, maps, c_structure)
+    if not v:
+        return v
+    v = check_forced_values(phi, maps)
+    if not v:
+        return v
+    nu_set = frozenset(phi.embedding)
+    cliques = set(enumerate_cliques(c_structure, cert.size_cap))
+    for clique, witness in cert.clique_witnesses.items():
         if clique not in cliques:
             return Verdict.failed("clique", f"{clique} is not a Gaifman clique of C")
         if not is_embedding(witness.images, c_structure, c_structure):
@@ -410,30 +400,24 @@ def verify_faithful_view(base: Structure, c_structure: Structure,
         if any(witness(i) not in nu_set for i in clique):
             return Verdict.failed("clique-witness",
                                   f"witness for {clique} does not map into nu(A)")
-    missing = cliques - set(clique_witnesses)
+    missing = cliques - set(cert.clique_witnesses)
     if missing:
         return Verdict.failed("clique-cover",
                               f"no witness recorded for clique {sorted(missing)[0]}")
     from .amalgamation import exists_embedding
-    for q in forbidden:
+    for q in cert.forbidden:
         hit = exists_embedding(q, c_structure)
         if hit is not None:
             return Verdict.failed("freeness", f"forbidden structure embeds at {hit}")
     return Verdict.passed()
 
 
-def verify_faithful_certificate(cert: FaithfulCertificate) -> Verdict:
-    """Re-check every certified property from the materialized objects."""
-    return verify_faithful_view(cert.base_cert.base, cert.extension.structure,
-                                cert.phi, cert.clique_witnesses, cert.size_cap,
-                                cert.forbidden)
-
-
 def forb_e_eppa(base: Structure, forbidden: Sequence[Structure],
                 size_cap: int | None = None) -> FaithfulCertificate:
     """Coherent EPPA inside the class of structures embedding no member of a
-    family of Gaifman cliques; the output is re-verified to stay in the class."""
-    from .amalgamation import exists_embedding, forb_e_member
+    family of Gaifman cliques; the certificate records the family, so its
+    verification shows the output stays in the class."""
+    from .amalgamation import forb_e_member
     forbidden = tuple(forbidden)
     for q in forbidden:
         if not is_gaifman_clique(q):
@@ -442,11 +426,7 @@ def forb_e_eppa(base: Structure, forbidden: Sequence[Structure],
         raise EppaError("input structure embeds a forbidden structure")
     if size_cap is None and forbidden:
         size_cap = max(q.size for q in forbidden)
-    cert = clique_faithful_extension(base, size_cap=size_cap, forbidden=forbidden)
-    for q in forbidden:
-        if exists_embedding(q, cert.structure) is not None:
-            raise VerificationError("extension is not free of the forbidden family")
-    return cert
+    return clique_faithful_extension(base, size_cap=size_cap, forbidden=forbidden)
 
 
 def generic_subsets(extension: ValuedExtension, max_size: int | None = None
@@ -475,4 +455,4 @@ def projection_is_small(extension: ValuedExtension, subset: Sequence[int]) -> bo
     """Witnessed smallness of the projection of a subset of C."""
     family = extension.family
     owners = {extension.points[i].owner for i in subset}
-    return any(all(g(b) in family.inner for b in owners) for g in family.aut.elements)
+    return mover_into(owners, family.inner, family.aut) is not None

@@ -11,10 +11,11 @@ quotient is realized by a word over P."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .coherence import (ExtensionMap, PermutationGroup, Verdict,
-                        verify_coherence, verify_extension)
+from .coherence import (ExtensionMap, PermutationGroup, Verdict, verify_coherence,
+                        verify_coherent_extension, verify_extension)
 from .errors import VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
@@ -40,11 +41,40 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+def _generated_group(codomain: Structure, maps: Sequence[PartialAutomorphism],
+                    psi: ExtensionMap) -> PermutationGroup:
+    """The group G generated by the assigned automorphisms psi(p), p in P."""
+    return PermutationGroup.from_generators(codomain.size, [psi.lookup(p) for p in maps])
+
+
+def _word_classes(base: Structure, maps: Sequence[PartialAutomorphism],
+                 psi: ExtensionMap, group: PermutationGroup
+                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Classes of (A x G)/~, each a sorted tuple of (point, group index)
+    pairs, ordered by least member: the union-find closure of the single
+    moves (x, g) ~ (p(x), psi(p) o g)."""
+    gindex = {g: i for i, g in enumerate(group.elements)}
+    ng = len(group.elements)
+    uf = _UnionFind(base.size * ng)
+    for p in maps:
+        gp = psi.lookup(p)
+        for gi, g in enumerate(group.elements):
+            moved = gindex[gp.compose(g)]
+            for x, y in p.pairs:
+                uf.union(x * ng + gi, y * ng + moved)
+    class_of: dict[int, list[tuple[int, int]]] = {}
+    for x in range(base.size):
+        for gi in range(ng):
+            class_of.setdefault(uf.find(x * ng + gi), []).append((x, gi))
+    return tuple(sorted(tuple(sorted(members)) for members in class_of.values()))
+
+
 @dataclass(frozen=True)
 class SpecialCertificate:
     """Quotient extension with its word data: the coherent map phi over P, the
     embedding iota, and the equivariant homomorphism back onto the base
-    extension."""
+    extension.  The fields are exactly the contents of the certificate file;
+    the group and the classes of the quotient are derived from them."""
 
     base: Structure
     extension: Structure
@@ -53,8 +83,14 @@ class SpecialCertificate:
     psi: ExtensionMap = field(hash=False)
     phi: ExtensionMap = field(hash=False)
     hom: tuple[int, ...] = ()
-    group: PermutationGroup = field(default=None, hash=False)
-    class_members: tuple[tuple[tuple[int, int], ...], ...] = ()
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        return _generated_group(self.codomain, self.maps, self.psi)
+
+    @cached_property
+    def class_members(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _word_classes(self.base, self.maps, self.psi, self.group)
 
 
 def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
@@ -70,51 +106,23 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
     if not v:
         raise VerificationError(f"psi fails coherence: {v.message()}")
 
-    group = PermutationGroup.from_generators(
-        codomain.size, [psi.lookup(p) for p in maps])
+    group = _generated_group(codomain, maps, psi)
     gindex = {g: i for i, g in enumerate(group.elements)}
-    identity = Permutation.identity(codomain.size)
+    classes = _word_classes(base, maps, psi, group)
+    point_of = {pair: i for i, members in enumerate(classes) for pair in members}
+    representatives = [members[0] for members in classes]
 
     n = base.size
-    ng = len(group.elements)
-
-    def pair_id(x: int, gi: int) -> int:
-        return x * ng + gi
-
-    uf = _UnionFind(n * ng)
-    for p in maps:
-        gp = psi.lookup(p)
-        for gi, g in enumerate(group.elements):
-            moved = gindex[gp.compose(g)]
-            for x, y in p.pairs:
-                uf.union(pair_id(x, gi), pair_id(y, moved))
-
-    class_of: dict[int, list[tuple[int, int]]] = {}
-    for x in range(n):
-        for gi in range(ng):
-            root = uf.find(pair_id(x, gi))
-            class_of.setdefault(root, []).append((x, gi))
-    representatives = sorted(min(members) for members in class_of.values())
-    rep_index = {rep: i for i, rep in enumerate(representatives)}
-    members_by_rep = {min(members): tuple(sorted(members))
-                      for members in class_of.values()}
-
-    def point_of(x: int, gi: int) -> int:
-        root = uf.find(pair_id(x, gi))
-        return rep_index[min(class_of[root])]
-
     size = len(representatives)
-    iota = tuple(point_of(x, gindex[identity]) for x in range(n))
+    identity = Permutation.identity(codomain.size)
+    iota = tuple(point_of[(x, gindex[identity])] for x in range(n))
 
     action_table: dict[str, Permutation] = {}
     for p in maps:
         inv = psi.lookup(p).inverse()
-        images = []
-        for rep in representatives:
-            x, gi = rep
-            images.append(point_of(x, gindex[group.elements[gi].compose(inv)]))
-        perm = Permutation(tuple(images))
-        action_table[p.encode()] = perm
+        action_table[p.encode()] = Permutation(tuple(
+            point_of[(x, gindex[group.elements[gi].compose(inv)])]
+            for x, gi in representatives))
 
     rels: dict[str, set[tuple[int, ...]]] = {}
     for name, _ in base.signature.symbols:
@@ -134,17 +142,11 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
         rels[name] = current
     extension = Structure.make(base.signature, size, rels)
 
-    hom = []
-    for rep in representatives:
-        x, gi = rep
-        hom.append(group.elements[gi].inverse()(psi.embed(x)))
-
+    hom = tuple(group.elements[gi].inverse()(psi.embed(x)) for x, gi in representatives)
     phi = ExtensionMap(domain_universe=n, codomain_universe=size,
                        embedding=iota, table=action_table)
-    cert = SpecialCertificate(
-        base=base, extension=extension, codomain=codomain, maps=maps,
-        psi=psi, phi=phi, hom=tuple(hom), group=group,
-        class_members=tuple(members_by_rep[rep] for rep in representatives))
+    cert = SpecialCertificate(base=base, extension=extension, codomain=codomain,
+                              maps=maps, psi=psi, phi=phi, hom=hom)
 
     check = verify_structural(cert)
     if not check:
@@ -153,19 +155,11 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
 
 
 def verify_structural(cert: SpecialCertificate) -> Verdict:
-    """Structure-level checks: well-defined action, embedding, extension,
-    coherence, homomorphism and equivariance."""
+    """Structure-level checks: embedding, the table over P (automorphisms,
+    extension, coherence), homomorphism and equivariance."""
     if not is_embedding(cert.phi.embedding, cert.base, cert.extension):
         return Verdict.failed("iota-embedding", "A is not induced along iota")
-    for p in cert.maps:
-        g = cert.phi.lookup(p)
-        if not is_embedding(g.images, cert.extension, cert.extension):
-            return Verdict.failed("automorphism",
-                                  f"phi({p.encode()}) is not an automorphism")
-    v = verify_extension(cert.phi, cert.maps)
-    if not v:
-        return v
-    v = verify_coherence(cert.phi, cert.maps)
+    v = verify_coherent_extension(cert.phi, cert.maps, cert.extension)
     if not v:
         return v
     if not is_homomorphism(cert.hom, cert.extension, cert.codomain):

@@ -8,7 +8,7 @@ produce byte-identical files and the verifier works from file contents alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .base_extension import BaseEppaCertificate, verify_base_certificate
@@ -173,11 +173,11 @@ def emit_faithful_certificate(cert: FaithfulCertificate) -> str:
     lines.append(f"forbid {len(cert.forbidden)}")
     for i, q in enumerate(cert.forbidden):
         lines += _structure_lines(q, f"f{i}")
-    lines += _structure_lines(cert.base_cert.base, "a")
-    lines += _structure_lines(cert.base_cert.extension, "b")
+    lines += _structure_lines(cert.base, "a")
+    lines += _structure_lines(cert.base_extension, "b")
     lines += _structure_lines(cert.structure, "c")
-    lines.append(_embed_line("embed-base", cert.base_cert.embedding))
-    lines.append(_embed_line("embed", cert.extension.nu))
+    lines.append(_embed_line("embed-base", cert.base_embedding))
+    lines.append(_embed_line("embed", cert.phi.embedding))
     for key in sorted(cert.phi.table):
         lines.append(_map_line("phi", key, cert.phi.table[key]))
     for clique in sorted(cert.clique_witnesses):
@@ -279,23 +279,9 @@ def _parse_map_line(line: str, prefix: str) -> tuple[str, Permutation]:
     return key.strip(), Permutation(_parse_int_list(body))
 
 
-@dataclass(frozen=True)
-class FaithfulFileView:
-    """Serializable surface of a faithful certificate."""
-
-    base: Structure
-    base_extension: Structure
-    structure: Structure
-    base_embedding: tuple[int, ...]
-    phi: ExtensionMap = field(hash=False)
-    clique_witnesses: dict[tuple[int, ...], Permutation] = field(hash=False)
-    size_cap: int | None = None
-    forbidden: tuple[Structure, ...] = ()
-
-
 def parse_certificate(text: str):
-    """Parse a certificate file into a verifiable object; the digest is
-    checked first."""
+    """Parse a certificate file into the certificate type its builder
+    returns; the digest is checked first."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -344,7 +330,7 @@ def _parse_base(reader: _Reader) -> BaseEppaCertificate:
                                embedding=embedding, phi=phi)
 
 
-def _parse_faithful(reader: _Reader) -> FaithfulFileView:
+def _parse_faithful(reader: _Reader) -> FaithfulCertificate:
     cap_line = reader.take().split()
     if cap_line[:2] != ["param", "size-cap"] or len(cap_line) != 3:
         raise StructureSyntaxError("expected 'param size-cap'")
@@ -379,10 +365,10 @@ def _parse_faithful(reader: _Reader) -> FaithfulFileView:
             raise StructureSyntaxError(f"unexpected line {line!r}")
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=structure.size,
                        embedding=nu, table=table)
-    return FaithfulFileView(base=base, base_extension=base_extension,
-                            structure=structure, base_embedding=base_embedding,
-                            phi=phi, clique_witnesses=witnesses,
-                            size_cap=size_cap, forbidden=forbidden)
+    return FaithfulCertificate(base=base, base_extension=base_extension,
+                               structure=structure, base_embedding=base_embedding,
+                               phi=phi, clique_witnesses=witnesses,
+                               size_cap=size_cap, forbidden=forbidden)
 
 
 def _parse_special(reader: _Reader) -> SpecialCertificate:
@@ -421,8 +407,7 @@ def _parse_special(reader: _Reader) -> SpecialCertificate:
     psi = ExtensionMap(domain_universe=base.size, codomain_universe=codomain.size,
                        embedding=psi_embedding, table=psi_table)
     return SpecialCertificate(base=base, extension=extension, codomain=codomain,
-                              maps=maps, psi=psi, phi=phi, hom=hom,
-                              group=None, class_members=())
+                              maps=maps, psi=psi, phi=phi, hom=hom)
 
 
 def _parse_chain(reader: _Reader) -> ChainCertificate:
@@ -470,15 +455,10 @@ def _parse_chain(reader: _Reader) -> ChainCertificate:
 
 def verify_certificate(cert, word_bound: int = 6) -> Verdict:
     """Dispatch the appropriate verifier for a parsed certificate."""
-    from .structures import is_embedding
     if isinstance(cert, BaseEppaCertificate):
         return verify_base_certificate(cert)
-    if isinstance(cert, FaithfulFileView):
-        if not is_embedding(cert.base_embedding, cert.base, cert.base_extension):
-            return Verdict.failed("embedding", "A is not induced in the base extension")
-        return verify_faithful_view(cert.base, cert.structure, cert.phi,
-                                    cert.clique_witnesses, cert.size_cap,
-                                    cert.forbidden)
+    if isinstance(cert, FaithfulCertificate):
+        return verify_faithful_view(cert)
     if isinstance(cert, SpecialCertificate):
         return verify_special(cert, max_word_len=word_bound)
     if isinstance(cert, ChainCertificate):

@@ -18,7 +18,7 @@ from eppa.coherence import (ExtensionMap, SetPartialMap, check_forced_values,
                             verify_coherence, verify_extension)
 from eppa.faithful import (clique_faithful_extension, forb_e_eppa,
                            generic_subsets, projection_is_small,
-                           verify_faithful_certificate)
+                           verify_faithful_view)
 from eppa.quotient import special_extension, verify_special
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              graph, enumerate_partial_automorphisms, is_embedding)
@@ -120,13 +120,13 @@ def test_criterion_02_clique_faithful_pipeline(pipeline_certificates):
                                          strict=True):
         assert digest_of(cert) == digest
         c_structure = cert.structure
-        nu_set = set(cert.extension.nu)
+        nu_set = set(cert.phi.embedding)
         for clique, witness in cert.clique_witnesses.items():
             assert is_embedding(witness.images, c_structure, c_structure)
             assert all(witness(i) in nu_set for i in clique)
         maps = enumerate_partial_automorphisms(structure)
         assert verify_coherence(cert.phi, maps)
-        assert verify_faithful_certificate(cert)
+        assert verify_faithful_view(cert)
     # hand-derived fixture: a single vertex inside an edge collapses to two
     # valued points with the edge destroyed
     from eppa.base_extension import BaseEppaCertificate
@@ -149,7 +149,7 @@ def test_criterion_03_forbidden_triangle_preserved():
         cert = forb_e_eppa(structure, [K3])
         assert digest_of(cert) == digest
         assert exists_embedding(K3, cert.structure) is None
-        assert verify_faithful_certificate(cert)
+        assert verify_faithful_view(cert)
     print("[ 3] forb_e extensions of triangle-free graphs stay K3-free: PASS")
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from eppa.base_extension import (base_eppa, brute_force_eppa, coherent_assignment,
+from eppa.base_extension import (_search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import check_forced_values, verify_coherence, verify_extension
 from eppa.errors import BoundExceededError
@@ -64,30 +64,33 @@ class TestBaseEppa:
 
 
 class TestBruteForce:
+    """The candidate search on its own: iterative deepening over
+    point-extensions, returning the first certificate that verifies."""
+
     def test_single_vertex_immediate(self):
-        cert = brute_force_eppa(graph(1, []), max_extra=0)
+        cert = _search_certificate(graph(1, []), max_extra=0)
         assert cert is not None and cert.extension.size == 1
 
     def test_two_points_no_extra_needed(self):
-        cert = brute_force_eppa(graph(2, []), max_extra=0)
+        cert = _search_certificate(graph(2, []), max_extra=0)
         assert cert is not None
         assert cert.extension == cert.base
 
     def test_not_found_within_budget(self):
         # the leaf-to-centre map of a path cannot extend inside the path itself
-        cert = brute_force_eppa(graph(3, [(0, 1), (1, 2)]), max_extra=0)
+        cert = _search_certificate(graph(3, [(0, 1), (1, 2)]), max_extra=0)
         assert cert is None
 
     def test_cross_check_with_base_eppa(self, k2):
         for structure in (k2, graph(3, [(0, 1)])):
-            searched = brute_force_eppa(structure, max_extra=1)
+            searched = _search_certificate(structure, max_extra=1)
             built = base_eppa(structure)
             assert searched is not None
             for cert in (searched, built):
                 assert verify_base_certificate(cert)
 
     def test_oracle_certificates_verified(self, path3):
-        cert = brute_force_eppa(path3, max_extra=1)
+        cert = _search_certificate(path3, max_extra=1)
         assert cert is not None and cert.extension.size == 4
         assert verify_base_certificate(cert)
 
@@ -124,7 +127,7 @@ class TestScaffold:
         # dual route: both realizations must produce verifiable certificates
         for structure in (graph(1, []), graph(2, [])):
             assert verify_base_certificate(scaffold_certificate(structure))
-            assert verify_base_certificate(brute_force_eppa(structure, 0))
+            assert verify_base_certificate(_search_certificate(structure, 0))
 
 
 class TestCoherentAssignment:

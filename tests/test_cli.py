@@ -1,12 +1,19 @@
 import dataclasses
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eppa
 from eppa.base_extension import base_eppa
 from eppa.cli import main
-from eppa.structures import Permutation, graph
+from eppa.coherence import ExtensionMap
+from eppa.faithful import clique_faithful_extension
+from eppa.quotient import special_extension
+from eppa.structures import PartialAutomorphism, Permutation, graph
 from eppa.textio import emit_certificate, emit_structure
 
 K2 = graph(2, [(0, 1)])
@@ -127,9 +134,59 @@ class TestOtherVerbs:
 
     def test_console_entry_point(self, files, tmp_path):
         out = tmp_path / "cert.txt"
+        # the child imports the same eppa package as this test, installed or not
+        src = str(Path(eppa.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         result = subprocess.run(
             [sys.executable, "-m", "eppa.cli", "extend", "--in", files["k2"],
              "--mode", "base", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert out.exists()
+
+
+def stamp(body: list[str]) -> str:
+    """Certificate text for `body`, with the library's digest line."""
+    digest = hashlib.sha256(("\n".join(body) + "\n").encode("utf-8")).hexdigest()
+    return "\n".join(body + [f"digest {digest}"]) + "\n"
+
+
+def k2_special():
+    p = PartialAutomorphism.from_map({0: 1})
+    psi = ExtensionMap(2, 2, (0, 1), {"-": Permutation.identity(2),
+                                      "0>1": Permutation((1, 0))})
+    return special_extension(K2, (PartialAutomorphism.empty(), p), K2, psi)
+
+
+CERTIFICATES = {
+    "base": lambda: base_eppa(PATH3),
+    "faithful": lambda: clique_faithful_extension(K2),
+    "special": k2_special,
+}
+
+
+class TestTableKeySet:
+    """The phi table of a file must be keyed by exactly the maps it covers:
+    Part(A), or P for special certificates."""
+
+    def verify_body(self, body, tmp_path, capsys):
+        path = tmp_path / "edited.txt"
+        path.write_text(stamp(body), encoding="utf-8")
+        code = main(["verify", str(path)])
+        return code, capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("kind", sorted(CERTIFICATES))
+    def test_extra_key_fails_table(self, kind, tmp_path, capsys):
+        body = emit_certificate(CERTIFICATES[kind]()).rstrip("\n").split("\n")[:-1]
+        last = max(i for i, line in enumerate(body) if line.startswith("phi "))
+        degree = len(body[last].partition(" : ")[2].split())
+        extra = "phi 9>9 : " + " ".join(str(x) for x in range(degree))
+        body.insert(last + 1, extra)
+        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+
+    def test_missing_special_key_fails_table(self, tmp_path, capsys):
+        body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
+        body.remove(next(line for line in body if line.startswith("phi 0>1 ")))
+        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")

@@ -9,7 +9,7 @@ from eppa.faithful import (ValuedPoint, build_valued_extension,
                            clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
                            large_sets, projection_is_small, theta,
-                           value_permutation, verify_faithful_certificate)
+                           value_permutation, verify_faithful_view)
 from eppa.structures import (PartialAutomorphism, Permutation, graph,
                              enumerate_partial_automorphisms, is_embedding)
 
@@ -73,7 +73,7 @@ class TestBuildValuedExtension:
     def test_fixture_two_points_no_edge(self):
         cert = single_in_k2_cert()
         family = large_sets(cert.extension, cert.embedding)
-        ext = build_valued_extension(cert, family)
+        ext = build_valued_extension(cert.extension, cert.embedding, family)
         assert ext.structure.size == 2
         assert ext.structure.tuples("E") == ()
         assert ext.points[ext.nu[0]] == ValuedPoint(owner=0, values=(1,))
@@ -83,7 +83,7 @@ class TestBuildValuedExtension:
         assert cert.extension == k3
         family = large_sets(cert.extension, cert.embedding)
         assert family.sets == ()
-        ext = build_valued_extension(cert, family)
+        ext = build_valued_extension(cert.extension, cert.embedding, family)
         assert ext.structure.size == k3.size
         assert sorted(ext.structure.tuples("E")) == sorted(k3.tuples("E"))
 
@@ -102,7 +102,7 @@ class TestBuildValuedExtension:
             for idx in family.member_indices(b):
                 prod *= family.set_size(idx) - 1
             expected += prod
-        ext = build_valued_extension(cert, family)
+        ext = build_valued_extension(cert.extension, cert.embedding, family)
         assert expected == 0
         assert ext.structure.size == expected
 
@@ -115,8 +115,9 @@ class TestBuildValuedExtension:
 
 class TestTheta:
     def setup_method(self):
-        self.fc = clique_faithful_extension(graph(3, [(0, 1), (1, 2)]))
-        self.base_cert = self.fc.base_cert
+        path3 = graph(3, [(0, 1), (1, 2)])
+        self.base_cert = base_eppa(path3)
+        self.fc = clique_faithful_extension(path3, base_cert=self.base_cert)
         self.ext = self.fc.extension
         assert len(self.ext.family.sets) >= 1
 
@@ -174,18 +175,19 @@ class TestTheta:
 
 class TestHatExtend:
     def test_identity(self, path3):
-        fc = clique_faithful_extension(path3)
+        base_cert = base_eppa(path3)
+        fc = clique_faithful_extension(path3, base_cert=base_cert)
         ident_p = PartialAutomorphism.identity_on(range(3))
         pairs = [(fc.extension.points[fc.extension.nu[x]],
                   fc.extension.points[fc.extension.nu[x]]) for x in range(3)]
-        g = fc.base_cert.phi.lookup(ident_p)
+        g = base_cert.phi.lookup(ident_p)
         perm = hat_extend(pairs, g, fc.extension)
         assert perm == Permutation.identity(fc.structure.size)
 
     def test_fixture_swap(self):
         cert = single_in_k2_cert()
         family = large_sets(cert.extension, cert.embedding)
-        ext = build_valued_extension(cert, family)
+        ext = build_valued_extension(cert.extension, cert.embedding, family)
         swap = Permutation((1, 0))
         perm = hat_extend([], swap, ext)
         assert perm.images == (1, 0)
@@ -205,13 +207,13 @@ class TestPipeline:
     def test_single_vertex_trivial(self):
         fc = clique_faithful_extension(graph(1, []))
         assert fc.structure.size == 1
-        assert verify_faithful_certificate(fc)
+        assert verify_faithful_view(fc)
 
     def test_fixture_via_base_override(self):
         fc = clique_faithful_extension(graph(1, []), base_cert=single_in_k2_cert())
         assert fc.structure.size == 2
         assert fc.structure.tuples("E") == ()
-        assert verify_faithful_certificate(fc)
+        assert verify_faithful_view(fc)
         # every clique is a single point and lands inside nu(A)
         for clique, witness in fc.clique_witnesses.items():
             assert len(clique) == 1
@@ -220,7 +222,7 @@ class TestPipeline:
     def test_small_graphs_verified(self, graphs_up_to_3):
         for structure in graphs_up_to_3:
             fc = clique_faithful_extension(structure)
-            assert verify_faithful_certificate(fc)
+            assert verify_faithful_view(fc)
 
     def test_cliques_of_c_are_generic(self, path3):
         fc = clique_faithful_extension(path3)
@@ -233,13 +235,13 @@ class TestPipeline:
         sig = Signature.make(("U", 1), ("E", 2))
         mixed = Structure.make(sig, 2, {"U": [(0,)], "E": [(0, 1), (1, 0)]})
         fc = clique_faithful_extension(mixed)
-        assert verify_faithful_certificate(fc)
+        assert verify_faithful_view(fc)
 
     def test_digraph_pipeline(self):
         from eppa.structures import GRAPH_SIGNATURE, Structure
         arc = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]})
         fc = clique_faithful_extension(arc)
-        assert verify_faithful_certificate(fc)
+        assert verify_faithful_view(fc)
 
 
 class TestForbE:
@@ -247,7 +249,7 @@ class TestForbE:
         from eppa.amalgamation import exists_embedding
         fc = forb_e_eppa(path3, [k3])
         assert exists_embedding(k3, fc.structure) is None
-        assert verify_faithful_certificate(fc)
+        assert verify_faithful_view(fc)
 
     def test_rejects_non_free_input(self, k3):
         with pytest.raises(EppaError):
@@ -272,7 +274,7 @@ class TestGenericProjections:
     def test_value_permutation_requires_compatible_map(self):
         cert = single_in_k2_cert()
         family = large_sets(cert.extension, cert.embedding)
-        ext = build_valued_extension(cert, family)
+        ext = build_valued_extension(cert.extension, cert.embedding, family)
         a = ext.points[0]
         with pytest.raises(EppaError):
             value_permutation([(a, a)], Permutation((1, 0)), family, 0)

@@ -9,6 +9,7 @@ from eppa.quotient import (quotient_matches_word_relation, special_extension,
                            verify_special, verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
                              enumerate_partial_automorphisms)
+from eppa.textio import emit_certificate, parse_certificate
 
 
 def k2_instance():
@@ -129,6 +130,10 @@ class TestWordRelationOracle:
                             {p.encode(): base_cert.phi.lookup(p) for p in sub})
         cert2 = special_extension(path3, sub, base_cert.extension, psi2)
         assert quotient_matches_word_relation(cert2)
+        # the group and classes are derived from the file's contents, so the
+        # oracle runs on a parsed certificate as well
+        for built in (cert, cert2):
+            assert quotient_matches_word_relation(parse_certificate(emit_certificate(built)))
 
     def test_equivariance_holds_pointwise(self):
         k2, maps, psi = k2_instance()

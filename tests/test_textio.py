@@ -88,6 +88,7 @@ class TestCertificateFiles:
         cert = forb_e_eppa(path3, [k3])
         text = emit_certificate(cert)
         back = parse_certificate(text)
+        assert emit_certificate(back) == text
         assert verify_certificate(back)
         assert back.forbidden[0] == k3
         assert back.size_cap == 3
