@@ -56,8 +56,8 @@ class LargeSetFamily:
         return bin(self.sets[idx]).count("1")
 
 
-def mover_into(points: Iterable[int], inner: frozenset[int],
-               aut: PermutationGroup) -> Permutation | None:
+def _mover_into(points: Iterable[int], inner: frozenset[int],
+                aut: PermutationGroup) -> Permutation | None:
     """The first automorphism, in group order, that maps every point into the
     inner copy; None when the points are large."""
     pts = list(points)
@@ -66,7 +66,7 @@ def mover_into(points: Iterable[int], inner: frozenset[int],
 
 def is_small(mask: int, inner: frozenset[int], aut: PermutationGroup) -> bool:
     """u is small iff some automorphism maps it inside the inner copy."""
-    return mover_into(mask_points(mask), inner, aut) is not None
+    return _mover_into(mask_points(mask), inner, aut) is not None
 
 
 def large_sets(extension: Structure, inner: Iterable[int],
@@ -309,8 +309,8 @@ class FaithfulCertificate:
 
     @cached_property
     def extension(self) -> ValuedExtension:
-        """The valued extension C is built as, recomputed from B, the embedding
-        of A into B and the size cap."""
+        """The valued extension that C is the structure of, recomputed from B,
+        the embedding of A into B and the size cap."""
         family = large_sets(self.base_extension, self.base_embedding, self.size_cap)
         return build_valued_extension(self.base_extension, self.base_embedding, family)
 
@@ -351,7 +351,7 @@ def clique_faithful_extension(base: Structure,
         pts = [extension.points[i] for i in clique]
         if not is_generic(pts, family):
             raise VerificationError(f"clique {clique} is not generic")
-        witness_g = mover_into([pt.owner for pt in pts], family.inner, family.aut)
+        witness_g = _mover_into([pt.owner for pt in pts], family.inner, family.aut)
         if witness_g is None:
             raise VerificationError(
                 f"projection of clique {clique} is large; faithfulness fails")
@@ -455,4 +455,4 @@ def projection_is_small(extension: ValuedExtension, subset: Sequence[int]) -> bo
     """Witnessed smallness of the projection of a subset of C."""
     family = extension.family
     owners = {extension.points[i].owner for i in subset}
-    return mover_into(owners, family.inner, family.aut) is not None
+    return _mover_into(owners, family.inner, family.aut) is not None

@@ -42,14 +42,14 @@ class _UnionFind:
 
 
 def _generated_group(codomain: Structure, maps: Sequence[PartialAutomorphism],
-                    psi: ExtensionMap) -> PermutationGroup:
+                     psi: ExtensionMap) -> PermutationGroup:
     """The group G generated by the assigned automorphisms psi(p), p in P."""
     return PermutationGroup.from_generators(codomain.size, [psi.lookup(p) for p in maps])
 
 
 def _word_classes(base: Structure, maps: Sequence[PartialAutomorphism],
-                 psi: ExtensionMap, group: PermutationGroup
-                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
+                  psi: ExtensionMap, group: PermutationGroup
+                  ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Classes of (A x G)/~, each a sorted tuple of (point, group index)
     pairs, ordered by least member: the union-find closure of the single
     moves (x, g) ~ (p(x), psi(p) o g)."""
