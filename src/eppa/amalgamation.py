@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BoundExceededError, EppaError
-from .structures import (Signature, Structure, induced_substructure,
+from .structures import (Signature, Structure, embeddings, induced_substructure,
                          is_embedding, is_gaifman_clique)
 
 
@@ -55,49 +55,8 @@ def free_amalgam(instance: AmalgamInstance) -> tuple[Structure, tuple[int, ...],
 
 def exists_embedding(pattern: Structure, target: Structure) -> tuple[int, ...] | None:
     """First embedding of `pattern` into `target` in lexicographic order of
-    assignments, or None; backtracking with tuple-wise pruning."""
-    if pattern.signature != target.signature:
-        raise EppaError("signature mismatch")
-    m, n = pattern.size, target.size
-    if m > n:
-        return None
-    pattern_tuples = [(name, t) for name, _ in pattern.signature.symbols
-                      for t in pattern.tuples(name)]
-    target_sets = {name: target.tuple_set(name) for name, _ in target.signature.symbols}
-    assignment: list[int] = [-1] * m
-    used = [False] * n
-
-    def consistent(k: int) -> bool:
-        bound = set(range(k + 1))
-        image = {assignment[i]: i for i in bound}
-        for name, t in pattern_tuples:
-            if all(x <= k for x in t):
-                if tuple(assignment[x] for x in t) not in target_sets[name]:
-                    return False
-        for name, _ in pattern.signature.symbols:
-            for t in target_sets[name]:
-                if all(x in image for x in t):
-                    if tuple(image[x] for x in t) not in pattern.tuple_set(name):
-                        return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == m:
-            return True
-        for v in range(n):
-            if used[v]:
-                continue
-            assignment[k] = v
-            used[v] = True
-            if consistent(k) and search(k + 1):
-                return True
-            used[v] = False
-        assignment[k] = -1
-        return False
-
-    if search(0):
-        return tuple(assignment)
-    return None
+    assignments, or None."""
+    return next(embeddings(pattern, target), None)
 
 
 def forb_e_member(structure: Structure, forbidden: Sequence[Structure]) -> bool:
@@ -197,43 +156,14 @@ def check_clique_characterization(member: Callable[[Structure], bool],
             non_clique = f
             break
 
-    closure_witness = None
     members: list[Structure] = []
     for size in range(max_size + 1):
         members.extend(s for s in enumerate_structures(signature, size, universe)
                        if member(s))
-    for left in members:
-        for right in members:
-            for k in range(min(left.size, right.size) + 1):
-                if left.size + right.size - k > max_size:
-                    continue
-                for pts_left in itertools.combinations(range(left.size), k):
-                    shared, _ = induced_substructure(left, pts_left)
-                    for pts_right in itertools.combinations(range(right.size), k):
-                        for image in itertools.permutations(pts_right):
-                            mapping = tuple(image)
-                            try:
-                                inst = AmalgamInstance(
-                                    shared=shared, left=left, right=right,
-                                    into_left=tuple(pts_left), into_right=mapping)
-                            except EppaError:
-                                continue
-                            glued, _, _ = free_amalgam(inst)
-                            if universe is not None and not universe(glued):
-                                continue
-                            if not member(glued):
-                                closure_witness = (left, right, shared, glued)
-                                break
-                        if closure_witness:
-                            break
-                    if closure_witness:
-                        break
-                if closure_witness:
-                    break
-            if closure_witness:
-                break
-        if closure_witness:
-            break
+    closure_witness = next(
+        ((left, right, shared, glued)
+         for left, right, shared, glued in _free_amalgams(members, max_size)
+         if (universe is None or universe(glued)) and not member(glued)), None)
 
     return CharacterizationReport(
         cliques_side=non_clique is None,
@@ -241,6 +171,23 @@ def check_clique_characterization(member: Callable[[Structure], bool],
         non_clique_witness=non_clique,
         closure_witness=closure_witness,
         minimal=minimal)
+
+
+def _free_amalgams(members: Sequence[Structure], max_size: int):
+    """Free amalgams of two members with at most `max_size` points, as
+    (left, right, shared, glued): the shared part is induced on a point set
+    of left, and its embeddings into right come by image set, then in
+    lexicographic order."""
+    for left in members:
+        for right in members:
+            for k in range(min(left.size, right.size) + 1):
+                if left.size + right.size - k > max_size:
+                    continue
+                for pts_left in itertools.combinations(range(left.size), k):
+                    shared, _ = induced_substructure(left, pts_left)
+                    for into_right in sorted(embeddings(shared, right), key=sorted):
+                        inst = AmalgamInstance(shared, left, right, pts_left, into_right)
+                        yield left, right, shared, free_amalgam(inst)[0]
 
 
 def is_graph_universe(structure: Structure) -> bool:

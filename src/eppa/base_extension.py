@@ -75,16 +75,16 @@ def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
 # Realization 1: coherent assignment into a candidate extension (functor
 # search over the partial-automorphism groupoid).
 
-def coherent_assignment(base: Structure, candidate: Structure,
+def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structure,
                         embedding: Sequence[int]) -> dict[str, Permutation] | None:
-    """Search a coherent, extending assignment Part(A) -> Aut(candidate).
+    """Search a coherent, extending assignment Part(A) -> Aut(candidate),
+    where `maps` is Part(A) as enumerate_partial_automorphisms lists it.
 
     Coherence makes the assignment a functor from the groupoid of partial
     automorphisms (objects: domains; morphisms: the maps) to Aut(candidate),
     so it is determined by images of a spanning tree and of one vertex group
     per connected component; the search backtracks over those.
     """
-    maps = enumerate_partial_automorphisms(base)
     try:
         aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
     except BoundExceededError:
@@ -257,9 +257,10 @@ def _search_certificate(base: Structure, max_extra: int) -> BaseEppaCertificate 
     the first certificate that verifies, or None when the budget is
     exhausted."""
     emb = tuple(range(base.size))
+    maps = enumerate_partial_automorphisms(base)
     for extra in range(max_extra + 1):
         for candidate in _extension_candidates(base, extra):
-            table = coherent_assignment(base, candidate, emb)
+            table = coherent_assignment(maps, candidate, emb)
             if table is None:
                 continue
             phi = ExtensionMap(domain_universe=base.size,

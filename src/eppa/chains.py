@@ -18,7 +18,7 @@ from .errors import BoundExceededError, EppaError
 from .faithful import forb_e_eppa
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
-                         induced_substructure, is_embedding)
+                         induced_substructure, is_automorphism, is_embedding)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
         if not group.is_closed():
             return Verdict.failed("subgroup", f"stage {i}: element list is not a group")
         for g in group.elements:
-            if not is_embedding(g.images, stage.structure, stage.structure):
+            if not is_automorphism(g.images, stage.structure):
                 return Verdict.failed("subgroup",
                                       f"stage {i}: element is not an automorphism")
         last = i == len(stages) - 1
@@ -197,7 +197,7 @@ def eppa_from_group(ambient: Structure, inner_points: Sequence[int],
     if group.degree != ambient.size:
         raise EppaError("group degree does not match the ambient structure")
     for g in group.elements:
-        if not is_embedding(g.images, ambient, ambient):
+        if not is_automorphism(g.images, ambient):
             raise EppaError("group contains a non-automorphism of the ambient structure")
     inner_pts = tuple(sorted(set(inner_points)))
     inner, inner_index = induced_substructure(ambient, inner_pts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EppaError
-from .structures import PartialAutomorphism, Permutation, Structure, is_embedding
+from .structures import PartialAutomorphism, Permutation, Structure, is_automorphism
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,15 @@ class ExtensionMap:
 def coherent_triples(maps: Sequence[PartialAutomorphism]
                      ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
     """All coherent triples within `maps`: composable pairs with their
-    composite, which must itself belong to `maps`."""
+    composite, which must itself belong to `maps`; in the order of `maps`
+    by p2, then by p1."""
     by_key = {p.encode(): p for p in maps}
+    by_domain: dict[frozenset[int], list[PartialAutomorphism]] = {}
+    for p in maps:
+        by_domain.setdefault(p.domain(), []).append(p)
     out = []
     for p2 in maps:
-        for p1 in maps:
-            if p1.domain() != p2.image():
-                continue
+        for p1 in by_domain.get(p2.image(), ()):
             q = p1.compose(p2)
             ql = by_key.get(q.encode())
             if ql is not None:
@@ -185,7 +187,7 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
     for p in maps:
-        if not is_embedding(phi.lookup(p).images, structure, structure):
+        if not is_automorphism(phi.lookup(p).images, structure):
             return Verdict.failed("automorphism",
                                   f"phi({p.encode()}) is not an automorphism")
     v = verify_extension(phi, maps)

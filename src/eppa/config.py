@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import EppaError
+
 DEFAULT_MAX_POINTS = 12
 DEFAULT_MAX_VALUED_POINTS = 20000
 DEFAULT_AUT_DEGREE_BOUND = 10
@@ -20,8 +22,18 @@ SEARCH_MAX_PART = 400        # skip the search when Part(A) is larger
 
 
 def max_points() -> int:
-    return int(os.environ.get("EPPA_MAX_POINTS", DEFAULT_MAX_POINTS))
+    return _env_int("EPPA_MAX_POINTS", DEFAULT_MAX_POINTS)
 
 
 def max_valued_points() -> int:
-    return int(os.environ.get("EPPA_MAX_VALUED_POINTS", DEFAULT_MAX_VALUED_POINTS))
+    return _env_int("EPPA_MAX_VALUED_POINTS", DEFAULT_MAX_VALUED_POINTS)
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise EppaError(f"{name} must be an integer, got {text!r}") from None

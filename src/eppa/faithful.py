@@ -23,7 +23,8 @@ from .coherence import (ExtensionMap, PermutationGroup, Verdict, check_forced_va
 from .errors import BoundExceededError, EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
-                         gaifman_graph, is_embedding, is_gaifman_clique)
+                         gaifman_graph, is_automorphism, is_embedding,
+                         is_gaifman_clique)
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,7 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     for clique, witness in cert.clique_witnesses.items():
         if clique not in cliques:
             return Verdict.failed("clique", f"{clique} is not a Gaifman clique of C")
-        if not is_embedding(witness.images, c_structure, c_structure):
+        if not is_automorphism(witness.images, c_structure):
             return Verdict.failed("clique-witness",
                                   f"witness for {clique} is not an automorphism")
         if any(witness(i) not in nu_set for i in clique):

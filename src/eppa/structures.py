@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULT_AUT_DEGREE_BOUND
 from .errors import BoundExceededError, EppaError
@@ -266,6 +266,21 @@ def is_embedding(h: Sequence[int], a: Structure, b: Structure) -> bool:
     return True
 
 
+def is_automorphism(g: Sequence[int], structure: Structure) -> bool:
+    """Is g a permutation of the universe that maps every tuple to a tuple?
+    A bijection of a finite set that maps a relation into itself maps it
+    onto itself, so this is is_embedding(g, structure, structure)."""
+    _check_map(g, structure, structure)
+    if len(set(g)) != structure.size:
+        return False
+    for name, _ in structure.signature.symbols:
+        tuples = structure.tuple_set(name)
+        for t in tuples:
+            if tuple(g[x] for x in t) not in tuples:
+                return False
+    return True
+
+
 def _check_map(h: Sequence[int], a: Structure, b: Structure) -> None:
     if a.signature != b.signature:
         raise EppaError("signature mismatch")
@@ -294,66 +309,83 @@ def is_partial_automorphism(structure: Structure, p: PartialAutomorphism) -> boo
     return True
 
 
+def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...]]:
+    """Every embedding of `pattern` into `target`, as its image tuple, in
+    lexicographic order of assignments.
+
+    Backtracking over the pattern's points in order.  Assigning point k to v
+    checks only the pattern tuples whose largest point is k and the target
+    tuples through v whose points are all assigned, so on every branch each
+    tuple of either side is checked once, when its last point is assigned
+    (Ullmann 1976; VF2, Cordella et al. 2004).
+    """
+    if pattern.signature != target.signature:
+        raise EppaError("signature mismatch")
+    m, n = pattern.size, target.size
+    if m > n:
+        return
+    closing: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(m)]
+    through: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
+    for pattern_tuples, target_tuples in zip(pattern.relations, target.relations):
+        target_set = frozenset(target_tuples)
+        pattern_set = frozenset(pattern_tuples)
+        for t in pattern_tuples:
+            closing[max(t)].append((t, target_set))
+        for u in target_tuples:
+            for v in set(u):
+                through[v].append((u, pattern_set))
+    image = [-1] * m
+    back = [-1] * n
+
+    def feasible(k: int, v: int) -> bool:
+        for t, target_set in closing[k]:
+            if tuple(image[x] for x in t) not in target_set:
+                return False
+        for u, pattern_set in through[v]:
+            pulled = tuple(back[x] for x in u)
+            if -1 not in pulled and pulled not in pattern_set:
+                return False
+        return True
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k == m:
+            yield tuple(image)
+            return
+        for v in range(n):
+            if back[v] >= 0:
+                continue
+            image[k] = v
+            back[v] = k
+            if feasible(k, v):
+                yield from extend(k + 1)
+            back[v] = -1
+
+    yield from extend(0)
+
+
 def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomorphism]:
-    """All of Part(A), empty map included, in lexicographic encoded order
-    within each (domain-size, domain, image assignment) sweep."""
+    """All of Part(A), empty map included: by domain size, then domain in
+    combination order, then image in lexicographic order."""
     out = []
-    pts = range(structure.size)
     for k in range(structure.size + 1):
-        for dom in itertools.combinations(pts, k):
-            for img in itertools.permutations(pts, k):
-                p = PartialAutomorphism(tuple(zip(dom, img)))
-                if is_partial_automorphism(structure, p):
-                    out.append(p)
+        for dom in itertools.combinations(range(structure.size), k):
+            sub, _ = induced_substructure(structure, dom)
+            out.extend(PartialAutomorphism(tuple(zip(dom, img)))
+                       for img in embeddings(sub, structure))
     return out
 
 
 def automorphism_group(structure: Structure,
                        degree_bound: int = DEFAULT_AUT_DEGREE_BOUND):
-    """Materialized Aut(A) via backtracking; refuses degrees above the bound."""
+    """Materialized Aut(A), elements in lexicographic order; refuses degrees
+    above the bound."""
     from .coherence import PermutationGroup  # cycle: groups live with coherence
 
     if structure.size > degree_bound:
         raise BoundExceededError(
             f"automorphism search on {structure.size} points exceeds bound {degree_bound}")
-    n = structure.size
-    tuple_sets = [structure.tuple_set(name) for name, _ in structure.signature.symbols]
-    found: list[Permutation] = []
-
-    def consistent(assigned: list[int], k: int) -> bool:
-        # check every tuple fully inside {0..k} in both directions
-        dom = set(range(k + 1))
-        img = {assigned[i]: i for i in dom}
-        for tuples in tuple_sets:
-            for t in tuples:
-                if all(x <= k for x in t):
-                    if tuple(assigned[x] for x in t) not in tuples:
-                        return False
-                if all(x in img for x in t):
-                    if tuple(img[x] for x in t) not in tuples:
-                        return False
-        return True
-
-    assigned = [-1] * n
-    used = [False] * n
-
-    def search(k: int):
-        if k == n:
-            found.append(Permutation(tuple(assigned)))
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            assigned[k] = v
-            used[v] = True
-            if consistent(assigned, k):
-                search(k + 1)
-            used[v] = False
-        assigned[k] = -1
-
-    search(0)
-    elements = tuple(sorted(found, key=lambda g: g.images))
-    return PermutationGroup(degree=n, elements=elements, generators=elements)
+    elements = tuple(Permutation(g) for g in embeddings(structure, structure))
+    return PermutationGroup(degree=structure.size, elements=elements, generators=elements)
 
 
 def gaifman_graph(structure: Structure) -> Structure:

@@ -96,6 +96,7 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     signature = Signature(tuple(symbols))
     arities = dict(symbols)
     rels: dict[str, list[tuple[int, ...]]] = {sym: [] for sym, _ in symbols}
+    seen: dict[str, set[tuple[int, ...]]] = {sym: set() for sym, _ in symbols}
     while True:
         if i >= len(lines):
             raise StructureSyntaxError("missing 'end'", i)
@@ -122,10 +123,12 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
             if not 0 <= x < size:
                 raise StructureSyntaxError(
                     f"point {x} out of range for size {size}", i + 1)
-        if t in rels[sym]:
+        if t in seen[sym]:
             raise StructureSyntaxError(f"duplicate tuple {sym} {t}", i + 1)
+        seen[sym].add(t)
         rels[sym].append(t)
         i += 1
+    del seen  # freed before Structure.make builds its own set
     return name, Structure.make(signature, size, rels), i
 
 

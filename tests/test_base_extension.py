@@ -133,9 +133,10 @@ class TestScaffold:
 class TestCoherentAssignment:
     def test_rejects_candidate_without_extensions(self):
         lopsided = graph(3, [(0, 1)])
-        assert coherent_assignment(lopsided, lopsided, (0, 1, 2)) is None
+        maps = enumerate_partial_automorphisms(lopsided)
+        assert coherent_assignment(maps, lopsided, (0, 1, 2)) is None
 
     def test_finds_assignment_into_cycle(self, path3):
         c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        table = coherent_assignment(path3, c4, (0, 1, 2))
+        table = coherent_assignment(enumerate_partial_automorphisms(path3), c4, (0, 1, 2))
         assert table is not None

@@ -64,6 +64,16 @@ class TestExtendVerify:
         assert main(["extend", "--in", files["path3"], "--mode", "base",
                      "--out", out]) == 3
 
+    @pytest.mark.parametrize("variable, mode", [("EPPA_MAX_POINTS", "base"),
+                                                ("EPPA_MAX_VALUED_POINTS", "faithful")])
+    def test_non_integer_bound_is_usage_error(self, files, monkeypatch, capsys,
+                                              variable, mode):
+        monkeypatch.setenv(variable, "abc")
+        out = str(files["tmp"] / "cert.txt")
+        assert main(["extend", "--in", files["k2"], "--mode", mode,
+                     "--out", out]) == 1
+        assert variable in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, files, tmp_path):
         bad = tmp_path / "bad.struct"
         bad.write_text("structure s\nrel E 2\nsize 2\nE 0 5\nend\n", encoding="utf-8")

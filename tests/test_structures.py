@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
+from eppa.amalgamation import exists_embedding
 from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
                              deirreflexivize, enumerate_partial_automorphisms,
                              gaifman_graph, graph, induced_substructure,
-                             irreflexivize, is_embedding, is_homomorphism,
-                             is_partial_automorphism)
+                             irreflexivize, is_automorphism, is_embedding,
+                             is_homomorphism, is_partial_automorphism)
 
 
 def brute_partial_automorphisms(structure):
@@ -100,12 +101,39 @@ class TestPartialAutomorphisms:
                     {x: p(x) for x in sub})
                 assert restricted.encode() in keys
 
-    def test_membership_matches_embedding_criterion(self, path3):
-        maps = {p.encode() for p in enumerate_partial_automorphisms(path3)}
-        for dom in itertools.combinations(range(3), 2):
-            for img in itertools.permutations(range(3), 2):
-                p = PartialAutomorphism(tuple(zip(dom, img)))
-                assert (p.encode() in maps) == is_partial_automorphism(path3, p)
+    def test_membership_matches_embedding_criterion(self, graphs_up_to_4):
+        """The embedding search behind Part(A), Aut(A) and exists_embedding
+        against the reference checkers, order included."""
+        with_loop = Structure.make(GRAPH_SIGNATURE, 3,
+                                   {"E": [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]})
+        ternary = Structure.make(Signature.make(("H", 3)), 3, {"H": [(0, 1, 2)]})
+        samples = graphs_up_to_4 + [with_loop, ternary]
+        for structure in samples:
+            pts = range(structure.size)
+            sweep = []
+            for k in range(structure.size + 1):
+                for dom in itertools.combinations(pts, k):
+                    for img in itertools.permutations(pts, k):
+                        p = PartialAutomorphism(tuple(zip(dom, img)))
+                        if is_partial_automorphism(structure, p):
+                            sweep.append(p)
+            assert enumerate_partial_automorphisms(structure) == sweep
+
+            perms = list(itertools.permutations(pts))
+            assert [g.images for g in automorphism_group(structure).elements] == \
+                [g for g in perms if is_embedding(g, structure, structure)]
+            for g in perms:
+                assert is_automorphism(g, structure) == is_embedding(g, structure, structure)
+            assert is_automorphism([0] * structure.size, structure) == (structure.size <= 1)
+
+            patterns = [induced_substructure(structure, dom)[0]
+                        for k in range(structure.size + 1)
+                        for dom in itertools.combinations(pts, k)]
+            patterns += [s for s in samples if s.signature == structure.signature]
+            for pattern in patterns:
+                first = next((h for h in itertools.permutations(pts, pattern.size)
+                              if is_embedding(h, pattern, structure)), None)
+                assert exists_embedding(pattern, structure) == first
 
 
 class TestAutomorphismGroup:
