@@ -7,10 +7,12 @@ Two realizations sit behind one verified certificate contract:
 * a functor search that tries the structure itself and then minimal
   point-extensions, assigning automorphisms per connected component of the
   partial-automorphism groupoid;
-* a parity-valuation scaffold that always succeeds: points of the extension
-  are (vertex, slot-set) pairs over a powerset-style carrier, permuted by
-  order-preserving completions (from the coherent lift) combined with forced
-  parity corrections.
+* Hrushovski's valuation scaffold: points of the extension are (vertex,
+  valuation) pairs with one bit per slot (symbol, tuple up to the symbol's
+  symmetry in A) through the vertex, permuted by order-preserving
+  completions of the partial maps combined with forced bit flips; for
+  graphs it has at most n * 2^(n-1) points.  It refuses only inputs whose
+  orbit or verification cost leaves desk scale.
 
 Every certificate is verified before it is returned; realization bugs
 surface as hard errors, never as wrong certificates.
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import config
-from .coherence import (ExtensionMap, SetPartialMap, Verdict, check_forced_values,
-                        coherent_lift, verify_coherent_extension)
+from .coherence import (ExtensionMap, Verdict, check_forced_values,
+                        verify_coherent_extension)
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
@@ -252,12 +254,12 @@ def _extension_candidates(base: Structure, extra: int):
         yield Structure.make(base.signature, m, rels)
 
 
-def _search_certificate(base: Structure, max_extra: int) -> BaseEppaCertificate | None:
-    """Iterative deepening over point-extensions and coherent assignments:
-    the first certificate that verifies, or None when the budget is
-    exhausted."""
+def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
+                        max_extra: int) -> BaseEppaCertificate | None:
+    """Iterative deepening over point-extensions and coherent assignments,
+    with `maps` = Part(A): the first certificate that verifies, or None when
+    the budget is exhausted."""
     emb = tuple(range(base.size))
-    maps = enumerate_partial_automorphisms(base)
     for extra in range(max_extra + 1):
         for candidate in _extension_candidates(base, extra):
             table = coherent_assignment(maps, candidate, emb)
@@ -274,112 +276,84 @@ def _search_certificate(base: Structure, max_extra: int) -> BaseEppaCertificate 
 
 
 # ---------------------------------------------------------------------------
-# Realization 2: the parity-valuation scaffold (always succeeds).
+# Realization 2: Hrushovski's valuation scaffold (Hrushovski 1992; in the
+# valuation form of Hubicka, Konecny and Nesetril, arXiv 1902.03855).
 #
-# Carrier: pairs (v, S) with S a set of "slots" (symbol, position, tuple),
-# t[position] = v.  A point of the original structure embeds as
-# (v, {(R, 0, t) : t satisfied, t[0] = v}); the relation rule on the carrier
-# asks for odd parity of slot memberships along a tuple, which is invariant
-# under relabelling points and under the forced flip corrections below, and
-# exact on the embedded copy.
+# A slot is (symbol, key).  The key of a tuple is the tuple itself, or its
+# sorted form when the symbol is symmetric in A; a tuple that repeats a point
+# has no slot unless some tuple of the symbol does so in A.  A point of the
+# carrier is (v, chi), with one bit of chi per slot whose key contains v.  A
+# symbol holds on a tuple of points iff its base tuple has a slot, points over
+# the same base point are equal, and the bits of that slot XOR to 1 over the
+# distinct points.  A embeds as (v, theta_v), where theta_v marks the tuples
+# of A that v owns as their first point.  For graphs this is Hrushovski's B:
+# one bit per other vertex, so at most n * 2^(n-1) points.
 
 class _Scaffold:
     def __init__(self, base: Structure):
-        self.base = base
         n = base.size
         self.n = n
-        self.slots_of: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
-        for si, (name, arity) in enumerate(base.signature.symbols):
-            for t in itertools.product(range(n), repeat=arity):
-                for i in range(arity):
-                    self.slots_of[t[i]].append((si, i, t))
-        for v in range(n):
-            self.slots_of[v] = sorted(set(self.slots_of[v]))
-        self.slot_index = [{s: k for k, s in enumerate(sl)} for sl in self.slots_of]
+        self.kinds: list[tuple[bool, bool]] = []  # (symmetric, loopy) per symbol
+        self.keys: list[tuple[int, tuple[int, ...]]] = []
+        for si, ((_, arity), tuples) in enumerate(zip(base.signature.symbols,
+                                                       base.relations)):
+            tset = set(tuples)
+            symmetric = arity > 1 and all(
+                tuple(t[i] for i in order) in tset
+                for t in tuples for order in itertools.permutations(range(arity)))
+            self.kinds.append((symmetric, any(len(set(t)) < arity for t in tuples)))
+            self.keys += sorted({self.key(si, t)
+                                 for t in itertools.product(range(n), repeat=arity)}
+                                - {None})
+        self.slots_of = [[s for s in self.keys if v in s[1]] for v in range(n)]
+        self.slot_index = [{s: j for j, s in enumerate(sl)} for sl in self.slots_of]
+        self.theta = [sum(1 << j for j, (si, k) in enumerate(self.slots_of[v])
+                          if k[0] == v and k in base.relations[si])
+                      for v in range(n)]
 
-    def theta_mask(self, v: int) -> int:
-        mask = 0
-        for si, (name, _) in enumerate(self.base.signature.symbols):
-            for t in self.base.tuples(name):
-                if t[0] == v:
-                    mask |= 1 << self.slot_index[v][(si, 0, t)]
-        return mask
+    def key(self, si: int, t: Sequence[int]):
+        symmetric, loopy = self.kinds[si]
+        if len(set(t)) < len(t) and not loopy:
+            return None
+        return (si, tuple(sorted(t)) if symmetric else tuple(t))
 
-    def completion(self, p: PartialAutomorphism) -> Permutation:
-        """Order-preserving completion of p, computed by the coherent lift on
-        singleton set-maps (atoms: the singletons of dom(p) plus the rest)."""
-        n = self.n
-        witness = _order_completion(p, n)
-        pairs = tuple((1 << x, 1 << y) for x, y in p.pairs)
-        lifted = coherent_lift(n, [SetPartialMap(universe=n, pairs=pairs,
-                                                 witness=witness)])
-        return lifted[0]
-
-    def flips(self, p: PartialAutomorphism, pi: Permutation) -> list[int]:
-        """Per-vertex slot flips: forced on dom(p) so the embedded copy maps
-        correctly, corrected at the first free position of every tuple so the
-        parity rule stays invariant."""
-        n = self.n
-        inv = pi.inverse()
-        dom = p.domain()
-        flips = [0] * n
+    def action(self, p: PartialAutomorphism):
+        """(pi, flips, moves) for p: pi is the order completion of p,
+        flips[v] is XORed into the valuation of a point over v, and
+        moves[v][j] is the bit of pi(v) that slot j of v goes to.  The flips
+        send theta_x to theta_p(x) on dom(p); at every slot with a point
+        outside dom(p) the least such point evens out the flips, so the XOR
+        of each slot's bits is invariant."""
+        pi = _order_completion(p, self.n)
+        moves = tuple(tuple(self.slot_index[pi(v)][self.key(si, tuple(pi(z) for z in k))]
+                            for si, k in self.slots_of[v])
+                      for v in range(self.n))
         pmap = p.as_dict()
-        for x in sorted(dom):
-            mask = self.theta_mask(x)
-            px = pmap[x]
-            for si, (name, _) in enumerate(self.base.signature.symbols):
-                for t in self.base.tuples(name):
-                    if t[0] == px:
-                        back = tuple(inv(z) for z in t)
-                        mask ^= 1 << self.slot_index[x][(si, 0, back)]
-            flips[x] = mask
-        for si, (name, arity) in enumerate(self.base.signature.symbols):
-            for t in itertools.product(range(n), repeat=arity):
-                free = [j for j in range(arity) if t[j] not in dom]
-                if not free:
-                    continue
-                if t[0] in dom and flips[t[0]] >> self.slot_index[t[0]][(si, 0, t)] & 1:
-                    j = free[0]
-                    flips[t[j]] |= 1 << self.slot_index[t[j]][(si, j, t)]
-        return flips
+        flips = [0] * self.n
+        for x, px in pmap.items():
+            flips[x] = self.theta[x] ^ sum((self.theta[px] >> b & 1) << j
+                                           for j, b in enumerate(moves[x]))
+        for s in self.keys:
+            points = set(s[1])
+            free = points - pmap.keys()
+            if free and sum(flips[d] >> self.slot_index[d][s] & 1
+                            for d in points - free) % 2:
+                u = min(free)
+                flips[u] |= 1 << self.slot_index[u][s]
+        return pi, tuple(flips), moves
 
-    def action(self, pi: Permutation, flips: Sequence[int], point):
-        v, mask = point
-        mask ^= flips[v]
-        w = pi(v)
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            si, i, t = self.slots_of[v][b.bit_length() - 1]
-            tt = tuple(pi(z) for z in t)
-            out |= 1 << self.slot_index[w][(si, i, tt)]
-        return (w, out)
 
-    def inverse_action(self, pi: Permutation, flips: Sequence[int], point):
-        v, mask = point
-        inv = pi.inverse()
-        u = inv(v)
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            si, i, t = self.slots_of[v][b.bit_length() - 1]
-            tt = tuple(inv(z) for z in t)
-            out |= 1 << self.slot_index[u][(si, i, tt)]
-        return (u, out ^ flips[u])
-
-    def tuple_holds(self, si: int, points) -> bool:
-        vbar = tuple(v for v, _ in points)
-        parity = 0
-        for i, (v, mask) in enumerate(points):
-            parity ^= mask >> self.slot_index[v][(si, i, vbar)] & 1
-        return parity == 1
+def _act(action, point: tuple[int, int]) -> tuple[int, int]:
+    pi, flips, moves = action
+    v, chi = point
+    chi ^= flips[v]
+    return pi(v), sum(1 << b for j, b in enumerate(moves[v]) if chi >> j & 1)
 
 
 def _order_completion(p: PartialAutomorphism, n: int) -> Permutation:
+    """p, completed by the order-preserving bijection from the points
+    outside dom(p) onto those outside its image.  This is the coherent lift
+    of p on singletons, so the completions compose along coherent triples."""
     images = [-1] * n
     for x, y in p.pairs:
         images[x] = y
@@ -391,41 +365,26 @@ def _order_completion(p: PartialAutomorphism, n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def scaffold_certificate(base: Structure,
+def scaffold_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
                          max_carrier: int = 200000) -> BaseEppaCertificate:
-    """Generic realization: always produces a verified certificate; the
-    extension is the orbit closure of the embedded copy under all assigned
-    automorphisms of the parity-valuation carrier."""
+    """Generic realization over `maps` = Part(A): the extension is the orbit
+    of the embedded copy under the actions assigned to Part(A) (a set closed
+    under inverses), each restricted to the orbit."""
     sc = _Scaffold(base)
-    maps = enumerate_partial_automorphisms(base)
-    actions = []
-    for p in maps:
-        pi = sc.completion(p)
-        flips = tuple(sc.flips(p, pi))
-        actions.append((pi, flips))
-
-    start = [(v, sc.theta_mask(v)) for v in range(base.size)]
-    index: dict[tuple[int, int], int] = {}
-    queue: list[tuple[int, int]] = []
-    for pt in start:
-        if pt not in index:
-            index[pt] = len(index)
-            queue.append(pt)
+    actions = [sc.action(p) for p in maps]
+    points = list(enumerate(sc.theta))
+    index = {pt: i for i, pt in enumerate(points)}
     distinct = sorted(set(actions), key=lambda a: (a[0].images, a[1]))
-    qi = 0
-    while qi < len(queue):
-        pt = queue[qi]
-        qi += 1
-        for pi, flips in distinct:
-            for image in (sc.action(pi, flips, pt), sc.inverse_action(pi, flips, pt)):
-                if image not in index:
-                    if len(index) >= max_carrier:
-                        raise BoundExceededError(
-                            f"scaffold orbit exceeded {max_carrier} points")
-                    index[image] = len(index)
-                    queue.append(image)
+    for pt in points:
+        for action in distinct:
+            image = _act(action, pt)
+            if image not in index:
+                if len(index) >= max_carrier:
+                    raise BoundExceededError(
+                        f"scaffold orbit exceeded {max_carrier} points")
+                index[image] = len(points)
+                points.append(image)
 
-    points = queue
     size = len(points)
     # the certificate is verified in full before returning, which scans every
     # relation tuple once per partial automorphism; refuse cases where that
@@ -436,22 +395,26 @@ def scaffold_certificate(base: Structure,
             f"scaffold verification cost {len(maps)} x {cell_count} tuple "
             "checks is beyond desk scale; the input is too large for the "
             "generic realization")
+    over = [[] for _ in range(base.size)]
+    for i, (v, _) in enumerate(points):
+        over[v].append(i)
     rels: dict[str, list[tuple[int, ...]]] = {}
     for si, (name, arity) in enumerate(base.signature.symbols):
-        if size ** arity > 4_000_000:
-            raise BoundExceededError(
-                f"relation materialization {size}^{arity} too large")
-        tuples = []
-        for combo in itertools.product(range(size), repeat=arity):
-            if sc.tuple_holds(si, [points[k] for k in combo]):
-                tuples.append(combo)
-        rels[name] = tuples
+        rels[name] = []
+        for t in itertools.product(range(base.size), repeat=arity):
+            s = sc.key(si, t)
+            if s is None:
+                continue
+            vs = sorted(set(t))
+            for choice in itertools.product(*(over[v] for v in vs)):
+                if sum(points[i][1] >> sc.slot_index[v][s] & 1
+                       for v, i in zip(vs, choice)) % 2:
+                    at = dict(zip(vs, choice))
+                    rels[name].append(tuple(at[x] for x in t))
     extension = Structure.make(base.signature, size, rels)
 
-    table: dict[str, Permutation] = {}
-    for p, (pi, flips) in zip(maps, actions):
-        table[p.encode()] = Permutation(
-            tuple(index[sc.action(pi, flips, pt)] for pt in points))
+    table = {p.encode(): Permutation(tuple(index[_act(a, pt)] for pt in points))
+             for p, a in zip(maps, actions)}
     emb = tuple(range(base.size))
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=size,
                        embedding=emb, table=table)
@@ -474,14 +437,14 @@ def base_eppa(base: Structure,
     if base.size > bound:
         raise BoundExceededError(
             f"input has {base.size} points, bound is {bound}")
+    maps = enumerate_partial_automorphisms(base)
     cert = None
-    if search and base.size <= config.SEARCH_MAX_SIZE:
-        maps = enumerate_partial_automorphisms(base)
-        if len(maps) <= config.SEARCH_MAX_PART:
-            budget = max(0, config.SEARCH_TARGET_SIZE - base.size)
-            cert = _search_certificate(base, budget)
+    if search and base.size <= config.SEARCH_MAX_SIZE \
+            and len(maps) <= config.SEARCH_MAX_PART:
+        budget = max(0, config.SEARCH_TARGET_SIZE - base.size)
+        cert = _search_certificate(base, maps, budget)
     if cert is None:
-        cert = scaffold_certificate(base)
+        cert = scaffold_certificate(base, maps)
         verdict = verify_base_certificate(cert)
         if not verdict:
             raise VerificationError(f"internal realization failure: {verdict.message()}")

@@ -155,13 +155,14 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
 
 
 def verify_structural(cert: SpecialCertificate) -> Verdict:
-    """Structure-level checks: embedding, the table over P (automorphisms,
-    extension, coherence), homomorphism and equivariance."""
+    """Structure-level checks: embedding, the phi and psi tables over P
+    (automorphisms, extension, coherence), homomorphism and equivariance."""
     if not is_embedding(cert.phi.embedding, cert.base, cert.extension):
         return Verdict.failed("iota-embedding", "A is not induced along iota")
-    v = verify_coherent_extension(cert.phi, cert.maps, cert.extension)
-    if not v:
-        return v
+    for table, structure in ((cert.phi, cert.extension), (cert.psi, cert.codomain)):
+        v = verify_coherent_extension(table, cert.maps, structure)
+        if not v:
+            return v
     if not is_homomorphism(cert.hom, cert.extension, cert.codomain):
         return Verdict.failed("homomorphism", "f is not a homomorphism to the base extension")
     for x in range(cert.base.size):

@@ -8,6 +8,8 @@ from eppa.structures import (GRAPH_SIGNATURE, Permutation, Signature, Structure,
                              enumerate_partial_automorphisms, graph)
 from eppa.textio import emit_certificate
 
+part = enumerate_partial_automorphisms
+
 
 class TestBaseEppa:
     def test_single_vertex_trivial(self):
@@ -68,66 +70,110 @@ class TestBruteForce:
     point-extensions, returning the first certificate that verifies."""
 
     def test_single_vertex_immediate(self):
-        cert = _search_certificate(graph(1, []), max_extra=0)
+        cert = _search_certificate(graph(1, []), part(graph(1, [])), max_extra=0)
         assert cert is not None and cert.extension.size == 1
 
     def test_two_points_no_extra_needed(self):
-        cert = _search_certificate(graph(2, []), max_extra=0)
+        cert = _search_certificate(graph(2, []), part(graph(2, [])), max_extra=0)
         assert cert is not None
         assert cert.extension == cert.base
 
     def test_not_found_within_budget(self):
         # the leaf-to-centre map of a path cannot extend inside the path itself
-        cert = _search_certificate(graph(3, [(0, 1), (1, 2)]), max_extra=0)
+        path = graph(3, [(0, 1), (1, 2)])
+        cert = _search_certificate(path, part(path), max_extra=0)
         assert cert is None
 
     def test_cross_check_with_base_eppa(self, k2):
         for structure in (k2, graph(3, [(0, 1)])):
-            searched = _search_certificate(structure, max_extra=1)
+            searched = _search_certificate(structure, part(structure), max_extra=1)
             built = base_eppa(structure)
             assert searched is not None
             for cert in (searched, built):
                 assert verify_base_certificate(cert)
 
     def test_oracle_certificates_verified(self, path3):
-        cert = _search_certificate(path3, max_extra=1)
+        cert = _search_certificate(path3, part(path3), max_extra=1)
         assert cert is not None and cert.extension.size == 4
         assert verify_base_certificate(cert)
 
 
 class TestScaffold:
+    """Hrushovski's valuation scaffold: one bit per slot (symbol, tuple up to
+    the symbol's symmetry in A) through a point."""
+
+    def scaffold(self, structure):
+        cert = scaffold_certificate(structure, part(structure))
+        assert verify_base_certificate(cert)
+        return cert
+
     def test_graphs_verify(self, k2, path3):
         for structure in (k2, path3):
-            cert = scaffold_certificate(structure)
-            assert verify_base_certificate(cert)
+            self.scaffold(structure)
+
+    def test_graph_bound(self, path3):
+        # one bit per other vertex: at most n * 2^(n-1) points
+        assert self.scaffold(path3).extension.size <= 3 * 2 ** 2
 
     def test_digraph(self):
         arc = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]})
-        cert = scaffold_certificate(arc)
-        assert verify_base_certificate(cert)
+        self.scaffold(arc)
+
+    def test_directed_path_and_cycle(self):
+        for arcs in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]):
+            self.scaffold(Structure.make(GRAPH_SIGNATURE, 3, {"E": arcs}))
 
     def test_loop(self):
         loopy = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]})
-        cert = scaffold_certificate(loopy)
-        assert verify_base_certificate(cert)
+        self.scaffold(loopy)
+
+    def test_mixed_loop(self):
+        mixed = Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 0), (0, 1), (1, 2), (2, 1)]})
+        self.scaffold(mixed)
 
     def test_unary_and_binary_symbols(self):
         sig = Signature.make(("U", 1), ("E", 2))
         mixed = Structure.make(sig, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]})
-        cert = scaffold_certificate(mixed)
-        assert verify_base_certificate(cert)
+        self.scaffold(mixed)
 
     def test_ternary(self):
         sig = Signature.make(("H", 3))
         hyper = Structure.make(sig, 2, {"H": [(0, 0, 1)]})
-        cert = scaffold_certificate(hyper)
-        assert verify_base_certificate(cert)
+        self.scaffold(hyper)
+
+    def test_ternary_on_three_points_exceeds_cost_bound(self):
+        # 96 points: 29 maps x 96^3 cells is over the verification-cost bound
+        sig = Signature.make(("H", 3))
+        hyper = Structure.make(sig, 3, {"H": [(0, 1, 2)]})
+        with pytest.raises(BoundExceededError, match="verification cost"):
+            scaffold_certificate(hyper, part(hyper))
 
     def test_agrees_with_search_on_trivial_inputs(self):
         # dual route: both realizations must produce verifiable certificates
         for structure in (graph(1, []), graph(2, [])):
-            assert verify_base_certificate(scaffold_certificate(structure))
-            assert verify_base_certificate(_search_certificate(structure, 0))
+            self.scaffold(structure)
+            assert verify_base_certificate(
+                _search_certificate(structure, part(structure), 0))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2)],                          # P3+K1
+        [(0, 1), (0, 2), (1, 2), (2, 3)],          # paw
+    ])
+    def test_four_vertex_fallbacks(self, edges):
+        cert = base_eppa(graph(4, edges))
+        assert cert.extension.size <= 32
+        assert verify_base_certificate(cert)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3), (3, 4)],          # P5
+        [(0, 1)],                                  # K2+3K1
+        [(0, 1), (0, 2), (0, 3), (0, 4)],          # star K1,4
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],  # bull
+    ])
+    def test_five_vertex_graphs(self, edges):
+        cert = base_eppa(graph(5, edges))
+        assert cert.extension.size <= 80
+        assert verify_base_certificate(cert)
 
 
 class TestCoherentAssignment:

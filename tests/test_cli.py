@@ -111,6 +111,14 @@ class TestExtendVerify:
         assert out.split()[1] in ("coherence", "extension", "automorphism",
                                   "forced-identity", "forced-inverse")
 
+    def test_stored_parity_scaffold_certificate_verifies(self, capsys):
+        # the paw's 256-point certificate from the parity scaffold that the
+        # valuation scaffold replaced; the verifier still accepts it
+        path = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
+                / "base4-n4-01_02_03_12.cert")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
 
 class TestOtherVerbs:
     def test_cliques_listing(self, files, capsys):
@@ -199,4 +207,15 @@ class TestTableKeySet:
     def test_missing_special_key_fails_table(self, tmp_path, capsys):
         body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
         body.remove(next(line for line in body if line.startswith("phi 0>1 ")))
+        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+
+    def test_missing_psi_key_fails_table(self, tmp_path, capsys):
+        body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
+        body.remove(next(line for line in body if line.startswith("psi 0>1 ")))
+        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+
+    def test_extra_psi_key_fails_table(self, tmp_path, capsys):
+        body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
+        last = max(i for i, line in enumerate(body) if line.startswith("psi "))
+        body.insert(last + 1, "psi 9>9 : 0 1")
         assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
