@@ -3,9 +3,8 @@ structures, with machine-checkable certificates."""
 
 from .structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                          Signature, Structure, automorphism_group,
-                         deirreflexivize, enumerate_partial_automorphisms,
-                         gaifman_graph, graph, induced_substructure,
-                         irreflexivize, is_embedding, is_gaifman_clique,
+                         enumerate_partial_automorphisms, gaifman_graph, graph,
+                         induced_substructure, is_embedding, is_gaifman_clique,
                          is_homomorphism)
 from .coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
                         coherent_lift, coherent_triples, verify_coherence,

@@ -113,6 +113,8 @@ class ExtensionMap:
     def __post_init__(self):
         if len(self.embedding) != self.domain_universe:
             raise EppaError("embedding length does not match domain universe")
+        if any(not 0 <= y < self.codomain_universe for y in self.embedding):
+            raise EppaError("embedding point outside the codomain universe")
         for key, perm in self.table.items():
             if perm.degree != self.codomain_universe:
                 raise EppaError(f"table value for {key} is not a codomain permutation")
@@ -178,7 +180,8 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
                               structure: Structure) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
     its keys are exactly the encodings of `maps`, each phi(p) is an
-    automorphism of `structure`, phi(p) extends p, and phi is coherent."""
+    automorphism of `structure`, phi(p) extends p, and phi is coherent.
+    Each distinct permutation is checked once, at its first key."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -186,10 +189,15 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
     extra = sorted(phi.table.keys() - keys)
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
+    checked: set[Permutation] = set()
     for p in maps:
-        if not is_automorphism(phi.lookup(p).images, structure):
+        g = phi.lookup(p)
+        if g in checked:
+            continue
+        if not is_automorphism(g.images, structure):
             return Verdict.failed("automorphism",
                                   f"phi({p.encode()}) is not an automorphism")
+        checked.add(g)
     v = verify_extension(phi, maps)
     if not v:
         return v

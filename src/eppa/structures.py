@@ -1,5 +1,4 @@
-"""Finite relational structures, morphisms, partial automorphisms and the
-reflexive-to-irreflexive signature transform.
+"""Finite relational structures, morphisms and partial automorphisms.
 
 Universes are always initial segments {0, ..., n-1}; every canonical order
 used elsewhere in the package derives from this numbering.
@@ -407,85 +406,3 @@ def is_gaifman_clique(structure: Structure, points: Iterable[int] | None = None)
     gaif = gaifman_graph(structure)
     edges = gaif.tuple_set("E")
     return all((u, v) in edges for u, v in itertools.combinations(pts, 2))
-
-
-def _partitions(r: int):
-    """Partitions of {0,...,r-1} in restricted-growth-string order."""
-    rgs = [0] * r
-
-    def rec(i: int, mx: int):
-        if i == r:
-            yield tuple(rgs)
-            return
-        for c in range(mx + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(mx, c))
-
-    yield from rec(1, 0) if r > 0 else iter(())
-
-
-def _growth_strings(r: int) -> list[tuple[int, ...]]:
-    if r == 0:
-        return []
-    if r == 1:
-        return [(0,)]
-    return list(_partitions(r))
-
-
-def derived_signature(signature: Signature) -> Signature:
-    """One symbol per (symbol, set partition of its positions); name carries
-    the restricted growth string."""
-    symbols = []
-    for name, arity in signature.symbols:
-        for rgs in _growth_strings(arity):
-            blocks = max(rgs) + 1
-            symbols.append((f"{name}_" + "".join(map(str, rgs)), blocks))
-    return Signature(tuple(symbols))
-
-
-def irreflexivize(structure: Structure) -> Structure:
-    """Split every symbol by the equality pattern of its arguments; the result
-    is irreflexive and remembers each original tuple at its kernel partition."""
-    sig = derived_signature(structure.signature)
-    rels: dict[str, set[tuple[int, ...]]] = {s: set() for s in sig.names()}
-    for name, arity in structure.signature.symbols:
-        for rgs in _growth_strings(arity):
-            dname = f"{name}_" + "".join(map(str, rgs))
-            blocks = max(rgs) + 1
-            for t in structure.tuples(name):
-                if _kernel(t) == rgs:
-                    ys = [0] * blocks
-                    for pos, b in enumerate(rgs):
-                        ys[b] = t[pos]
-                    rels[dname].add(tuple(ys))
-    return Structure.make(sig, structure.size, rels)
-
-
-def deirreflexivize(structure: Structure, original: Signature) -> Structure:
-    """Canonical inverse of irreflexivize: read each tuple off its kernel
-    partition's derived symbol."""
-    if structure.signature != derived_signature(original):
-        raise EppaError("signature mismatch: not the derived signature of the original")
-    rels: dict[str, set[tuple[int, ...]]] = {n: set() for n in original.names()}
-    for name, arity in original.symbols:
-        for t in itertools.product(range(structure.size), repeat=arity):
-            rgs = _kernel(t)
-            dname = f"{name}_" + "".join(map(str, rgs))
-            blocks = max(rgs) + 1
-            ys = [0] * blocks
-            for pos, b in enumerate(rgs):
-                ys[b] = t[pos]
-            if structure.holds(dname, ys):
-                rels[name].add(t)
-    return Structure.make(original, structure.size, rels)
-
-
-def _kernel(t: Sequence[int]) -> tuple[int, ...]:
-    """Equality pattern of a tuple as a restricted growth string."""
-    seen: dict[int, int] = {}
-    out = []
-    for x in t:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)

@@ -3,21 +3,58 @@
 Certificates are canonical text (fixed section order, sorted keys, newline
 terminated) stamped with a sha256 content digest, so identical constructions
 produce byte-identical files and the verifier works from file contents alone.
+The emitters are the only definition of the certificate format: the parser
+reads a file's lines in any order, builds the certificate from them, and
+accepts the file only if emitting that certificate gives back its bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import config
 from .base_extension import BaseEppaCertificate, verify_base_certificate
 from .chains import ChainCertificate, ChainStage, verify_chain
 from .coherence import ExtensionMap, PermutationGroup, Verdict
-from .errors import StructureSyntaxError
+from .errors import BoundExceededError, EppaError, StructureSyntaxError
 from .faithful import FaithfulCertificate, verify_faithful_view
 from .quotient import SpecialCertificate, verify_special
 from .structures import (PartialAutomorphism, Permutation, Signature, Structure)
+
+
+# ---------------------------------------------------------------------------
+# the two conversions of both formats
+
+
+def _int(word: str, line: int, least: int = 0) -> int:
+    try:
+        value = int(word)
+    except ValueError:
+        raise StructureSyntaxError(f"expected an integer, got {word!r}", line) from None
+    if value < least:
+        raise StructureSyntaxError(f"expected an integer >= {least}, got {value}", line)
+    return value
+
+
+def _ints(words: Sequence[str], line: int) -> tuple[int, ...]:
+    return tuple(_int(w, line) for w in words)
+
+
+def _pmap(word: str, line: int) -> PartialAutomorphism:
+    """A partial-map key: comma-joined "x>y" pairs, "-" for the empty map."""
+    if word == "-":
+        return PartialAutomorphism.empty()
+    pairs = []
+    for item in word.split(","):
+        x, sep, y = item.partition(">")
+        if not sep:
+            raise StructureSyntaxError(f"bad partial map {word!r}", line)
+        pairs.append((_int(x, line), _int(y, line)))
+    try:
+        return PartialAutomorphism(tuple(pairs))
+    except EppaError as exc:
+        raise StructureSyntaxError(f"bad partial map {word!r}: {exc}", line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +112,7 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
             break
         if len(parts) != 3:
             raise StructureSyntaxError("rel line needs a name and an arity", i + 1)
-        try:
-            arity = int(parts[2])
-        except ValueError:
-            raise StructureSyntaxError(f"bad arity {parts[2]!r}", i + 1)
-        symbols.append((parts[1], arity))
+        symbols.append((parts[1], _int(parts[2], i + 1, least=1)))
         i += 1
     while i < len(lines) and not _clean(lines[i]):
         i += 1
@@ -88,10 +121,7 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     parts = _clean(lines[i]).split()
     if len(parts) != 2 or parts[0] != "size":
         raise StructureSyntaxError(f"expected 'size <n>', got {lines[i]!r}", i + 1)
-    try:
-        size = int(parts[1])
-    except ValueError:
-        raise StructureSyntaxError(f"bad size {parts[1]!r}", i + 1)
+    size = _int(parts[1], i + 1)
     i += 1
     signature = Signature(tuple(symbols))
     arities = dict(symbols)
@@ -115,10 +145,7 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
         if len(parts) - 1 != arities[sym]:
             raise StructureSyntaxError(
                 f"{sym} expects {arities[sym]} points, got {len(parts) - 1}", i + 1)
-        try:
-            t = tuple(int(x) for x in parts[1:])
-        except ValueError:
-            raise StructureSyntaxError("points must be integers", i + 1)
+        t = _ints(parts[1:], i + 1)
         for x in t:
             if not 0 <= x < size:
                 raise StructureSyntaxError(
@@ -229,231 +256,167 @@ def emit_chain_certificate(cert: ChainCertificate) -> str:
     return _finish(lines)
 
 
+class _Lines:
+    """A certificate body read without regard to line order: its structure
+    blocks by name, and every other line as its words, grouped by the first
+    word and numbered as in the file."""
+
+    def __init__(self, lines: Sequence[str]):
+        self.blocks: dict[str, Structure] = {}
+        self.tagged: dict[str, list[tuple[int, list[str]]]] = {}
+        i = 0
+        while i < len(lines):
+            words = lines[i].split()
+            if words[:1] == ["structure"]:
+                name, structure, i = _parse_structure_block(lines, i)
+                self.blocks.setdefault(name, structure)
+                continue
+            if words:
+                self.tagged.setdefault(words[0], []).append((i + 1, words))
+            i += 1
+
+    def structure(self, name: str) -> Structure:
+        if name not in self.blocks:
+            raise StructureSyntaxError(f"missing structure {name!r}")
+        return self.blocks[name]
+
+    def lines(self, tag: str) -> list[tuple[int, list[str]]]:
+        return self.tagged.get(tag, [])
+
+    def value(self, *head: str) -> tuple[int, str]:
+        """(line number, last word) of the first line `<head...> <value>`."""
+        for line, words in self.lines(head[0]):
+            if words[:-1] == list(head):
+                return line, words[-1]
+        raise StructureSyntaxError(f"missing '{' '.join(head)} <value>' line")
+
+    def ints(self, tag: str) -> tuple[int, ...]:
+        found = self.lines(tag)
+        if not found:
+            raise StructureSyntaxError(f"missing {tag!r} line")
+        line, words = found[0]
+        return _ints(words[1:], line)
+
+    def keyed(self, tag: str, width: int = 1) -> list[tuple[int, list[str], list[str]]]:
+        """(line number, key words, body words) of each `<tag> <key...> :
+        <body...>` line, in file order."""
+        out = []
+        for line, words in self.lines(tag):
+            if len(words) < width + 2 or words[width + 1] != ":":
+                raise StructureSyntaxError(f"expected '{tag} <key> : ...'", line)
+            out.append((line, words[1:width + 1], words[width + 2:]))
+        return out
+
+    def table(self, tag: str) -> dict[str, Permutation]:
+        return {key: Permutation(_ints(body, line)) for line, (key,), body in self.keyed(tag)}
+
+
+def _bounded(structure: Structure) -> Structure:
+    """Structure `a` of a kind whose verifier enumerates all of Part(A)."""
+    if structure.size > config.max_points():
+        raise BoundExceededError(f"structure a has {structure.size} points, "
+                                 f"over the bound {config.max_points()}")
+    return structure
+
+
+def _forbidden(r: _Lines) -> tuple[Structure, ...]:
+    line, count = r.value("forbid")
+    return tuple(r.structure(f"f{i}") for i in range(_int(count, line)))
+
+
+def _build_base(r: _Lines) -> BaseEppaCertificate:
+    base, extension = _bounded(r.structure("a")), r.structure("b")
+    embedding = r.ints("embed")
+    phi = ExtensionMap(base.size, extension.size, embedding, r.table("phi"))
+    return BaseEppaCertificate(base=base, extension=extension,
+                               embedding=embedding, phi=phi)
+
+
+def _build_faithful(r: _Lines) -> FaithfulCertificate:
+    cap_line, cap = r.value("param", "size-cap")
+    base, structure = _bounded(r.structure("a")), r.structure("c")
+    witnesses = {_ints(key.split(","), line): Permutation(_ints(body, line))
+                 for line, (key,), body in r.keyed("witness")}
+    return FaithfulCertificate(
+        base=base, base_extension=r.structure("b"), structure=structure,
+        base_embedding=r.ints("embed-base"),
+        phi=ExtensionMap(base.size, structure.size, r.ints("embed"), r.table("phi")),
+        clique_witnesses=witnesses, size_cap=None if cap == "none" else _int(cap, cap_line),
+        forbidden=_forbidden(r))
+
+
+def _build_special(r: _Lines) -> SpecialCertificate:
+    base, extension, codomain = r.structure("a"), r.structure("b"), r.structure("base")
+    return SpecialCertificate(
+        base=base, extension=extension, codomain=codomain,
+        maps=tuple(_pmap(" ".join(words[1:]), line) for line, words in r.lines("pmap")),
+        phi=ExtensionMap(base.size, extension.size, r.ints("embed"), r.table("phi")),
+        psi=ExtensionMap(base.size, codomain.size, r.ints("embed-base"), r.table("psi")),
+        hom=r.ints("hom"))
+
+
+def _build_chain(r: _Lines) -> ChainCertificate:
+    line, word = r.value("param", "stages")
+    count = _int(word, line) + 1  # stages s0 .. s<count - 1>
+    inclusions = {_int(i, line): _ints(body, line) for line, (i,), body in r.keyed("include")}
+    elements: dict[int, list[Permutation]] = {}
+    lifts: dict[int, list[Permutation]] = {}
+    for perms, tag, width in ((elements, "gelem", 1), (lifts, "lift", 2)):
+        for line, key, body in r.keyed(tag, width):
+            perms.setdefault(_int(key[0], line), []).append(Permutation(_ints(body, line)))
+    stages = []
+    for i in range(count):
+        structure, elems = r.structure(f"s{i}"), tuple(elements.get(i, ()))
+        group = PermutationGroup(degree=structure.size, elements=elems, generators=elems)
+        stages.append(ChainStage(structure=structure, group=group,
+                                 inclusion=inclusions.get(i),
+                                 lifted=tuple(lifts[i]) if i in lifts else None))
+    handled = tuple((_int(i, line), _pmap(" ".join(body), line))
+                    for line, (i,), body in r.keyed("handled"))
+    return ChainCertificate(stages=tuple(stages), handled=handled, forbidden=_forbidden(r))
+
+
+# kind name -> (certificate class, emitter, builder from a _Lines reading)
+_KINDS = {
+    "base-eppa": (BaseEppaCertificate, emit_base_certificate, _build_base),
+    "faithful": (FaithfulCertificate, emit_faithful_certificate, _build_faithful),
+    "special": (SpecialCertificate, emit_special_certificate, _build_special),
+    "chain": (ChainCertificate, emit_chain_certificate, _build_chain),
+}
+
+
 def emit_certificate(cert) -> str:
-    if isinstance(cert, BaseEppaCertificate):
-        return emit_base_certificate(cert)
-    if isinstance(cert, FaithfulCertificate):
-        return emit_faithful_certificate(cert)
-    if isinstance(cert, SpecialCertificate):
-        return emit_special_certificate(cert)
-    if isinstance(cert, ChainCertificate):
-        return emit_chain_certificate(cert)
+    for cls, emit, _ in _KINDS.values():
+        if isinstance(cert, cls):
+            return emit(cert)
     raise TypeError(f"cannot serialize {type(cert)!r}")
-
-
-@dataclass
-class _Reader:
-    lines: list[str]
-    pos: int = 0
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.lines):
-            stripped = _clean(self.lines[self.pos])
-            if stripped:
-                return stripped
-            self.pos += 1
-        return None
-
-    def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise StructureSyntaxError("unexpected end of certificate", self.pos)
-        self.pos += 1
-        return line
-
-    def structure(self) -> tuple[str, Structure]:
-        name, structure, nxt = _parse_structure_block(self.lines, self.pos)
-        self.pos = nxt
-        return name, structure
-
-
-def _parse_int_list(body: str) -> tuple[int, ...]:
-    body = body.strip()
-    if not body:
-        return ()
-    return tuple(int(x) for x in body.split())
-
-
-def _parse_map_line(line: str, prefix: str) -> tuple[str, Permutation]:
-    rest = line[len(prefix):].strip()
-    key, sep, body = rest.partition(":")
-    if not sep:
-        raise StructureSyntaxError(f"malformed {prefix.strip()} line: {line!r}")
-    return key.strip(), Permutation(_parse_int_list(body))
 
 
 def parse_certificate(text: str):
     """Parse a certificate file into the certificate type its builder
-    returns; the digest is checked first."""
+    returns.  The digest is checked first, and the file is accepted only if
+    its kind's emitter gives back exactly its bytes."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines or len(lines[-1].split()) != 2 or lines[-1].split()[0] != "digest":
         raise StructureSyntaxError("missing digest line")
-    recorded = lines[-1].split()[1]
-    body = lines[:-1]
-    if _digest(body) != recorded:
+    if _digest(lines[:-1]) != lines[-1].split()[1]:
         raise StructureSyntaxError("digest mismatch: file was modified or truncated")
-    reader = _Reader(body)
-    head = reader.take().split()
-    if len(head) != 2 or head[0] != "certificate":
-        raise StructureSyntaxError("expected 'certificate <kind>'")
-    kind = head[1]
-    fmt = reader.take().split()
-    if fmt != ["format", "1"]:
-        raise StructureSyntaxError("unsupported format")
-    if kind == "base-eppa":
-        return _parse_base(reader)
-    if kind == "faithful":
-        return _parse_faithful(reader)
-    if kind == "special":
-        return _parse_special(reader)
-    if kind == "chain":
-        return _parse_chain(reader)
-    raise StructureSyntaxError(f"unknown certificate kind {kind!r}")
-
-
-def _parse_base(reader: _Reader) -> BaseEppaCertificate:
-    _, base = reader.structure()
-    _, extension = reader.structure()
-    embed_line = reader.take()
-    if not embed_line.startswith("embed"):
-        raise StructureSyntaxError("expected embed line")
-    embedding = _parse_int_list(embed_line[len("embed"):])
-    table: dict[str, Permutation] = {}
-    while reader.peek() is not None:
-        line = reader.take()
-        if not line.startswith("phi "):
-            raise StructureSyntaxError(f"unexpected line {line!r}")
-        key, perm = _parse_map_line(line, "phi ")
-        table[key] = perm
-    phi = ExtensionMap(domain_universe=base.size, codomain_universe=extension.size,
-                       embedding=embedding, table=table)
-    return BaseEppaCertificate(base=base, extension=extension,
-                               embedding=embedding, phi=phi)
-
-
-def _parse_faithful(reader: _Reader) -> FaithfulCertificate:
-    cap_line = reader.take().split()
-    if cap_line[:2] != ["param", "size-cap"] or len(cap_line) != 3:
-        raise StructureSyntaxError("expected 'param size-cap'")
-    size_cap = None if cap_line[2] == "none" else int(cap_line[2])
-    forbid_line = reader.take().split()
-    if forbid_line[0] != "forbid" or len(forbid_line) != 2:
-        raise StructureSyntaxError("expected 'forbid <count>'")
-    forbidden = tuple(reader.structure()[1] for _ in range(int(forbid_line[1])))
-    _, base = reader.structure()
-    _, base_extension = reader.structure()
-    _, structure = reader.structure()
-    base_embed = reader.take()
-    if not base_embed.startswith("embed-base"):
-        raise StructureSyntaxError("expected embed-base line")
-    base_embedding = _parse_int_list(base_embed[len("embed-base"):])
-    embed_line = reader.take()
-    if not embed_line.startswith("embed"):
-        raise StructureSyntaxError("expected embed line")
-    nu = _parse_int_list(embed_line[len("embed"):])
-    table: dict[str, Permutation] = {}
-    witnesses: dict[tuple[int, ...], Permutation] = {}
-    while reader.peek() is not None:
-        line = reader.take()
-        if line.startswith("phi "):
-            key, perm = _parse_map_line(line, "phi ")
-            table[key] = perm
-        elif line.startswith("witness "):
-            key, perm = _parse_map_line(line, "witness ")
-            clique = tuple(int(x) for x in key.split(","))
-            witnesses[clique] = perm
-        else:
-            raise StructureSyntaxError(f"unexpected line {line!r}")
-    phi = ExtensionMap(domain_universe=base.size, codomain_universe=structure.size,
-                       embedding=nu, table=table)
-    return FaithfulCertificate(base=base, base_extension=base_extension,
-                               structure=structure, base_embedding=base_embedding,
-                               phi=phi, clique_witnesses=witnesses,
-                               size_cap=size_cap, forbidden=forbidden)
-
-
-def _parse_special(reader: _Reader) -> SpecialCertificate:
-    _, base = reader.structure()
-    _, extension = reader.structure()
-    _, codomain = reader.structure()
-    embed_line = reader.take()
-    if not embed_line.startswith("embed"):
-        raise StructureSyntaxError("expected embed line")
-    iota = _parse_int_list(embed_line[len("embed"):])
-    base_embed = reader.take()
-    if not base_embed.startswith("embed-base"):
-        raise StructureSyntaxError("expected embed-base line")
-    psi_embedding = _parse_int_list(base_embed[len("embed-base"):])
-    keys: list[str] = []
-    phi_table: dict[str, Permutation] = {}
-    psi_table: dict[str, Permutation] = {}
-    hom: tuple[int, ...] = ()
-    while reader.peek() is not None:
-        line = reader.take()
-        if line.startswith("pmap "):
-            keys.append(line[len("pmap "):].strip())
-        elif line.startswith("phi "):
-            key, perm = _parse_map_line(line, "phi ")
-            phi_table[key] = perm
-        elif line.startswith("psi "):
-            key, perm = _parse_map_line(line, "psi ")
-            psi_table[key] = perm
-        elif line.startswith("hom"):
-            hom = _parse_int_list(line[len("hom"):])
-        else:
-            raise StructureSyntaxError(f"unexpected line {line!r}")
-    maps = tuple(PartialAutomorphism.decode(k) for k in keys)
-    phi = ExtensionMap(domain_universe=base.size, codomain_universe=extension.size,
-                       embedding=iota, table=phi_table)
-    psi = ExtensionMap(domain_universe=base.size, codomain_universe=codomain.size,
-                       embedding=psi_embedding, table=psi_table)
-    return SpecialCertificate(base=base, extension=extension, codomain=codomain,
-                              maps=maps, psi=psi, phi=phi, hom=hom)
-
-
-def _parse_chain(reader: _Reader) -> ChainCertificate:
-    stages_line = reader.take().split()
-    if stages_line[:2] != ["param", "stages"]:
-        raise StructureSyntaxError("expected 'param stages'")
-    stage_count = int(stages_line[2])
-    forbid_line = reader.take().split()
-    if forbid_line[0] != "forbid":
-        raise StructureSyntaxError("expected 'forbid <count>'")
-    forbidden = tuple(reader.structure()[1] for _ in range(int(forbid_line[1])))
-    structures = [reader.structure()[1] for _ in range(stage_count + 1)]
-    inclusions: dict[int, tuple[int, ...]] = {}
-    elements: dict[int, list[Permutation]] = {}
-    lifts: dict[int, list[Permutation]] = {}
-    handled: list[tuple[int, PartialAutomorphism]] = []
-    while reader.peek() is not None:
-        line = reader.take()
-        head, sep, body = line.partition(":")
-        if not sep:
-            raise StructureSyntaxError(f"unexpected line {line!r}")
-        if line.startswith("include "):
-            inclusions[int(head.split()[1])] = _parse_int_list(body)
-        elif line.startswith("gelem "):
-            idx = int(head.split()[1])
-            elements.setdefault(idx, []).append(Permutation(_parse_int_list(body)))
-        elif line.startswith("lift "):
-            idx = int(head.split()[1])
-            lifts.setdefault(idx, []).append(Permutation(_parse_int_list(body)))
-        elif line.startswith("handled "):
-            handled.append((int(head.split()[1]),
-                            PartialAutomorphism.decode(body.strip())))
-        else:
-            raise StructureSyntaxError(f"unexpected line {line!r}")
-    stages = []
-    for i, structure in enumerate(structures):
-        elems = tuple(elements.get(i, []))
-        group = PermutationGroup(degree=structure.size, elements=elems, generators=elems)
-        stages.append(ChainStage(structure=structure, group=group,
-                                 inclusion=inclusions.get(i),
-                                 lifted=tuple(lifts[i]) if i in lifts else None))
-    return ChainCertificate(stages=tuple(stages), handled=tuple(handled),
-                            forbidden=forbidden)
+    reader = _Lines(lines[:-1])
+    line, kind = reader.value("certificate")
+    if kind not in _KINDS:
+        raise StructureSyntaxError(f"unknown certificate kind {kind!r}", line)
+    _, emit, build = _KINDS[kind]
+    cert = build(reader)
+    canonical = emit(cert)
+    if canonical != text:
+        got, want = text.split("\n"), canonical.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        expected = repr(want[i]) if i < len(want) else "end of file"
+        raise StructureSyntaxError(f"not canonical: expected {expected}", i + 1)
+    return cert
 
 
 def verify_certificate(cert, word_bound: int = 6) -> Verdict:

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import eppa
-from eppa.base_extension import base_eppa
+from eppa.base_extension import BaseEppaCertificate, base_eppa
 from eppa.cli import main
 from eppa.coherence import ExtensionMap
 from eppa.faithful import clique_faithful_extension
 from eppa.quotient import special_extension
-from eppa.structures import PartialAutomorphism, Permutation, graph
+from eppa.structures import (PartialAutomorphism, Permutation, Signature, Structure,
+                             graph)
 from eppa.textio import emit_certificate, emit_structure
 
 K2 = graph(2, [(0, 1)])
@@ -219,3 +220,29 @@ class TestTableKeySet:
         last = max(i for i, line in enumerate(body) if line.startswith("psi "))
         body.insert(last + 1, "psi 9>9 : 0 1")
         assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+
+
+class TestReaderBounds:
+    def test_empty_chain_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "empty.cert"
+        path.write_text(stamp(["certificate chain", "format 1", "param stages -1",
+                               "forbid 0"]), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        assert "line 3:" in capsys.readouterr().err
+
+    def test_base_over_the_point_bound_is_refused(self, tmp_path, capsys):
+        # 13 points, each alone in its own unary relation: Part(A) is just
+        # the 2^13 identity maps, so an unbounded verifier would accept it
+        n = 13
+        sig = Signature.make(*((f"U{i}", 1) for i in range(n)))
+        a = Structure.make(sig, n, {f"U{i}": [(i,)] for i in range(n)})
+        ident = Permutation.identity(n)
+        table = {PartialAutomorphism.identity_on(
+                     x for x in range(n) if mask >> x & 1).encode(): ident
+                 for mask in range(1 << n)}
+        cert = BaseEppaCertificate(base=a, extension=a, embedding=ident.images,
+                                   phi=ExtensionMap(n, n, ident.images, table))
+        path = tmp_path / "wide.cert"
+        path.write_text(emit_certificate(cert), encoding="utf-8")
+        assert main(["verify", str(path)]) == 3
+        assert "bound" in capsys.readouterr().err

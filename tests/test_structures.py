@@ -6,10 +6,9 @@ from eppa.amalgamation import exists_embedding
 from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
-                             deirreflexivize, enumerate_partial_automorphisms,
-                             gaifman_graph, graph, induced_substructure,
-                             irreflexivize, is_automorphism, is_embedding,
-                             is_homomorphism, is_partial_automorphism)
+                             enumerate_partial_automorphisms, gaifman_graph,
+                             graph, induced_substructure, is_automorphism,
+                             is_embedding, is_homomorphism, is_partial_automorphism)
 
 
 def brute_partial_automorphisms(structure):
@@ -197,55 +196,3 @@ class TestGaifman:
         faces = itertools.permutations(range(4), 3)
         tetra = Structure.make(sig, 4, {"H": list(faces)})
         assert is_gaifman_clique(tetra)
-
-
-class TestIrreflexivize:
-    def test_loop_and_edge(self):
-        loopy = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]})
-        derived = irreflexivize(loopy)
-        assert derived.signature.names() == ("E_00", "E_01")
-        assert derived.signature.arity("E_00") == 1
-        assert derived.tuples("E_00") == ((0,),)
-        assert derived.tuples("E_01") == ((0, 1),)
-
-    def test_irreflexive_input_populates_only_discrete(self, k2):
-        derived = irreflexivize(k2)
-        assert derived.tuples("E_00") == ()
-        assert derived.tuples("E_01") == ((0, 1), (1, 0))
-
-    def test_round_trip(self):
-        sig = Signature.make(("R", 3))
-        structure = Structure.make(
-            sig, 3, {"R": [(0, 0, 1), (1, 2, 1), (2, 2, 2), (0, 1, 2)]})
-        assert deirreflexivize(irreflexivize(structure), sig) == structure
-
-    def test_round_trip_on_graphs(self, graphs_up_to_3):
-        for structure in graphs_up_to_3:
-            back = deirreflexivize(irreflexivize(structure), structure.signature)
-            assert back == structure
-
-    def test_gaifman_commutes_on_loopless(self, graphs_up_to_3):
-        for structure in graphs_up_to_3:
-            assert gaifman_graph(irreflexivize(structure)) == gaifman_graph(structure)
-
-    def test_signature_mismatch_rejected(self, k2):
-        with pytest.raises(EppaError):
-            deirreflexivize(k2, GRAPH_SIGNATURE)
-
-    def test_ternary_partitions_against_definition(self):
-        from eppa.structures import _growth_strings
-        sig = Signature.make(("R", 3))
-        structure = Structure.make(
-            sig, 3, {"R": [(0, 0, 0), (0, 1, 0), (1, 2, 0), (2, 2, 1), (0, 1, 2)]})
-        derived = irreflexivize(structure)
-        for rgs in _growth_strings(3):
-            name = "R_" + "".join(map(str, rgs))
-            blocks = max(rgs) + 1
-            # oracle straight from the definition: the derived symbol holds on
-            # distinct values iff the tuple assembled along the partition does
-            expected = set()
-            for ys in itertools.permutations(range(3), blocks):
-                if structure.holds("R", tuple(ys[b] for b in rgs)):
-                    expected.add(ys)
-            assert set(derived.tuples(name)) == expected
-        assert deirreflexivize(derived, sig) == structure

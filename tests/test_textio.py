@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
+import random
+from pathlib import Path
+
 import pytest
 
 from eppa.base_extension import base_eppa
 from eppa.chains import build_dlf_chain
+from eppa.cli import main
 from eppa.coherence import ExtensionMap
 from eppa.errors import StructureSyntaxError
 from eppa.faithful import clique_faithful_extension, forb_e_eppa
@@ -124,3 +131,79 @@ class TestCertificateFiles:
         second = emit_certificate(base_eppa(path3))
         assert first == second
         assert first.strip().splitlines()[-1].startswith("digest ")
+
+
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
+
+
+def stamp(body: list[str]) -> str:
+    """Certificate text for `body`, with the library's digest line."""
+    digest = hashlib.sha256(("\n".join(body) + "\n").encode("utf-8")).hexdigest()
+    return "\n".join(body + [f"digest {digest}"]) + "\n"
+
+
+def run_verify(text: str, tmp_path) -> tuple[int, str]:
+    path = tmp_path / "edited.cert"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, err.getvalue()
+
+
+def body_of(text: str) -> list[str]:
+    return text.rstrip("\n").split("\n")[:-1]
+
+
+EDITED = {
+    "base": lambda: emit_certificate(base_eppa(graph(3, [(0, 1), (1, 2)]))),
+    "special": lambda: emit_certificate(special_fixture()),
+    "chain": lambda: emit_certificate(build_dlf_chain([graph(3, [(0, 1), (1, 2), (0, 2)])],
+                                                      1, graph(2, [(0, 1)]))),
+}
+
+
+class TestCanonicalOnly:
+    """A file is accepted only as the exact bytes its emitter writes."""
+
+    @pytest.mark.parametrize("kind, old, new", [
+        ("chain", "lift 0 1 :", "lift 0 0 :"),
+        ("base", "format 1", "format 1\n# comment"),
+        ("base", "phi - : ", "phi -  :  "),
+        ("special", "pmap -", "pmap -1"),
+        ("base", "structure b", "structure x"),
+    ])
+    def test_edit_is_a_parse_error(self, kind, old, new, tmp_path):
+        body = "\n".join(body_of(EDITED[kind]()))
+        assert old in body
+        code, err = run_verify(stamp(body.replace(old, new, 1).split("\n")), tmp_path)
+        assert code == 1, err
+
+    def test_bad_image_names_its_file_line(self, tmp_path):
+        body = body_of(EDITED["base"]())
+        at = next(i for i, line in enumerate(body) if line.startswith("phi - : "))
+        body[at] = "phi - : x" + body[at][len("phi - : 0"):]
+        code, err = run_verify(stamp(body), tmp_path)
+        assert code == 1
+        assert f"line {at + 1}:" in err and "'x'" in err
+
+    def test_seeded_mutation_fuzz(self, tmp_path):
+        """One-token mutations of the stored certificates, re-stamped: no
+        exception escapes the CLI, and only canonical files verify ok."""
+        pool = ("x", "-1", "0", "1", "2", "3", "", "-", ":", "#", "0>1", "1>0",
+                "0>0", "a", "b", "s", "end", "01", "+1")
+        bodies = [body_of(p.read_text(encoding="utf-8"))
+                  for p in sorted(STORED.glob("*.cert")) if p.stat().st_size < 20000]
+        assert bodies, f"no stored certificates under {STORED}"
+        rng = random.Random(1)
+        for _ in range(800):
+            body = list(rng.choice(bodies))
+            at = rng.randrange(len(body))
+            words = body[at].split(" ")
+            words[rng.randrange(len(words))] = rng.choice(pool)
+            body[at] = " ".join(words)
+            text = stamp(body)
+            code, err = run_verify(text, tmp_path)
+            assert code in (0, 1, 2, 3), err
+            if code == 0:
+                assert emit_certificate(parse_certificate(text)) == text
