@@ -211,12 +211,18 @@ class PartialAutomorphism:
 
     @staticmethod
     def decode(key: str) -> "PartialAutomorphism":
+        """Inverse of `encode`; a malformed key raises EppaError."""
         if key == "-":
             return PartialAutomorphism(())
         pairs = []
         for item in key.split(","):
-            x, y = item.split(">")
-            pairs.append((int(x), int(y)))
+            x, sep, y = item.partition(">")
+            try:  # int() alone would also take '-1', '+1', '1_0' and non-ASCII digits
+                if not (sep and (x + y).isascii() and x.isdigit() and y.isdigit()):
+                    raise ValueError
+                pairs.append((int(x), int(y)))
+            except ValueError:
+                raise EppaError(f"bad pair {item!r}") from None
         return PartialAutomorphism(tuple(sorted(pairs)))
 
 

@@ -28,7 +28,11 @@ from .structures import (PartialAutomorphism, Permutation, Signature, Structure)
 
 
 def _int(word: str, line: int, least: int = 0) -> int:
+    """A plain decimal integer: ASCII digits, optionally after one '-'."""
+    digits = word[1:] if word.startswith("-") else word
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         value = int(word)
     except ValueError:
         raise StructureSyntaxError(f"expected an integer, got {word!r}", line) from None
@@ -42,17 +46,8 @@ def _ints(words: Sequence[str], line: int) -> tuple[int, ...]:
 
 
 def _pmap(word: str, line: int) -> PartialAutomorphism:
-    """A partial-map key: comma-joined "x>y" pairs, "-" for the empty map."""
-    if word == "-":
-        return PartialAutomorphism.empty()
-    pairs = []
-    for item in word.split(","):
-        x, sep, y = item.partition(">")
-        if not sep:
-            raise StructureSyntaxError(f"bad partial map {word!r}", line)
-        pairs.append((_int(x, line), _int(y, line)))
     try:
-        return PartialAutomorphism(tuple(pairs))
+        return PartialAutomorphism.decode(word)
     except EppaError as exc:
         raise StructureSyntaxError(f"bad partial map {word!r}: {exc}", line) from None
 

@@ -1,7 +1,36 @@
+import contextlib
+import hashlib
+import io
+
 import pytest
 
 from eppa.amalgamation import enumerate_structures, is_graph_universe
+from eppa.cli import main
 from eppa.structures import GRAPH_SIGNATURE, Structure, graph
+
+
+def _stamp(body: list[str]) -> str:
+    digest = hashlib.sha256(("\n".join(body) + "\n").encode("utf-8")).hexdigest()
+    return "\n".join(body + [f"digest {digest}"]) + "\n"
+
+
+@pytest.fixture
+def stamp():
+    """Certificate text for a body, with the library's digest line."""
+    return _stamp
+
+
+@pytest.fixture
+def run_verify(tmp_path):
+    """`eppa verify` on a certificate text: exit code, stripped stdout, stderr."""
+    def run(text: str) -> tuple[int, str, str]:
+        path = tmp_path / "edited.cert"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        return code, out.getvalue().strip(), err.getvalue()
+    return run
 
 
 def all_graphs(size: int) -> list[Structure]:

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import os
 import subprocess
 import sys
@@ -166,12 +165,6 @@ class TestOtherVerbs:
         assert out.exists()
 
 
-def stamp(body: list[str]) -> str:
-    """Certificate text for `body`, with the library's digest line."""
-    digest = hashlib.sha256(("\n".join(body) + "\n").encode("utf-8")).hexdigest()
-    return "\n".join(body + [f"digest {digest}"]) + "\n"
-
-
 def k2_special():
     p = PartialAutomorphism.from_map({0: 1})
     psi = ExtensionMap(2, 2, (0, 1), {"-": Permutation.identity(2),
@@ -190,47 +183,40 @@ class TestTableKeySet:
     """The phi table of a file must be keyed by exactly the maps it covers:
     Part(A), or P for special certificates."""
 
-    def verify_body(self, body, tmp_path, capsys):
-        path = tmp_path / "edited.txt"
-        path.write_text(stamp(body), encoding="utf-8")
-        code = main(["verify", str(path)])
-        return code, capsys.readouterr().out.strip()
-
     @pytest.mark.parametrize("kind", sorted(CERTIFICATES))
-    def test_extra_key_fails_table(self, kind, tmp_path, capsys):
+    def test_extra_key_fails_table(self, kind, stamp, run_verify):
         body = emit_certificate(CERTIFICATES[kind]()).rstrip("\n").split("\n")[:-1]
         last = max(i for i, line in enumerate(body) if line.startswith("phi "))
         degree = len(body[last].partition(" : ")[2].split())
         extra = "phi 9>9 : " + " ".join(str(x) for x in range(degree))
         body.insert(last + 1, extra)
-        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+        assert run_verify(stamp(body))[:2] == (2, "fail table")
 
-    def test_missing_special_key_fails_table(self, tmp_path, capsys):
+    def test_missing_special_key_fails_table(self, stamp, run_verify):
         body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
         body.remove(next(line for line in body if line.startswith("phi 0>1 ")))
-        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+        assert run_verify(stamp(body))[:2] == (2, "fail table")
 
-    def test_missing_psi_key_fails_table(self, tmp_path, capsys):
+    def test_missing_psi_key_fails_table(self, stamp, run_verify):
         body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
         body.remove(next(line for line in body if line.startswith("psi 0>1 ")))
-        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+        assert run_verify(stamp(body))[:2] == (2, "fail table")
 
-    def test_extra_psi_key_fails_table(self, tmp_path, capsys):
+    def test_extra_psi_key_fails_table(self, stamp, run_verify):
         body = emit_certificate(k2_special()).rstrip("\n").split("\n")[:-1]
         last = max(i for i, line in enumerate(body) if line.startswith("psi "))
         body.insert(last + 1, "psi 9>9 : 0 1")
-        assert self.verify_body(body, tmp_path, capsys) == (2, "fail table")
+        assert run_verify(stamp(body))[:2] == (2, "fail table")
 
 
 class TestReaderBounds:
-    def test_empty_chain_is_refused(self, tmp_path, capsys):
-        path = tmp_path / "empty.cert"
-        path.write_text(stamp(["certificate chain", "format 1", "param stages -1",
-                               "forbid 0"]), encoding="utf-8")
-        assert main(["verify", str(path)]) == 1
-        assert "line 3:" in capsys.readouterr().err
+    def test_empty_chain_is_refused(self, stamp, run_verify):
+        code, _, err = run_verify(stamp(["certificate chain", "format 1", "param stages -1",
+                                         "forbid 0"]))
+        assert code == 1
+        assert "line 3:" in err
 
-    def test_base_over_the_point_bound_is_refused(self, tmp_path, capsys):
+    def test_base_over_the_point_bound_is_refused(self, run_verify):
         # 13 points, each alone in its own unary relation: Part(A) is just
         # the 2^13 identity maps, so an unbounded verifier would accept it
         n = 13
@@ -242,7 +228,6 @@ class TestReaderBounds:
                  for mask in range(1 << n)}
         cert = BaseEppaCertificate(base=a, extension=a, embedding=ident.images,
                                    phi=ExtensionMap(n, n, ident.images, table))
-        path = tmp_path / "wide.cert"
-        path.write_text(emit_certificate(cert), encoding="utf-8")
-        assert main(["verify", str(path)]) == 3
-        assert "bound" in capsys.readouterr().err
+        code, _, err = run_verify(emit_certificate(cert))
+        assert code == 3
+        assert "bound" in err

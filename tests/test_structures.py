@@ -100,6 +100,16 @@ class TestPartialAutomorphisms:
                     {x: p(x) for x in sub})
                 assert restricted.encode() in keys
 
+    def test_decode_inverts_encode(self, path3):
+        for p in enumerate_partial_automorphisms(path3):
+            assert PartialAutomorphism.decode(p.encode()) == p
+
+    @pytest.mark.parametrize("key", ["", "-1", "0", "0>", "0>x", "0>-1", "0>1>2",
+                                     "+0>1", "1_0>1", "\u0661>1", "0>1,", "0>1,0>2"])
+    def test_decode_refuses_malformed_keys(self, key):
+        with pytest.raises(EppaError):
+            PartialAutomorphism.decode(key)
+
     def test_membership_matches_embedding_criterion(self, graphs_up_to_4):
         """The embedding search behind Part(A), Aut(A) and exists_embedding
         against the reference checkers, order included."""

@@ -1,6 +1,3 @@
-import contextlib
-import hashlib
-import io
 import random
 from pathlib import Path
 
@@ -8,7 +5,6 @@ import pytest
 
 from eppa.base_extension import base_eppa
 from eppa.chains import build_dlf_chain
-from eppa.cli import main
 from eppa.coherence import ExtensionMap
 from eppa.errors import StructureSyntaxError
 from eppa.faithful import clique_faithful_extension, forb_e_eppa
@@ -69,6 +65,12 @@ class TestStructureFiles:
     def test_unknown_symbol(self):
         with pytest.raises(StructureSyntaxError):
             parse_structure("structure s\nrel E 2\nsize 2\nF 0 1\nend\n")
+
+    @pytest.mark.parametrize("word", ["1_0", "+1", "\u0661", "1.0", "--1"])
+    def test_only_plain_integers(self, word):
+        with pytest.raises(StructureSyntaxError) as err:
+            parse_structure(f"structure s\nrel E 2\nsize 11\nE 0 {word}\nend\n")
+        assert "line 4" in str(err.value)
 
     def test_trailing_content_rejected(self):
         with pytest.raises(StructureSyntaxError):
@@ -136,21 +138,6 @@ class TestCertificateFiles:
 STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
 
 
-def stamp(body: list[str]) -> str:
-    """Certificate text for `body`, with the library's digest line."""
-    digest = hashlib.sha256(("\n".join(body) + "\n").encode("utf-8")).hexdigest()
-    return "\n".join(body + [f"digest {digest}"]) + "\n"
-
-
-def run_verify(text: str, tmp_path) -> tuple[int, str]:
-    path = tmp_path / "edited.cert"
-    path.write_text(text, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["verify", str(path)])
-    return code, err.getvalue()
-
-
 def body_of(text: str) -> list[str]:
     return text.rstrip("\n").split("\n")[:-1]
 
@@ -173,21 +160,21 @@ class TestCanonicalOnly:
         ("special", "pmap -", "pmap -1"),
         ("base", "structure b", "structure x"),
     ])
-    def test_edit_is_a_parse_error(self, kind, old, new, tmp_path):
+    def test_edit_is_a_parse_error(self, kind, old, new, stamp, run_verify):
         body = "\n".join(body_of(EDITED[kind]()))
         assert old in body
-        code, err = run_verify(stamp(body.replace(old, new, 1).split("\n")), tmp_path)
+        code, _, err = run_verify(stamp(body.replace(old, new, 1).split("\n")))
         assert code == 1, err
 
-    def test_bad_image_names_its_file_line(self, tmp_path):
+    def test_bad_image_names_its_file_line(self, stamp, run_verify):
         body = body_of(EDITED["base"]())
         at = next(i for i, line in enumerate(body) if line.startswith("phi - : "))
         body[at] = "phi - : x" + body[at][len("phi - : 0"):]
-        code, err = run_verify(stamp(body), tmp_path)
+        code, _, err = run_verify(stamp(body))
         assert code == 1
         assert f"line {at + 1}:" in err and "'x'" in err
 
-    def test_seeded_mutation_fuzz(self, tmp_path):
+    def test_seeded_mutation_fuzz(self, stamp, run_verify):
         """One-token mutations of the stored certificates, re-stamped: no
         exception escapes the CLI, and only canonical files verify ok."""
         pool = ("x", "-1", "0", "1", "2", "3", "", "-", ":", "#", "0>1", "1>0",
@@ -203,7 +190,7 @@ class TestCanonicalOnly:
             words[rng.randrange(len(words))] = rng.choice(pool)
             body[at] = " ".join(words)
             text = stamp(body)
-            code, err = run_verify(text, tmp_path)
+            code, _, err = run_verify(text)
             assert code in (0, 1, 2, 3), err
             if code == 0:
                 assert emit_certificate(parse_certificate(text)) == text
