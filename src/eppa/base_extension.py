@@ -5,8 +5,9 @@ assignment respects composition.
 Two realizations sit behind one verified certificate contract:
 
 * a functor search that tries the structure itself and then minimal
-  point-extensions, assigning automorphisms per connected component of the
-  partial-automorphism groupoid;
+  point-extensions; per connected component of the partial-automorphism
+  groupoid it searches only a homomorphism of one vertex group, and spanning
+  tree lifts carry it to the rest of the component;
 * Hrushovski's valuation scaffold: points of the extension are (vertex,
   valuation) pairs with one bit per slot (symbol, tuple up to the symbol's
   symmetry in A) through the vertex, permuted by order-preserving
@@ -79,13 +80,18 @@ def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
 
 def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structure,
                         embedding: Sequence[int]) -> dict[str, Permutation] | None:
-    """Search a coherent, extending assignment Part(A) -> Aut(candidate),
-    where `maps` is Part(A) as enumerate_partial_automorphisms lists it.
+    """The first coherent, extending assignment Part(A) -> Aut(candidate),
+    where `maps` is Part(A) as enumerate_partial_automorphisms lists it; None
+    when there is none.
 
     Coherence makes the assignment a functor from the groupoid of partial
-    automorphisms (objects: domains; morphisms: the maps) to Aut(candidate),
-    so it is determined by images of a spanning tree and of one vertex group
-    per connected component; the search backtracks over those.
+    automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
+    Part(A) is closed under inverses, so a BFS from the least domain r of a
+    connected component reaches exactly that component; its tree gives
+    tree(t): r -> t.  The one choice searched is a homomorphism `hom` of r's
+    vertex group.  With lift(t) the first extender of tree(t) (the identity
+    at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1
+    extends p because each factor extends its own map.
     """
     try:
         aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
@@ -93,132 +99,65 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
         return None
     emb = tuple(embedding)
 
-    extenders: dict[str, list[Permutation]] = {}
+    extenders: dict[PartialAutomorphism, list[Permutation]] = {}
     for p in maps:
         cands = [g for g in aut.elements
                  if all(g(emb[x]) == emb[y] for x, y in p.pairs)]
         if not cands:
             return None
-        extenders[p.encode()] = cands
+        extenders[p] = cands
 
-    by_src: dict[frozenset[int], list[PartialAutomorphism]] = {}
-    for p in maps:
-        by_src.setdefault(p.domain(), []).append(p)
-    for key in by_src:
-        by_src[key].sort(key=lambda p: p.encode())
+    arrows: dict[frozenset[int], list[tuple[str, PartialAutomorphism]]] = {}
+    for key, p in sorted((p.encode(), p) for p in maps):
+        arrows.setdefault(p.domain(), []).append((key, p))
 
-    objects = sorted({p.domain() for p in maps} | {p.image() for p in maps},
-                     key=lambda s: (len(s), sorted(s)))
-    component: dict[frozenset[int], frozenset[int]] = {}
-    for obj in objects:
-        if obj in component:
-            continue
-        stack = [obj]
-        component[obj] = obj
-        while stack:
-            s = stack.pop()
-            for p in by_src.get(s, []):
-                t = p.image()
-                if t not in component:
-                    component[t] = obj
-                    stack.append(t)
-
-    roots = sorted({component[o] for o in objects}, key=lambda s: (len(s), sorted(s)))
     phi: dict[str, Permutation] = {}
-    identity = Permutation.identity(candidate.size)
-
-    for root in roots:
-        tree: dict[frozenset[int], PartialAutomorphism] = {
-            root: PartialAutomorphism.identity_on(root)}
+    tree: dict[frozenset[int], PartialAutomorphism] = {}
+    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
+        if root in tree:
+            continue
+        tree[root] = PartialAutomorphism.identity_on(root)
         order = [root]
-        qi = 0
-        while qi < len(order):
-            s = order[qi]
-            qi += 1
-            for p in by_src.get(s, []):
-                t = p.image()
-                if t not in tree:
-                    tree[t] = p.compose(tree[s])
-                    order.append(t)
-
-        vertex_group = [p for p in by_src.get(root, []) if p.image() == root]
-        morphisms = []
+        for s in order:  # also visits the domains appended below
+            for _, p in arrows[s]:
+                if p.image() not in tree:
+                    tree[p.image()] = p.compose(tree[s])
+                    order.append(p.image())
+        hom = _first_homomorphism([p for _, p in arrows[root] if p.image() == root],
+                                  extenders)
+        if hom is None:
+            return None
+        lift = {t: extenders[tree[t]][0] for t in order}
         for s in order:
-            for p in by_src.get(s, []):
+            for key, p in arrows[s]:
                 t = p.image()
                 g = tree[t].inverse().compose(p).compose(tree[s])
-                morphisms.append((p, s, t, g.encode()))
-
-        gkeys = [g.encode() for g in vertex_group]
-        gindex = {k: i for i, k in enumerate(gkeys)}
-        gmaps = {g.encode(): g for g in vertex_group}
-        table = [[gindex[gmaps[a].compose(gmaps[b]).encode()] for b in gkeys]
-                 for a in gkeys]
-
-        hvals: list[Permutation | None] = [None] * len(gkeys)
-        solution: list[Permutation] | None = None
-
-        def hom_consistent(upto: int) -> bool:
-            for i in range(upto + 1):
-                for j in range(upto + 1):
-                    k = table[i][j]
-                    if k <= upto and hvals[i] is not None and hvals[j] is not None \
-                            and hvals[k] is not None:
-                        if hvals[i].compose(hvals[j]) != hvals[k]:
-                            return False
-            return True
-
-        def hsearch(i: int):
-            nonlocal solution
-            if solution is not None:
-                return
-            if i == len(gkeys):
-                solution = list(hvals)  # type: ignore[arg-type]
-                return
-            for cand in extenders[gkeys[i]]:
-                hvals[i] = cand
-                if hom_consistent(i):
-                    hsearch(i + 1)
-                if solution is not None:
-                    return
-            hvals[i] = None
-
-        hsearch(0)
-        if solution is None:
-            return None
-        hom = {gkeys[i]: solution[i] for i in range(len(gkeys))}
-
-        nonroot = [t for t in order if t != root]
-        tphi: dict[frozenset[int], Permutation] = {root: identity}
-
-        def value(p, s, t, gkey) -> Permutation:
-            return tphi[t].compose(hom[gkey]).compose(tphi[s].inverse())
-
-        def consistent(done: set[frozenset[int]]) -> bool:
-            for (p, s, t, gkey) in morphisms:
-                if s in done and t in done:
-                    g = value(p, s, t, gkey)
-                    if any(g(emb[x]) != emb[y] for x, y in p.pairs):
-                        return False
-            return True
-
-        def tsearch(i: int, done: list[frozenset[int]]) -> bool:
-            if i == len(nonroot):
-                return True
-            t = nonroot[i]
-            for cand in extenders[tree[t].encode()]:
-                tphi[t] = cand
-                if consistent(set(done) | {t}) and tsearch(i + 1, done + [t]):
-                    return True
-            tphi.pop(t, None)
-            return False
-
-        if not consistent({root}) or not tsearch(0, [root]):
-            return None
-        for (p, s, t, gkey) in morphisms:
-            phi[p.encode()] = value(p, s, t, gkey)
-
+                phi[key] = lift[t].compose(hom[g]).compose(lift[s].inverse())
     return phi
+
+
+def _first_homomorphism(group: list[PartialAutomorphism],
+                        extenders: dict[PartialAutomorphism, list[Permutation]]
+                        ) -> dict[PartialAutomorphism, Permutation] | None:
+    """The first h, backtracking over each element's extenders in order, with
+    h(a) h(b) = h(ab) on the vertex group `group`; None when there is none."""
+    index = {g: i for i, g in enumerate(group)}
+    product = [[index[a.compose(b)] for b in group] for a in group]
+    values: list[Permutation] = []
+
+    def search(i: int) -> bool:
+        if i == len(group):
+            return True
+        for h in extenders[group[i]]:
+            values.append(h)
+            if all(values[a].compose(values[b]) == values[c]
+                   for a in range(i + 1) for b in range(i + 1)
+                   if (c := product[a][b]) <= i) and search(i + 1):
+                return True
+            values.pop()
+        return False
+
+    return dict(zip(group, values)) if search(0) else None
 
 
 def _extension_candidates(base: Structure, extra: int):
@@ -288,6 +227,9 @@ def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
 # distinct points.  A embeds as (v, theta_v), where theta_v marks the tuples
 # of A that v owns as their first point.  For graphs this is Hrushovski's B:
 # one bit per other vertex, so at most n * 2^(n-1) points.
+
+SCAFFOLD_MAX_POINTS = 200_000  # the orbit is refused beyond this many points
+
 
 class _Scaffold:
     def __init__(self, base: Structure):
@@ -365,8 +307,8 @@ def _order_completion(p: PartialAutomorphism, n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def scaffold_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
-                         max_carrier: int = 200000) -> BaseEppaCertificate:
+def scaffold_certificate(base: Structure,
+                         maps: Sequence[PartialAutomorphism]) -> BaseEppaCertificate:
     """Generic realization over `maps` = Part(A): the extension is the orbit
     of the embedded copy under the actions assigned to Part(A) (a set closed
     under inverses), each restricted to the orbit."""
@@ -379,9 +321,9 @@ def scaffold_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
         for action in distinct:
             image = _act(action, pt)
             if image not in index:
-                if len(index) >= max_carrier:
+                if len(index) >= SCAFFOLD_MAX_POINTS:
                     raise BoundExceededError(
-                        f"scaffold orbit exceeded {max_carrier} points")
+                        f"scaffold orbit exceeded {SCAFFOLD_MAX_POINTS} points")
                 index[image] = len(points)
                 points.append(image)
 
@@ -423,9 +365,7 @@ def scaffold_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
 
 # ---------------------------------------------------------------------------
 
-def base_eppa(base: Structure,
-              max_points: int | None = None,
-              search: bool = True) -> BaseEppaCertificate:
+def base_eppa(base: Structure) -> BaseEppaCertificate:
     """Coherent EPPA extension of an arbitrary finite structure.
 
     Tries the minimal realizations first (the structure itself, then small
@@ -433,14 +373,13 @@ def base_eppa(base: Structure,
     certificate has been verified in full, once (the search verifies what it
     finds).
     """
-    bound = config.max_points() if max_points is None else max_points
+    bound = config.max_points()
     if base.size > bound:
         raise BoundExceededError(
             f"input has {base.size} points, bound is {bound}")
     maps = enumerate_partial_automorphisms(base)
     cert = None
-    if search and base.size <= config.SEARCH_MAX_SIZE \
-            and len(maps) <= config.SEARCH_MAX_PART:
+    if base.size <= config.SEARCH_MAX_SIZE and len(maps) <= config.SEARCH_MAX_PART:
         budget = max(0, config.SEARCH_TARGET_SIZE - base.size)
         cert = _search_certificate(base, maps, budget)
     if cert is None:

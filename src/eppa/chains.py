@@ -20,6 +20,8 @@ from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
                          induced_substructure, is_automorphism, is_embedding)
 
+MAX_STAGE_SIZE = 64  # a stage structure larger than this is not extended further
+
 
 @dataclass(frozen=True)
 class ChainStage:
@@ -42,8 +44,7 @@ def _push_forward(p: PartialAutomorphism, inclusion: Sequence[int]) -> PartialAu
 
 
 def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
-                    seed: Structure, initial_group: str = "full",
-                    max_stage_size: int = 64) -> ChainCertificate:
+                    seed: Structure, initial_group: str = "full") -> ChainCertificate:
     """Run `stage_count` extension stages from the seed.  Each stage extends
     the first unhandled partial automorphism of the current structure (in
     canonical order, interleaving newly available maps) and generates the next
@@ -65,9 +66,9 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
 
     for stage in range(stage_count):
         current: Structure = stages[-1]["structure"]
-        if current.size > max_stage_size:
+        if current.size > MAX_STAGE_SIZE:
             raise BoundExceededError(
-                f"stage structure grew to {current.size} points (bound {max_stage_size})")
+                f"stage structure grew to {current.size} points (bound {MAX_STAGE_SIZE})")
         taken = set()
         for j, p in handled:
             moved = p

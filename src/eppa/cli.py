@@ -35,6 +35,18 @@ def _load_forbidden(arg: str | None):
     return [_load_structure(part) for part in arg.split(",") if part]
 
 
+def _write_verified(cert, out: str) -> int:
+    """Emit the certificate, verify what its file parses back to, and write
+    the file only if that verifies."""
+    text = emit_certificate(cert)
+    verdict = verify_certificate(parse_certificate(text))
+    if not verdict:
+        print(f"verification failed: {verdict.message()}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    Path(out).write_text(text, encoding="utf-8")
+    return EXIT_OK
+
+
 def _cmd_extend(args) -> int:
     base = _load_structure(args.input)
     forbidden = _load_forbidden(args.forbid)
@@ -48,13 +60,7 @@ def _cmd_extend(args) -> int:
         cert = forb_e_eppa(base, forbidden, size_cap=cap)
     else:
         cert = clique_faithful_extension(base, size_cap=cap)
-    text = emit_certificate(cert)
-    verdict = verify_certificate(parse_certificate(text))
-    if not verdict:
-        print(f"verification failed: {verdict.message()}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    Path(args.out).write_text(text, encoding="utf-8")
-    return EXIT_OK
+    return _write_verified(cert, args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -99,14 +105,7 @@ def _cmd_amalgam(args) -> int:
 def _cmd_dlf(args) -> int:
     seed = _load_structure(args.seed)
     forbidden = _load_forbidden(args.forbid)
-    cert = build_dlf_chain(forbidden, args.stages, seed)
-    text = emit_certificate(cert)
-    verdict = verify_certificate(parse_certificate(text))
-    if not verdict:
-        print(f"verification failed: {verdict.message()}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    Path(args.out).write_text(text, encoding="utf-8")
-    return EXIT_OK
+    return _write_verified(build_dlf_chain(forbidden, args.stages, seed), args.out)
 
 
 def _cmd_minforb(args) -> int:
@@ -143,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run all verifiers on a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--word-bound", type=int, default=6)
+    p.add_argument("--word-bound", type=int, default=6,
+                   help="word-length bound for special certificates (>= 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cliques", help="list Gaifman cliques of a structure")
@@ -173,8 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed check here
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except BoundExceededError as exc:

@@ -71,9 +71,6 @@ class PermutationGroup:
         regen = PermutationGroup.from_generators(self.degree, self.generators)
         return set(regen.elements) == set(self.elements)
 
-    def index_of(self, g: Permutation) -> int:
-        return self.elements.index(g)
-
 
 @dataclass(frozen=True)
 class Verdict:

@@ -1,7 +1,7 @@
 """Resource bounds.
 
-All limits can be tightened or relaxed per call; the environment variable
-EPPA_MAX_POINTS overrides the default input-structure bound process-wide,
+The limits are fixed constants, except two that the environment can set
+process-wide: EPPA_MAX_POINTS overrides the default input-structure bound,
 EPPA_MAX_VALUED_POINTS the bound on the valuation extension size.
 """
 

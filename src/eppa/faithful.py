@@ -38,9 +38,6 @@ class LargeSetFamily:
     size_cap: int | None
     aut: PermutationGroup = field(hash=False)
 
-    def index_of(self, mask: int) -> int:
-        return self.sets.index(mask)
-
     def member_indices(self, b: int) -> tuple[int, ...]:
         return tuple(i for i, u in enumerate(self.sets) if u >> b & 1)
 
@@ -71,13 +68,11 @@ def is_small(mask: int, inner: frozenset[int], aut: PermutationGroup) -> bool:
 
 
 def large_sets(extension: Structure, inner: Iterable[int],
-               size_cap: int | None = None,
-               aut: PermutationGroup | None = None) -> LargeSetFamily:
+               size_cap: int | None = None) -> LargeSetFamily:
     """All large subsets of the extension within the cap; smallness is decided
     by scanning the materialized automorphism group."""
     inner_set = frozenset(inner)
-    if aut is None:
-        aut = automorphism_group(extension)
+    aut = automorphism_group(extension)
     n = extension.size
     cap = n if size_cap is None else min(size_cap, n)
     found = []
@@ -126,18 +121,13 @@ def is_generic(points: Sequence[ValuedPoint], family: LargeSetFamily) -> bool:
 
 @dataclass(frozen=True)
 class ValuedExtension:
-    """Materialized C: point list, index, projection and the embedding of A."""
+    """Materialized C: its structure, its points (each knows its owner in B)
+    and the embedding of A."""
 
     structure: Structure
     points: tuple[ValuedPoint, ...]
     family: LargeSetFamily
     nu: tuple[int, ...]
-
-    def index_of(self, point: ValuedPoint) -> int:
-        return self.points.index(point)
-
-    def projection(self, idx: int) -> int:
-        return self.points[idx].owner
 
 
 def valuation_count(extension: Structure, family: LargeSetFamily) -> int:
@@ -323,6 +313,8 @@ def clique_faithful_extension(base: Structure,
     """Full pipeline: coherent base extension, valued extension, coherent lift
     of every partial automorphism, and constructed witnesses moving each
     enumerated clique into the embedded copy of A."""
+    if size_cap is not None and size_cap < 0:
+        raise EppaError(f"size cap must be >= 0, got {size_cap}")
     if base_cert is None:
         base_cert = base_eppa(base)
     else:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, verify_coherence,
                         verify_coherent_extension, verify_extension)
-from .errors import VerificationError
+from .errors import EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
 
@@ -191,6 +191,8 @@ def _letters(cert: SpecialCertificate):
 def verify_special(cert: SpecialCertificate, max_word_len: int = 6) -> Verdict:
     """Bounded check of the three special-extension conditions plus the
     structural checks; (ii) and (iii) are decided up to the word bound."""
+    if max_word_len < 0:
+        raise EppaError(f"word bound must be >= 0, got {max_word_len}")
     structural = verify_structural(cert)
     if not structural:
         return structural

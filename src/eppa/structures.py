@@ -147,9 +147,6 @@ class Permutation:
             inv[v] = i
         return Permutation(tuple(inv))
 
-    def apply_set(self, points: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[x] for x in points)
-
 
 @dataclass(frozen=True)
 class PartialAutomorphism:

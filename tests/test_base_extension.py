@@ -60,9 +60,44 @@ class TestBaseEppa:
         second = emit_certificate(base_eppa(path3))
         assert first == second
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
+        monkeypatch.setenv("EPPA_MAX_POINTS", "2")
         with pytest.raises(BoundExceededError):
-            base_eppa(graph(3, []), max_points=2)
+            base_eppa(graph(3, []))
+
+
+UNARY_BINARY = Signature.make(("U", 1), ("E", 2))
+
+# sha256 digests of base_eppa certificates the candidate search finds for
+# inputs that are not graphs, pinned with |B|, so that a change to the search
+# that alters one byte of them fails here
+SEARCHED_DIGESTS = [
+    ("arc", Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]}), 3,
+     "bf0f002904a626edfcf51fd631554afddee7cda91bf8ebd6461ddaeb527c2345"),
+    ("directed P3", Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 1), (1, 2)]}), 4,
+     "d6d3ece22a81bab178c1ea26601b7c8181bddf0a67b53c17cdd7cfbc79d33ded"),
+    ("directed C3", Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 1), (1, 2), (2, 0)]}), 3,
+     "48ca2e66ea418bcb0f0ffbcfbe336bee1bb5c0d8c0d879b27cabfcfcce1a141b"),
+    ("E {00, 01}", Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]}), 2,
+     "c22ef7469b782b2332a2df36db1aa9b7afc3e51d6d4ac9c3e0252bbd6dff8a51"),
+    ("mixed loop", Structure.make(GRAPH_SIGNATURE, 3,
+                                  {"E": [(0, 0), (0, 1), (1, 2), (2, 1)]}), 4,
+     "e840edd2f0bfd2ec8f22d083de702e3317aba6a3a03be5b76c3c7787b88bf78c"),
+    ("U+E", Structure.make(UNARY_BINARY, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]}), 4,
+     "098d430c22b02c2f510383deee5daf4d752e7109075959cfb5cdc2b26f0b31fc"),
+    ("H (0,0,1)", Structure.make(Signature.make(("H", 3)), 2, {"H": [(0, 0, 1)]}), 4,
+     "4c493aaad4c40cf1bdb7bbcc65d3ab7f401b20cb97e75f056fc10dbcb33f0af1"),
+    ("U {0, 1}", Structure.make(Signature.make(("U", 1)), 3, {"U": [(0,), (1,)]}), 3,
+     "c89428f32651117206401fca1fe6f1a7c7a90351c3830bb712836ba66621a5f7"),
+]
+
+
+@pytest.mark.parametrize("name, structure, size, digest", SEARCHED_DIGESTS,
+                         ids=[row[0] for row in SEARCHED_DIGESTS])
+def test_searched_certificate_digest(name, structure, size, digest):
+    cert = base_eppa(structure)
+    assert cert.extension.size == size
+    assert emit_certificate(cert).rstrip("\n").rsplit(" ", 1)[1] == digest
 
 
 class TestBruteForce:

@@ -19,6 +19,7 @@ from eppa.textio import emit_certificate, emit_structure
 K2 = graph(2, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph(3, [(0, 1), (1, 2)])
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
 
 
 @pytest.fixture
@@ -114,10 +115,45 @@ class TestExtendVerify:
     def test_stored_parity_scaffold_certificate_verifies(self, capsys):
         # the paw's 256-point certificate from the parity scaffold that the
         # valuation scaffold replaced; the verifier still accepts it
-        path = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
-                / "base4-n4-01_02_03_12.cert")
-        assert main(["verify", str(path)]) == 0
+        assert main(["verify", str(STORED / "base4-n4-01_02_03_12.cert")]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+
+class TestUsageErrors:
+    """A command line the parser refuses, or a bound out of range, exits 1:
+    exit 2 is reserved for a certificate that fails verification."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["verify", str(STORED / "special-0-n3-02.cert"), "--word-bound", "x"],
+        ["extend", "--in", "a.struct", "--mode", "bogus", "--out", "b.cert"],
+        ["no-such-verb"],
+    ], ids=["missing-file", "word-bound-not-int", "unknown-mode", "unknown-verb"])
+    def test_refused_command_line_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_negative_word_bound_is_not_a_verdict(self, capsys):
+        # the file is valid: a negative bound must not turn into "fail ..."
+        path = str(STORED / "special-0-n3-02.cert")
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        assert main(["verify", path, "--word-bound", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "word bound" in captured.err
+
+    def test_negative_size_cap_is_refused(self, files, capsys):
+        out = files["tmp"] / "cert.txt"
+        assert main(["extend", "--in", files["k2"], "--mode", "faithful",
+                     "--size-cap", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "size cap" in err and "line" not in err
+        assert not out.exists()
 
 
 class TestOtherVerbs:

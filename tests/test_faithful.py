@@ -259,6 +259,13 @@ class TestForbE:
         with pytest.raises(EppaError):
             forb_e_eppa(graph(2, []), [path3])
 
+    def test_negative_size_cap_is_refused(self, k2, k3):
+        # at -1 the certificate would carry a size cap its own file format refuses
+        for build in (lambda: clique_faithful_extension(k2, size_cap=-1),
+                      lambda: forb_e_eppa(k2, [k3], size_cap=-1)):
+            with pytest.raises(EppaError, match="size cap"):
+                build()
+
     def test_forbidden_edge_gives_edgeless_extension(self, k2):
         fc = forb_e_eppa(graph(1, []), [k2])
         assert fc.structure.tuples("E") == ()

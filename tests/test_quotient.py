@@ -4,7 +4,7 @@ import pytest
 
 from eppa.base_extension import base_eppa
 from eppa.coherence import ExtensionMap
-from eppa.errors import VerificationError
+from eppa.errors import EppaError, VerificationError
 from eppa.quotient import (quotient_matches_word_relation, special_extension,
                            verify_special, verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
@@ -115,6 +115,12 @@ class TestVerifier:
         k2, maps, psi = k2_instance()
         cert = special_extension(k2, maps, k2, psi)
         assert verify_special(cert, max_word_len=3)
+
+    def test_negative_word_bound_is_refused(self):
+        k2, maps, psi = k2_instance()
+        cert = special_extension(k2, maps, k2, psi)
+        with pytest.raises(EppaError, match="word bound"):
+            verify_special(cert, max_word_len=-1)
 
 
 class TestWordRelationOracle:
