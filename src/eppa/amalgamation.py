@@ -112,6 +112,8 @@ def minimal_forbidden(member: Callable[[Structure], bool], max_size: int,
                       ) -> list[Structure]:
     """Non-members all of whose one-point deletions are members, up to
     isomorphism, for sizes <= max_size."""
+    if max_size < 0:
+        raise EppaError(f"size bound must be >= 0, got {max_size}")
     out = []
     for size in range(max_size + 1):
         for s in enumerate_structures(signature, size, universe):

@@ -44,24 +44,20 @@ def _push_forward(p: PartialAutomorphism, inclusion: Sequence[int]) -> PartialAu
 
 
 def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
-                    seed: Structure, initial_group: str = "full") -> ChainCertificate:
-    """Run `stage_count` extension stages from the seed.  Each stage extends
-    the first unhandled partial automorphism of the current structure (in
-    canonical order, interleaving newly available maps) and generates the next
-    group from the lifted previous one plus that extension."""
+                    seed: Structure) -> ChainCertificate:
+    """Run `stage_count` extension stages from the seed, starting from its
+    full automorphism group.  Each stage extends the first unhandled partial
+    automorphism of the current structure (in canonical order, interleaving
+    newly available maps) and generates the next group from the lifted
+    previous one plus that extension."""
+    if stage_count < 0:
+        raise EppaError(f"stage count must be >= 0, got {stage_count}")
     forbidden = tuple(forbidden)
     from .amalgamation import forb_e_member
     if not forb_e_member(seed, forbidden):
         raise EppaError("seed is not free of the forbidden family")
 
-    if initial_group == "full":
-        group = automorphism_group(seed)
-    elif initial_group == "trivial":
-        group = PermutationGroup.from_generators(seed.size, [])
-    else:
-        raise EppaError(f"unknown initial group policy {initial_group!r}")
-
-    stages: list[dict] = [{"structure": seed, "group": group}]
+    stages: list[dict] = [{"structure": seed, "group": automorphism_group(seed)}]
     handled: list[tuple[int, PartialAutomorphism]] = []
 
     for stage in range(stage_count):

@@ -52,8 +52,9 @@ def _cmd_extend(args) -> int:
     forbidden = _load_forbidden(args.forbid)
     cap = args.size_cap
     if args.mode == "base":
-        if forbidden:
-            print("--forbid requires --mode faithful", file=sys.stderr)
+        if forbidden or cap is not None:
+            flag = "--forbid" if forbidden else "--size-cap"
+            print(f"{flag} requires --mode faithful", file=sys.stderr)
             return EXIT_ERROR
         cert = base_eppa(base)
     elif forbidden:
@@ -66,7 +67,7 @@ def _cmd_extend(args) -> int:
 def _cmd_verify(args) -> int:
     text = Path(args.certificate).read_text(encoding="utf-8")
     cert = parse_certificate(text)
-    verdict = verify_certificate(cert, word_bound=args.word_bound)
+    verdict = verify_certificate(cert)
     if verdict:
         print("ok")
         return EXIT_OK
@@ -142,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run all verifiers on a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--word-bound", type=int, default=6,
-                   help="word-length bound for special certificates (>= 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cliques", help="list Gaifman cliques of a structure")

@@ -10,10 +10,25 @@ permutations; on a group of total maps this is exactly a homomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .errors import EppaError
 from .structures import PartialAutomorphism, Permutation, Structure, is_automorphism
+
+H = TypeVar("H", bound=Hashable)
+
+
+def closure(start: Iterable[H], step: Callable[[H], Iterable[H]]) -> set[H]:
+    """The least set that contains `start` and is closed under `step`, where
+    step(x) yields the elements one step from x."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        for y in step(frontier.pop()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -34,22 +49,10 @@ class PermutationGroup:
         for g in gens:
             if g.degree != degree:
                 raise EppaError("generator degree mismatch")
-        elements = {Permutation.identity(degree)}
-        frontier = list(elements)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = g.compose(a)
-                    if b not in elements:
-                        elements.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        elements = closure([Permutation.identity(degree)],
+                           lambda a: (g.compose(a) for g in gens))
         ordered = tuple(sorted(elements, key=lambda p: p.images))
         return PermutationGroup(degree=degree, elements=ordered, generators=gens)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return g in set(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -266,6 +266,8 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
 
 def enumerate_cliques(structure: Structure, max_size: int | None = None) -> list[tuple[int, ...]]:
     """All nonempty Gaifman cliques up to the size bound, lexicographically."""
+    if max_size is not None and max_size < 0:
+        raise EppaError(f"clique size bound must be >= 0, got {max_size}")
     gaif = gaifman_graph(structure)
     edges = gaif.tuple_set("E")
     neighbours = [frozenset(v for u, v in edges if u == x) for x in range(structure.size)]

@@ -35,12 +35,6 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.symbols)
 
-    def arity(self, name: str) -> int:
-        for n, a in self.symbols:
-            if n == name:
-                return a
-        raise KeyError(name)
-
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.symbols):
             if n == name:
@@ -90,9 +84,6 @@ class Structure:
 
     def tuple_set(self, name: str) -> frozenset[tuple[int, ...]]:
         return frozenset(self.tuples(name))
-
-    def holds(self, name: str, t: Sequence[int]) -> bool:
-        return tuple(t) in self.tuple_set(name)
 
     def is_graphlike(self) -> bool:
         """All symbols binary with symmetric irreflexive interpretation."""

@@ -414,14 +414,14 @@ def parse_certificate(text: str):
     return cert
 
 
-def verify_certificate(cert, word_bound: int = 6) -> Verdict:
+def verify_certificate(cert) -> Verdict:
     """Dispatch the appropriate verifier for a parsed certificate."""
     if isinstance(cert, BaseEppaCertificate):
         return verify_base_certificate(cert)
     if isinstance(cert, FaithfulCertificate):
         return verify_faithful_view(cert)
     if isinstance(cert, SpecialCertificate):
-        return verify_special(cert, max_word_len=word_bound)
+        return verify_special(cert)
     if isinstance(cert, ChainCertificate):
         return verify_chain(cert)
     raise TypeError(f"cannot verify {type(cert)!r}")

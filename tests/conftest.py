@@ -6,7 +6,9 @@ import pytest
 
 from eppa.amalgamation import enumerate_structures, is_graph_universe
 from eppa.cli import main
-from eppa.structures import GRAPH_SIGNATURE, Structure, graph
+from eppa.coherence import ExtensionMap
+from eppa.quotient import SpecialCertificate, special_extension
+from eppa.structures import GRAPH_SIGNATURE, PartialAutomorphism, Permutation, Structure, graph
 
 
 def _stamp(body: list[str]) -> str:
@@ -72,3 +74,15 @@ def k4() -> Structure:
 @pytest.fixture
 def path3() -> Structure:
     return graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.fixture(scope="session")
+def c20_over_p3() -> SpecialCertificate:
+    """Special extension of the path P3 over the 20-cycle, with P = {0>1, 1>2}
+    and psi(p) the rotation by one for both maps: the 20-point quotient has
+    edges that are images of an embedded edge only under words of 9 letters."""
+    rotation = Permutation(tuple((i + 1) % 20 for i in range(20)))
+    maps = (PartialAutomorphism.decode("0>1"), PartialAutomorphism.decode("1>2"))
+    psi = ExtensionMap(3, 20, (0, 1, 2), {p.encode(): rotation for p in maps})
+    c20 = graph(20, [(i, (i + 1) % 20) for i in range(20)])
+    return special_extension(graph(3, [(0, 1), (1, 2)]), maps, c20, psi)

@@ -39,11 +39,6 @@ class TestBuildChain:
         assert keys == sorted(set(keys), key=keys.index)
         assert len(set(keys)) == 3
 
-    def test_trivial_initial_group(self, k2):
-        cert = build_dlf_chain([], 1, k2, initial_group="trivial")
-        assert len(cert.stages[0].group) == 1
-        assert verify_chain(cert)
-
     def test_rejects_seed_outside_class(self, k3):
         with pytest.raises(EppaError):
             build_dlf_chain([k3], 1, k3)

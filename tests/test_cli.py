@@ -112,6 +112,13 @@ class TestExtendVerify:
         assert out.split()[1] in ("coherence", "extension", "automorphism",
                                   "forced-identity", "forced-inverse")
 
+    def test_special_certificate_needing_long_words_verifies(self, c20_over_p3,
+                                                             tmp_path, capsys):
+        path = tmp_path / "c20.cert"
+        path.write_text(emit_certificate(c20_over_p3), encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
     def test_stored_parity_scaffold_certificate_verifies(self, capsys):
         # the paw's 256-point certificate from the parity scaffold that the
         # valuation scaffold replaced; the verifier still accepts it
@@ -128,7 +135,9 @@ class TestUsageErrors:
         ["verify", str(STORED / "special-0-n3-02.cert"), "--word-bound", "x"],
         ["extend", "--in", "a.struct", "--mode", "bogus", "--out", "b.cert"],
         ["no-such-verb"],
-    ], ids=["missing-file", "word-bound-not-int", "unknown-mode", "unknown-verb"])
+        ["verify", str(STORED / "special-0-n3-02.cert"), "--word-bound", "6"],
+    ], ids=["missing-file", "word-bound-not-int", "unknown-mode", "unknown-verb",
+            "word-bound-removed"])
     def test_refused_command_line_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().out == ""
@@ -137,15 +146,20 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
-    def test_negative_word_bound_is_not_a_verdict(self, capsys):
-        # the file is valid: a negative bound must not turn into "fail ..."
-        path = str(STORED / "special-0-n3-02.cert")
-        assert main(["verify", path]) == 0
-        capsys.readouterr()
-        assert main(["verify", path, "--word-bound", "-1"]) == 1
+    @pytest.mark.parametrize("argv, named", [
+        (["dlf", "--stages", "-1", "--seed", "{k2}", "--out", "{out}"], "stage count"),
+        (["cliques", "{k3}", "--max", "-1"], "clique size bound"),
+        (["minforb", "--class-forbid", "{k3}", "--max", "-1"], "size bound"),
+        (["extend", "--in", "{k2}", "--mode", "base", "--size-cap", "-1", "--out", "{out}"],
+         "--size-cap"),
+    ], ids=["dlf-stages", "cliques-max", "minforb-max", "base-size-cap"])
+    def test_negative_count_is_refused(self, files, capsys, argv, named):
+        out = files["tmp"] / "out.cert"
+        assert main([a.format(out=out, **files) for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "word bound" in captured.err
+        assert named in captured.err
+        assert not out.exists()
 
     def test_negative_size_cap_is_refused(self, files, capsys):
         out = files["tmp"] / "cert.txt"

@@ -4,9 +4,9 @@ import pytest
 
 from eppa.base_extension import base_eppa
 from eppa.coherence import ExtensionMap
-from eppa.errors import EppaError, VerificationError
-from eppa.quotient import (quotient_matches_word_relation, special_extension,
-                           verify_special, verify_structural)
+from eppa.errors import VerificationError
+from eppa.quotient import (SpecialCertificate, quotient_matches_word_relation,
+                           special_extension, verify_special, verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
                              enumerate_partial_automorphisms)
 from eppa.textio import emit_certificate, parse_certificate
@@ -111,16 +111,37 @@ class TestVerifier:
         assert not verdict
         assert verdict.condition in ("equivariance", "homomorphism")
 
-    def test_verified_at_word_bound_three(self):
-        k2, maps, psi = k2_instance()
-        cert = special_extension(k2, maps, k2, psi)
-        assert verify_special(cert, max_word_len=3)
+    def test_unreachable_point_is_rejected(self):
+        # a fresh isolated point breaks no structural check and carries no
+        # tuple, so only reachability can catch it
+        point = graph(1, [])
+        empty = PartialAutomorphism.empty()
+        cert = SpecialCertificate(
+            base=point, extension=graph(2, []), codomain=point, maps=(empty,),
+            psi=ExtensionMap(1, 1, (0,), {"-": Permutation.identity(1)}),
+            phi=ExtensionMap(1, 2, (0,), {"-": Permutation.identity(2)}), hom=(0, 0))
+        verdict = verify_special(cert)
+        assert verdict.condition == "reachability"
+        assert "point 1" in verdict.detail
 
-    def test_negative_word_bound_is_refused(self):
-        k2, maps, psi = k2_instance()
-        cert = special_extension(k2, maps, k2, psi)
-        with pytest.raises(EppaError, match="word bound"):
-            verify_special(cert, max_word_len=-1)
+    def test_unrealized_transition_is_rejected(self):
+        # phi(0>1) is a 3-cycle: its square sends iota(0) to iota(2), but the
+        # words defined on 0 only reach (phi(0>1), 1) and (id, 0)
+        three = graph(3, [])
+        table = ExtensionMap(3, 3, (0, 1, 2), {"0>1": Permutation((1, 2, 0))})
+        cert = SpecialCertificate(base=three, extension=three, codomain=three,
+                                  maps=(PartialAutomorphism.decode("0>1"),),
+                                  psi=table, phi=table, hom=(0, 1, 2))
+        verdict = verify_special(cert)
+        assert verdict.condition == "transition-realization"
+        assert "sends 0 to 2" in verdict.detail
+
+    def test_long_words_are_realized(self, c20_over_p3):
+        # some edges of the 20-cycle quotient are word images of an embedded
+        # edge only under words longer than 6 letters; no bound is applied
+        assert c20_over_p3.extension.size == 20
+        assert verify_special(c20_over_p3)
+        assert quotient_matches_word_relation(c20_over_p3)
 
 
 class TestWordRelationOracle:

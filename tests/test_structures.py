@@ -149,7 +149,7 @@ class TestAutomorphismGroup:
     def test_path_symmetry(self, path3):
         group = automorphism_group(path3)
         assert len(group) == 2
-        assert Permutation((2, 1, 0)) in group
+        assert Permutation((2, 1, 0)) in group.elements
 
     def test_k3_full_symmetric(self, k3):
         assert len(automorphism_group(k3)) == 6
