@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from eppa.base_extension import BaseEppaCertificate, base_eppa
+from eppa.base_extension import (BaseEppaCertificate, base_eppa,
+                                  verify_base_certificate)
 from eppa.coherence import ExtensionMap, coherent_triples
 from eppa.errors import EppaError
 from eppa.faithful import (ValuedPoint, build_valued_extension,
@@ -12,6 +13,7 @@ from eppa.faithful import (ValuedPoint, build_valued_extension,
                            value_permutation, verify_faithful_view)
 from eppa.structures import (PartialAutomorphism, Permutation, graph,
                              enumerate_partial_automorphisms, is_embedding)
+from eppa.textio import emit_certificate, parse_certificate, verify_certificate
 
 
 def single_in_k2_cert():
@@ -21,6 +23,53 @@ def single_in_k2_cert():
     ident = Permutation.identity(2)
     phi = ExtensionMap(1, 2, (0,), {"-": ident, "0>0": ident})
     return BaseEppaCertificate(base=single, extension=k2, embedding=(0,), phi=phi)
+
+
+def two_points_in_four_cert(base, extension):
+    """Hand fixture: A on {0, 1} embedded as (0, 1) in a 4-point B; the maps
+    that swap 0 and 1 extend to the transposition of 0 and 1, the others to
+    the identity."""
+    ident = Permutation.identity(4)
+    swap = Permutation((1, 0, 2, 3))
+    table = {key: ident for key in ("-", "0>0", "1>1", "0>0,1>1")}
+    table.update({key: swap for key in ("0>1", "1>0", "0>1,1>0")})
+    phi = ExtensionMap(2, 4, (0, 1), table)
+    cert = BaseEppaCertificate(base=base, extension=extension, embedding=(0, 1), phi=phi)
+    assert verify_base_certificate(cert)
+    return cert
+
+
+# certificates whose large-set family has several sets, not all containing
+# every point: (A, B, size cap, |family|, |C|, |E of C|, digest)
+MULTI_SET_CERTIFICATES = [
+    ("2K1-in-4K1", graph(2, []), graph(4, []), None, 5, 96, 0,
+     "d543cbec4afec80fc221d4a0386072ddce05811378a7679bf831f4c467e09a6f"),
+    ("2K1-in-4K1-cap3", graph(2, []), graph(4, []), 3, 4, 32, 0,
+     "5b03848c088c47c0123efbd2fa36d854b8305f399650ab5904056321eba05bba"),
+    ("K2-in-2K2", graph(2, [(0, 1)]), graph(4, [(0, 1), (2, 3)]), None, 9, 96, 384,
+     "dfffdfbf6bc28ab2d841d17d54d880509bf160a522f581567d7b1482b1f462ad"),
+    ("K2-in-2K2-cap3", graph(2, [(0, 1)]), graph(4, [(0, 1), (2, 3)]), 3, 8, 32, 64,
+     "91eed5b31a4383afadb34122ce995a31e79e32905dfbebc3dca1c1dac9a7b32c"),
+]
+
+
+@pytest.fixture(scope="module", params=MULTI_SET_CERTIFICATES,
+                ids=[row[0] for row in MULTI_SET_CERTIFICATES])
+def multi_set(request):
+    """(row, certificate) for each multi-set fixture."""
+    _, base, extension, cap = request.param[:4]
+    base_cert = two_points_in_four_cert(base, extension)
+    return request.param, clique_faithful_extension(base, size_cap=cap, base_cert=base_cert)
+
+
+def test_multi_set_certificate_digest(multi_set):
+    (_, _, _, _, sets, points, arcs, digest), cert = multi_set
+    assert len(cert.extension.family.sets) == sets
+    assert cert.structure.size == points
+    assert len(cert.structure.tuples("E")) == arcs
+    text = emit_certificate(cert)
+    assert text.rstrip("\n").rsplit(" ", 1)[1] == digest
+    assert verify_certificate(parse_certificate(text))
 
 
 class TestLargeSets:
