@@ -106,28 +106,30 @@ def enumerate_structures(signature: Signature, size: int,
     return out
 
 
+def _structures_up_to(signature: Signature, max_size: int,
+                      universe: Callable[[Structure], bool] | None) -> list[Structure]:
+    """enumerate_structures for every size from 0 to max_size, in order."""
+    if max_size < 0:
+        raise EppaError(f"size bound must be >= 0, got {max_size}")
+    return [s for size in range(max_size + 1)
+            for s in enumerate_structures(signature, size, universe)]
+
+
+def _is_minimal_forbidden(s: Structure, member: Callable[[Structure], bool]) -> bool:
+    """s is a non-member all of whose one-point deletions are members."""
+    return not member(s) and all(
+        member(induced_substructure(s, [x for x in range(s.size) if x != v])[0])
+        for v in range(s.size))
+
+
 def minimal_forbidden(member: Callable[[Structure], bool], max_size: int,
                       signature: Signature,
                       universe: Callable[[Structure], bool] | None = None
                       ) -> list[Structure]:
     """Non-members all of whose one-point deletions are members, up to
     isomorphism, for sizes <= max_size."""
-    if max_size < 0:
-        raise EppaError(f"size bound must be >= 0, got {max_size}")
-    out = []
-    for size in range(max_size + 1):
-        for s in enumerate_structures(signature, size, universe):
-            if member(s):
-                continue
-            minimal = True
-            for v in range(size):
-                rest, _ = induced_substructure(s, [x for x in range(size) if x != v])
-                if not member(rest):
-                    minimal = False
-                    break
-            if minimal:
-                out.append(s)
-    return out
+    return [s for s in _structures_up_to(signature, max_size, universe)
+            if _is_minimal_forbidden(s, member)]
 
 
 @dataclass(frozen=True)
@@ -151,17 +153,10 @@ def check_clique_characterization(member: Callable[[Structure], bool],
                                   ) -> CharacterizationReport:
     """Check both sides of the characterization on structures of bounded size
     and report a witness for whichever side fails."""
-    minimal = tuple(minimal_forbidden(member, max_size, signature, universe))
-    non_clique = None
-    for f in minimal:
-        if not is_gaifman_clique(f):
-            non_clique = f
-            break
-
-    members: list[Structure] = []
-    for size in range(max_size + 1):
-        members.extend(s for s in enumerate_structures(signature, size, universe)
-                       if member(s))
+    structures = _structures_up_to(signature, max_size, universe)
+    minimal = tuple(s for s in structures if _is_minimal_forbidden(s, member))
+    non_clique = next((f for f in minimal if not is_gaifman_clique(f)), None)
+    members = [s for s in structures if member(s)]
     closure_witness = next(
         ((left, right, shared, glued)
          for left, right, shared, glued in _free_amalgams(members, max_size)

@@ -2,16 +2,20 @@
 
 Starting from a verified coherent base extension A <= B, the extension C
 consists of valued points (b, chi) where chi assigns to every listed large
-subset u of B a value in [1, |u|) when b lies in u and 0 otherwise.  Tuples
-of C are the B-satisfied tuples whose point set is generic (distinct owners,
-clashing values on every shared large set); this destroys every clique that
-cannot be moved into A, while coherent extensions lift through value
-permutations that fix 0 and complete order-preservingly.
+subset u of B a value in [1, |u|) when b lies in u and 0 otherwise (Siniora
+and Solecki, arXiv 1705.01888, after Hodkinson and Otto).  Tuples of C are
+the B-satisfied tuples whose point set is generic (distinct owners, distinct
+values on every shared large set); this destroys every clique that cannot be
+moved into A.  A map g of B lifts to C through one value permutation per
+set: it fixes 0, sends each realized value to its image's value on g(u), and
+is otherwise the order completion, so the lifts of a coherent extension are
+coherent.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -29,26 +33,17 @@ from .structures import (PartialAutomorphism, Permutation, Structure,
 
 @dataclass(frozen=True)
 class LargeSetFamily:
-    """Large subsets of B (no automorphism image inside A), as bitmasks in
-    deterministic (size, lexicographic) order, optionally capped by size."""
+    """The large subsets of B up to the size cap: those that no automorphism
+    in `aut` = Aut(B) maps into the inner copy of A.  They are bitmasks in
+    (size, lexicographic) order, and a set's index in `sets` is its position
+    in every valuation."""
 
-    universe: int
     inner: frozenset[int]
     sets: tuple[int, ...]
-    size_cap: int | None
     aut: PermutationGroup = field(hash=False)
 
-    def member_indices(self, b: int) -> tuple[int, ...]:
-        return tuple(i for i, u in enumerate(self.sets) if u >> b & 1)
-
     def image_index(self, g: Permutation, idx: int) -> int:
-        mask = 0
-        u = self.sets[idx]
-        while u:
-            bit = u & -u
-            u ^= bit
-            mask |= 1 << g(bit.bit_length() - 1)
-        return self.sets.index(mask)
+        return self.sets.index(sum(1 << g(x) for x in mask_points(self.sets[idx])))
 
     def set_size(self, idx: int) -> int:
         return bin(self.sets[idx]).count("1")
@@ -62,11 +57,6 @@ def _mover_into(points: Iterable[int], inner: frozenset[int],
     return next((g for g in aut.elements if all(g(x) in inner for x in pts)), None)
 
 
-def is_small(mask: int, inner: frozenset[int], aut: PermutationGroup) -> bool:
-    """u is small iff some automorphism maps it inside the inner copy."""
-    return _mover_into(mask_points(mask), inner, aut) is not None
-
-
 def large_sets(extension: Structure, inner: Iterable[int],
                size_cap: int | None = None) -> LargeSetFamily:
     """All large subsets of the extension within the cap; smallness is decided
@@ -75,30 +65,21 @@ def large_sets(extension: Structure, inner: Iterable[int],
     aut = automorphism_group(extension)
     n = extension.size
     cap = n if size_cap is None else min(size_cap, n)
-    found = []
-    for size in range(1, cap + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for x in combo:
-                mask |= 1 << x
-            if not is_small(mask, inner_set, aut):
-                found.append(mask)
-    return LargeSetFamily(universe=n, inner=inner_set, sets=tuple(found),
-                          size_cap=size_cap, aut=aut)
+    sets = tuple(sum(1 << x for x in combo)
+                 for size in range(1, cap + 1)
+                 for combo in itertools.combinations(range(n), size)
+                 if _mover_into(combo, inner_set, aut) is None)
+    return LargeSetFamily(inner=inner_set, sets=sets, aut=aut)
 
 
 @dataclass(frozen=True)
 class ValuedPoint:
-    """C-point: an owner b of B with its values on the large sets containing b,
-    aligned with the family's member indices for b."""
+    """C-point (b, chi): an owner b of B and its total valuation, where
+    values[i] is chi(family.sets[i]), in [1, |u|) when b lies in u and 0
+    otherwise."""
 
     owner: int
     values: tuple[int, ...]
-
-    def value_on(self, family: LargeSetFamily, idx: int) -> int:
-        if not family.sets[idx] >> self.owner & 1:
-            return 0
-        return self.values[family.member_indices(self.owner).index(idx)]
 
 
 def is_generic(points: Sequence[ValuedPoint], family: LargeSetFamily) -> bool:
@@ -113,9 +94,8 @@ def is_generic(points: Sequence[ValuedPoint], family: LargeSetFamily) -> bool:
             if a.owner == b.owner:
                 return False
             for idx, u in enumerate(family.sets):
-                if u >> a.owner & 1 and u >> b.owner & 1:
-                    if a.value_on(family, idx) == b.value_on(family, idx):
-                        return False
+                if u >> a.owner & 1 and u >> b.owner & 1 and a.values[idx] == b.values[idx]:
+                    return False
     return True
 
 
@@ -130,21 +110,25 @@ class ValuedExtension:
     nu: tuple[int, ...]
 
 
+def _value_ranges(family: LargeSetFamily, b: int) -> list[range]:
+    """The values a point over b takes on each set: [1, |u|) on the sets
+    that contain b, only 0 on the others.  A set {b} has no value for b, so
+    no point lies over b."""
+    return [range(1, family.set_size(idx)) if u >> b & 1 else range(1)
+            for idx, u in enumerate(family.sets)]
+
+
 def valuation_count(extension: Structure, family: LargeSetFamily) -> int:
-    total = 0
-    for b in range(extension.size):
-        prod = 1
-        for idx in family.member_indices(b):
-            prod *= family.set_size(idx) - 1
-        total += prod
-    return total
+    return sum(math.prod(map(len, _value_ranges(family, b)))
+               for b in range(extension.size))
 
 
 def build_valued_extension(extension: Structure, embedding: Sequence[int],
                            family: LargeSetFamily) -> ValuedExtension:
     """Materialize C over the base extension B with the generic-tuple relation
-    rule and the canonical embedding of A along `embedding` (values index the
-    ascending enumeration of u intersected with A, starting at 1)."""
+    rule and the canonical embedding nu of A along `embedding`: nu(a) gives
+    each set u containing b = embedding[a] the 1-based position of b in the
+    ascending enumeration of u intersected with A, and every other set 0."""
     bound = config.max_valued_points()
     count = valuation_count(extension, family)
     if count > bound:
@@ -152,30 +136,20 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
             f"valued extension would have {count} points (bound {bound}); "
             "pass a smaller size_cap")
 
-    points: list[ValuedPoint] = []
-    for b in range(extension.size):
-        ranges = []
-        feasible = True
-        for idx in family.member_indices(b):
-            size = family.set_size(idx)
-            if size < 2:
-                feasible = False
-                break
-            ranges.append(range(1, size))
-        if not feasible:
-            continue
-        for values in itertools.product(*ranges):
-            points.append(ValuedPoint(owner=b, values=values))
+    points = [ValuedPoint(owner=b, values=values)
+              for b in range(extension.size)
+              for values in itertools.product(*_value_ranges(family, b))]
     index = {pt: i for i, pt in enumerate(points)}
+    over: list[list[int]] = [[] for _ in range(extension.size)]
+    for i, pt in enumerate(points):
+        over[pt.owner].append(i)
 
     inner = set(embedding)
     nu_points = []
     for a, b in enumerate(embedding):
-        values = []
-        for idx in family.member_indices(b):
-            members = [x for x in mask_points(family.sets[idx]) if x in inner]
-            values.append(members.index(b) + 1)
-        pt = ValuedPoint(owner=b, values=tuple(values))
+        pt = ValuedPoint(owner=b, values=tuple(
+            [x for x in mask_points(u) if x in inner].index(b) + 1 if u >> b & 1 else 0
+            for u in family.sets))
         if pt not in index:
             raise EppaError(f"embedding valuation for point {a} is infeasible")
         nu_points.append(index[pt])
@@ -186,11 +160,8 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
     for name, arity in extension.signature.symbols:
         tuples = set()
         for t in extension.tuples(name):
-            pools = [[i for i, pt in enumerate(points) if pt.owner == b] for b in t]
-            est = 1
-            for pool in pools:
-                est *= len(pool)
-            produced += est
+            pools = [over[b] for b in t]
+            produced += math.prod(map(len, pools))
             if produced > budget:
                 raise BoundExceededError("relation materialization of C too large")
             for combo in itertools.product(*pools):
@@ -206,32 +177,19 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
 def value_permutation(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
                       g: Permutation, family: LargeSetFamily,
                       idx: int) -> Permutation:
-    """The per-set value permutation: fixes 0, sends each realized source
-    value to the image point's value on g(u), and completes the remainder
-    order-preservingly."""
-    size = family.set_size(idx)
+    """The value permutation of the set u at `idx` onto g(u): the order
+    completion on {0, ..., |u| - 1} of the map that fixes 0 and sends each
+    realized source value on u to its image point's value on g(u)."""
     gidx = family.image_index(g, idx)
-    mapping = {0: 0}
-    sources = set()
-    targets = set()
+    forward, backward = {0: 0}, {0: 0}
     for src, dst in valued_pairs:
         if g(src.owner) != dst.owner:
             raise EppaError("permutation does not extend the valued map")
         if family.sets[idx] >> src.owner & 1:
-            s = src.value_on(family, idx)
-            t = dst.value_on(family, gidx)
-            if mapping.get(s) == t and s in sources:
-                continue
-            if s in sources or t in targets:
+            s, t = src.values[idx], dst.values[gidx]
+            if forward.setdefault(s, t) != t or backward.setdefault(t, s) != s:
                 raise EppaError("valued map is not generic on the family")
-            mapping[s] = t
-            sources.add(s)
-            targets.add(t)
-    rest_src = [v for v in range(1, size) if v not in sources]
-    rest_dst = [v for v in range(1, size) if v not in targets]
-    for s, t in zip(rest_src, rest_dst):
-        mapping[s] = t
-    return Permutation(tuple(mapping[v] for v in range(size)))
+    return PartialAutomorphism.from_map(forward).order_completion(family.set_size(idx))
 
 
 def theta(p: PartialAutomorphism, g: Permutation, idx: int,
@@ -248,19 +206,16 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     """Total extension on C of a compatible valued partial map: owners move
     by g, values by the per-set value permutations."""
     family = extension.family
-    thetas = {idx: value_permutation(valued_pairs, g, family, idx)
-              for idx in range(len(family.sets))}
-    gset = {idx: family.image_index(g, idx) for idx in range(len(family.sets))}
+    indices = range(len(family.sets))
+    thetas = [value_permutation(valued_pairs, g, family, idx) for idx in indices]
+    gset = [family.image_index(g, idx) for idx in indices]
     index = {pt: i for i, pt in enumerate(extension.points)}
     images = []
     for pt in extension.points:
-        owner = g(pt.owner)
-        member = family.member_indices(owner)
-        values = [0] * len(member)
-        for pos, idx in enumerate(family.member_indices(pt.owner)):
-            values[member.index(gset[idx])] = thetas[idx](pt.values[pos])
-        image = ValuedPoint(owner=owner, values=tuple(values))
-        images.append(index[image])
+        values = [0] * len(gset)
+        for idx in indices:  # theta fixes 0, so sets outside the owner stay 0
+            values[gset[idx]] = thetas[idx](pt.values[idx])
+        images.append(index[ValuedPoint(owner=g(pt.owner), values=tuple(values))])
     return Permutation(tuple(images))
 
 

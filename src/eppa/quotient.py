@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .coherence import (ExtensionMap, PermutationGroup, Verdict, closure, verify_coherence,
-                        verify_coherent_extension, verify_extension)
+from .coherence import (ExtensionMap, PermutationGroup, Verdict, closure,
+                        verify_coherent_extension)
 from .errors import VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
@@ -102,13 +102,6 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
     assigned automorphisms), the coherent action and the equivariant
     homomorphism; everything is verified structurally before returning."""
     maps = tuple(maps)
-    v = verify_extension(psi, maps)
-    if not v:
-        raise VerificationError(f"psi fails extension: {v.message()}")
-    v = verify_coherence(psi, maps)
-    if not v:
-        raise VerificationError(f"psi fails coherence: {v.message()}")
-
     group = _generated_group(codomain, maps, psi)
     gindex = {g: i for i, g in enumerate(group.elements)}
     classes = _word_classes(base, maps, psi, group)

@@ -191,6 +191,19 @@ class PartialAutomorphism:
         m = self.as_dict()
         return PartialAutomorphism(tuple(sorted((x, m[y]) for x, y in other.pairs)))
 
+    def order_completion(self, n: int) -> Permutation:
+        """The permutation of {0, ..., n-1} that agrees with this map on its
+        domain and sends the points outside it, in increasing order, onto the
+        points outside its image.  This is the coherent lift of the map on
+        singletons: when q = p1 o p2 with range(p2) = dom(p1), the completion
+        of q is that of p1 after that of p2."""
+        images = [-1] * n
+        for x, y in self.pairs:
+            images[x] = y
+        image = self.image()
+        rest = iter([y for y in range(n) if y not in image])
+        return Permutation(tuple(next(rest) if y < 0 else y for y in images))
+
     def encode(self) -> str:
         """Canonical key: comma-joined "x>y" pairs, "-" for the empty map."""
         if not self.pairs:

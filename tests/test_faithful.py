@@ -72,6 +72,16 @@ def test_multi_set_certificate_digest(multi_set):
     assert verify_certificate(parse_certificate(text))
 
 
+def test_values_are_total_valuations(multi_set):
+    # one value per listed set, 0 exactly on the sets the owner lies outside
+    _, cert = multi_set
+    family = cert.extension.family
+    for pt in cert.extension.points:
+        assert len(pt.values) == len(family.sets)
+        for u, value in zip(family.sets, pt.values):
+            assert (value == 0) == (not u >> pt.owner & 1)
+
+
 class TestLargeSets:
     def test_k2_over_one_point(self):
         cert = single_in_k2_cert()
@@ -148,8 +158,9 @@ class TestBuildValuedExtension:
         expected = 0
         for b in range(2):
             prod = 1
-            for idx in family.member_indices(b):
-                prod *= family.set_size(idx) - 1
+            for u in family.sets:
+                if u >> b & 1:
+                    prod *= bin(u).count("1") - 1
             expected += prod
         ext = build_valued_extension(cert.extension, cert.embedding, family)
         assert expected == 0
@@ -213,8 +224,8 @@ class TestTheta:
         perm = theta(p, g, idx, self.ext)
         src = self.ext.points[self.ext.nu[0]]
         dst = self.ext.points[self.ext.nu[2]]
-        realized = src.value_on(self.ext.family, idx)
-        target = dst.value_on(self.ext.family, self.ext.family.image_index(g, idx))
+        realized = src.values[idx]
+        target = dst.values[self.ext.family.image_index(g, idx)]
         if realized:
             assert perm(realized) == target
         rest_src = [v for v in range(1, perm.degree) if v != realized]

@@ -110,6 +110,21 @@ class TestPartialAutomorphisms:
         with pytest.raises(EppaError):
             PartialAutomorphism.decode(key)
 
+    def test_order_completions_compose_along_coherent_triples(self, graphs_up_to_4):
+        from eppa.coherence import coherent_triples
+        checked = 0
+        for structure in graphs_up_to_4:
+            n = structure.size
+            maps = enumerate_partial_automorphisms(structure)
+            for p in maps:
+                completion = p.order_completion(n)
+                assert all(completion(x) == y for x, y in p.pairs)
+            for p1, p2, q in coherent_triples(maps):
+                assert q.order_completion(n) == \
+                    p1.order_completion(n).compose(p2.order_completion(n))
+                checked += 1
+        assert checked == 13411
+
     def test_membership_matches_embedding_criterion(self, graphs_up_to_4):
         """The embedding search behind Part(A), Aut(A) and exists_embedding
         against the reference checkers, order included."""
