@@ -81,28 +81,37 @@ def canonical_form(structure: Structure) -> Structure:
 def enumerate_structures(signature: Signature, size: int,
                          universe: Callable[[Structure], bool] | None = None
                          ) -> list[Structure]:
-    """Canonical representatives of all structures of exactly `size` points,
-    optionally restricted to a hereditary universe predicate."""
-    slots: list[tuple[str, tuple[int, ...]]] = []
-    for name, arity in signature.symbols:
-        for t in itertools.product(range(size), repeat=arity):
-            slots.append((name, t))
-    if len(slots) > 20:
-        raise BoundExceededError(f"{len(slots)} relation slots; enumeration refused")
-    seen: set[Structure] = set()
+    """Canonical representatives (`canonical_form`) of all structures on
+    `size` points, optionally in `universe`, which must be hereditary and closed
+    under isomorphism: it is evaluated once per class, on its first labelled member."""
+    if (count := sum(size ** arity for _, arity in signature.symbols)) > 20:
+        raise BoundExceededError(f"{count} relation slots; enumeration refused")
+    slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
+             for t in itertools.product(range(size), repeat=arity)]
+    index = {slot: k for k, slot in enumerate(slots)}
+    # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
+    gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
+    moves = [[[sum(1 << index[i, tuple(g[x] for x in t)]
+                   for j, (i, t) in enumerate(slots[8 * c:8 * c + 8]) if v >> j & 1)
+               for v in range(256)] for c in range(3)] for g in gens]
+
+    def encode(state: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(t for k, (j, t) in enumerate(slots) if j == i and state >> k & 1)
+                     for i in range(len(signature.symbols)))
+
+    seen = bytearray(1 << len(slots))
     out: list[Structure] = []
-    for state in range(1 << len(slots)):
-        rels: dict[str, set[tuple[int, ...]]] = {name: set() for name, _ in signature.symbols}
-        for k, (name, t) in enumerate(slots):
-            if state >> k & 1:
-                rels[name].add(t)
-        s = Structure.make(signature, size, rels)
-        if universe is not None and not universe(s):
-            continue
-        canon = canonical_form(s)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
+    for state in (m for m in range(len(seen)) if not seen[m]):
+        seen[state] = 1
+        orbit = [state]
+        for member in orbit:  # close the orbit under the generators
+            for low, mid, high in moves:
+                image = low[member & 255] | mid[member >> 8 & 255] | high[member >> 16]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        if universe is None or universe(Structure(signature, size, encode(state))):
+            out.append(Structure(signature, size, min(map(encode, orbit))))
     return out
 
 
@@ -111,8 +120,9 @@ def _structures_up_to(signature: Signature, max_size: int,
     """enumerate_structures for every size from 0 to max_size, in order."""
     if max_size < 0:
         raise EppaError(f"size bound must be >= 0, got {max_size}")
-    return [s for size in range(max_size + 1)
-            for s in enumerate_structures(signature, size, universe)]
+    # largest first, so that an oversized bound is refused before any work
+    batches = [enumerate_structures(signature, n, universe) for n in range(max_size, -1, -1)]
+    return [s for batch in batches[::-1] for s in batch]
 
 
 def _is_minimal_forbidden(s: Structure, member: Callable[[Structure], bool]) -> bool:

@@ -109,6 +109,11 @@ class ValuedExtension:
     family: LargeSetFamily
     nu: tuple[int, ...]
 
+    @cached_property
+    def index(self) -> dict[ValuedPoint, int]:
+        """Each point's position in `points`."""
+        return {pt: i for i, pt in enumerate(self.points)}
+
 
 def _value_ranges(family: LargeSetFamily, b: int) -> list[range]:
     """The values a point over b takes on each set: [1, |u|) on the sets
@@ -209,13 +214,13 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     indices = range(len(family.sets))
     thetas = [value_permutation(valued_pairs, g, family, idx) for idx in indices]
     gset = [family.image_index(g, idx) for idx in indices]
-    index = {pt: i for i, pt in enumerate(extension.points)}
     images = []
     for pt in extension.points:
         values = [0] * len(gset)
         for idx in indices:  # theta fixes 0, so sets outside the owner stay 0
             values[gset[idx]] = thetas[idx](pt.values[idx])
-        images.append(index[ValuedPoint(owner=g(pt.owner), values=tuple(values))])
+        image = ValuedPoint(owner=g(pt.owner), values=tuple(values))
+        images.append(extension.index[image])
     return Permutation(tuple(images))
 
 
@@ -326,7 +331,8 @@ def clique_faithful_extension(base: Structure,
 def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
     embeddings, the table over Part(A), forced values, a witness for every
-    clique, and freeness from the forbidden family."""
+    clique, and freeness from the forbidden family.  Each distinct witness
+    permutation is checked to be an automorphism once, at its first clique."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi
     if not is_embedding(cert.base_embedding, base, cert.base_extension):
         return Verdict.failed("embedding", "A is not induced in the base extension")
@@ -341,12 +347,14 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
         return v
     nu_set = frozenset(phi.embedding)
     cliques = set(enumerate_cliques(c_structure, cert.size_cap))
+    checked: set[Permutation] = set()
     for clique, witness in cert.clique_witnesses.items():
         if clique not in cliques:
             return Verdict.failed("clique", f"{clique} is not a Gaifman clique of C")
-        if not is_automorphism(witness.images, c_structure):
+        if witness not in checked and not is_automorphism(witness.images, c_structure):
             return Verdict.failed("clique-witness",
                                   f"witness for {clique} is not an automorphism")
+        checked.add(witness)
         if any(witness(i) not in nu_set for i in clique):
             return Verdict.failed("clique-witness",
                                   f"witness for {clique} does not map into nu(A)")

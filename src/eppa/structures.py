@@ -54,6 +54,8 @@ class Structure:
     relations: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        if self.size < 0:
+            raise EppaError(f"structure size must be >= 0, got {self.size}")
         if len(self.relations) != len(self.signature.symbols):
             raise EppaError("relation list does not match signature")
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):

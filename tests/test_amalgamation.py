@@ -61,6 +61,56 @@ def enumerate_hypergraphs(signature, size, universe=None):
     return out
 
 
+def sweep_all_labelled(signature, size, universe=None):
+    """Brute-force oracle: every labelled relation state in turn, kept at
+    its first member in the universe, by its `canonical_form`."""
+    slots = [(name, t) for name, arity in signature.symbols
+             for t in itertools.product(range(size), repeat=arity)]
+    out, seen = [], set()
+    for state in range(1 << len(slots)):
+        rels = {name: set() for name, _ in signature.symbols}
+        for k, (name, t) in enumerate(slots):
+            if state >> k & 1:
+                rels[name].add(t)
+        s = Structure.make(signature, size, rels)
+        if universe is not None and not universe(s):
+            continue
+        canon = canonical_form(s)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
+
+
+UNARY_BINARY = Signature.make(("U", 1), ("E", 2))
+TERNARY = Signature.make(("H", 3))
+
+
+class TestEnumerateStructures:
+    @pytest.mark.parametrize("signature, size, universe", [
+        *(pytest.param(GRAPH_SIGNATURE, n, None, id=f"E2-{n}") for n in range(4)),
+        pytest.param(GRAPH_SIGNATURE, 4, is_graph_universe, id="graphs-4"),
+        *(pytest.param(UNARY_BINARY, n, None, id=f"U1E2-{n}") for n in range(3)),
+        *(pytest.param(TERNARY, n, None, id=f"H3-{n}") for n in range(3)),
+    ])
+    def test_matches_the_labelled_sweep_in_order(self, signature, size, universe):
+        assert (enumerate_structures(signature, size, universe)
+                == sweep_all_labelled(signature, size, universe))
+
+    def test_binary_relations_on_four_points(self):
+        # OEIS A000595: 3,044 binary relations on 4 unlabelled points
+        found = enumerate_structures(GRAPH_SIGNATURE, 4)
+        assert len(found) == 3044
+        assert all(canonical_form(s) == s for s in found)
+        assert len(set(found)) == len(found)
+
+    @pytest.mark.parametrize("signature", [GRAPH_SIGNATURE, Signature.make(("U", 1))],
+                             ids=["E2", "U1"])
+    def test_negative_size_is_refused(self, signature):
+        with pytest.raises(EppaError, match="size must be >= 0"):
+            enumerate_structures(signature, -1)
+
+
 class TestFreeAmalgam:
     def test_two_edges_over_a_vertex(self):
         edge = graph(2, [(0, 1)])

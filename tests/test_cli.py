@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,17 @@ class TestOtherVerbs:
         blocks = text.strip().split("end")
         structures = [parse_structure(b + "end\n") for b in blocks if b.strip()]
         assert [canonical_form(s) for s in structures] == [canonical_form(K3)]
+
+    def test_minforb_refuses_oversized_bound_at_once(self, files, capsys):
+        # graphs on 5 points have 25 relation slots; the refusal comes before
+        # any smaller size is enumerated
+        start = time.perf_counter()
+        assert main(["minforb", "--class-forbid", files["k3"], "--max", "5"]) == 3
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "25 relation slots" in captured.err
+        assert elapsed < 1.0
 
     def test_console_entry_point(self, files, tmp_path):
         out = tmp_path / "cert.txt"
