@@ -7,7 +7,11 @@ Two realizations sit behind one verified certificate contract:
 * a functor search that tries the structure itself and then minimal
   point-extensions; per connected component of the partial-automorphism
   groupoid it searches only a homomorphism of one vertex group, and spanning
-  tree lifts carry it to the rest of the component;
+  tree lifts carry it to the rest of the component.  Colour refinement
+  rejects most candidates before their automorphism group is built: every
+  automorphism preserves the refined colours, so a partial automorphism
+  that joins two colours has no extender, and the search's answers are
+  exactly those of building Aut(candidate) every time;
 * Hrushovski's valuation scaffold: points of the extension are (vertex,
   valuation) pairs with one bit per slot (symbol, tuple up to the symbol's
   symmetry in A) through the vertex, permuted by order-preserving
@@ -30,8 +34,8 @@ from .coherence import (ExtensionMap, Verdict, check_forced_values,
                         verify_coherent_extension)
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
-                         automorphism_group, enumerate_partial_automorphisms,
-                         is_embedding)
+                         automorphism_group, colour_refinement,
+                         enumerate_partial_automorphisms, is_embedding)
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,19 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     vertex group.  With lift(t) the first extender of tree(t) (the identity
     at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1
     extends p because each factor extends its own map.
+
+    Before Aut(candidate) is built, colour refinement rejects the candidate
+    when, after some round, a p in `maps` sends x to y with emb(x) and
+    emb(y) of different colours.  The rejection is exact: every automorphism
+    preserves each round's colours, so such a p has no extender, and
+    building Aut(candidate) would end in the same None.
     """
-    aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
     emb = tuple(embedding)
+    pairs = [(emb[x], emb[y]) for x, y in set().union(*(p.pairs for p in maps)) if x != y]
+    for colour in colour_refinement(candidate):
+        if any(colour[x] != colour[y] for x, y in pairs):
+            return None
+    aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
 
     extenders: dict[PartialAutomorphism, list[Permutation]] = {}
     for p in maps:

@@ -148,14 +148,15 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
     return out
 
 
-def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> Verdict:
+def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
+                     *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
+                     ) -> Verdict:
     """Brute-force complete: checks phi(q) = phi(p1) o phi(p2) on exactly the
-    triples produced by coherent_triples."""
-    for p1, p2, q in coherent_triples(maps):
-        g1 = phi.lookup(p1)
-        g2 = phi.lookup(p2)
-        gq = phi.lookup(q)
-        if g1.compose(g2) != gq:
+    triples produced by coherent_triples, or on `triples` when the caller has
+    already listed them for these maps.  Each phi(p) is looked up once."""
+    image = {p: phi.lookup(p) for p in maps}
+    for p1, p2, q in coherent_triples(maps) if triples is None else triples:
+        if image[p1].compose(image[p2]) != image[q]:
             return Verdict.failed(
                 "coherence",
                 f"triple ({p1.encode()}, {p2.encode()}, {q.encode()}): "
@@ -177,11 +178,14 @@ def verify_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> 
 
 
 def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
-                              structure: Structure) -> Verdict:
+                              structure: Structure, *,
+                              triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
+                              ) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
     its keys are exactly the encodings of `maps`, each phi(p) is an
-    automorphism of `structure`, phi(p) extends p, and phi is coherent.
-    Each distinct permutation is checked once, at its first key."""
+    automorphism of `structure`, phi(p) extends p, and phi is coherent (on
+    `triples`, as in verify_coherence).  Each distinct permutation is checked
+    once, at its first key."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -201,7 +205,7 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
     v = verify_extension(phi, maps)
     if not v:
         return v
-    return verify_coherence(phi, maps)
+    return verify_coherence(phi, maps, triples=triples)
 
 
 @dataclass(frozen=True)

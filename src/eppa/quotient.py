@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, closure,
-                        verify_coherent_extension)
+                        coherent_triples, verify_coherent_extension)
 from .errors import VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
@@ -140,11 +140,13 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
 
 def verify_structural(cert: SpecialCertificate) -> Verdict:
     """Structure-level checks: embedding, the phi and psi tables over P
-    (automorphisms, extension, coherence), homomorphism and equivariance."""
+    (automorphisms, extension, coherence on P's coherent triples, listed once
+    for both), homomorphism and equivariance."""
     if not is_embedding(cert.phi.embedding, cert.base, cert.extension):
         return Verdict.failed("iota-embedding", "A is not induced along iota")
+    triples = coherent_triples(cert.maps)
     for table, structure in ((cert.phi, cert.extension), (cert.psi, cert.codomain)):
-        v = verify_coherent_extension(table, cert.maps, structure)
+        v = verify_coherent_extension(table, cert.maps, structure, triples=triples)
         if not v:
             return v
     if not is_homomorphism(cert.hom, cert.extension, cert.codomain):

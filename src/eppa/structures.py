@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULT_AUT_DEGREE_BOUND
@@ -86,6 +87,20 @@ class Structure:
 
     def tuple_set(self, name: str) -> frozenset[tuple[int, ...]]:
         return frozenset(self.tuples(name))
+
+    @cached_property
+    def tails(self) -> tuple[tuple[frozenset, ...], ...]:
+        """Per symbol and per point v, the tuples that start at v, each
+        without its first point: a binary tuple (v, w) as w, any other as
+        t[1:].  A permutation g is an automorphism iff it sends the tails at
+        v onto the tails at g(v) for every symbol and point."""
+        out = []
+        for (_, arity), tuples in zip(self.signature.symbols, self.relations):
+            at: list[list] = [[] for _ in range(self.size)]
+            for t in tuples:
+                at[t[0]].append(t[1] if arity == 2 else t[1:])
+            out.append(tuple(frozenset(ts) for ts in at))
+        return tuple(out)
 
     def is_graphlike(self) -> bool:
         """All symbols binary with symmetric irreflexive interpretation."""
@@ -277,14 +292,20 @@ def is_embedding(h: Sequence[int], a: Structure, b: Structure) -> bool:
 def is_automorphism(g: Sequence[int], structure: Structure) -> bool:
     """Is g a permutation of the universe that maps every tuple to a tuple?
     A bijection of a finite set that maps a relation into itself maps it
-    onto itself, so this is is_embedding(g, structure, structure)."""
+    onto itself, so this is is_embedding(g, structure, structure).  Read
+    point by point from `Structure.tails`: g maps the tuples that start at v
+    onto those that start at g(v)."""
     _check_map(g, structure, structure)
     if len(set(g)) != structure.size:
         return False
-    for name, _ in structure.signature.symbols:
-        tuples = structure.tuple_set(name)
-        for t in tuples:
-            if tuple(g[x] for x in t) not in tuples:
+    image = g.__getitem__
+    for (_, arity), tails in zip(structure.signature.symbols, structure.tails):
+        for v, own in enumerate(tails):
+            if arity == 2:
+                moved = set(map(image, own))
+            else:
+                moved = {tuple(map(image, t)) for t in own}
+            if moved != tails[g[v]]:
                 return False
     return True
 
@@ -394,6 +415,37 @@ def automorphism_group(structure: Structure,
             f"automorphism search on {structure.size} points exceeds bound {degree_bound}")
     elements = tuple(Permutation(g) for g in embeddings(structure, structure))
     return PermutationGroup(degree=structure.size, elements=elements, generators=elements)
+
+
+def colour_refinement(structure: Structure) -> Iterator[list[int]]:
+    """Colour refinement (1-dimensional Weisfeiler-Leman): the uniform
+    colouring, then each strictly finer colouring, the last one stable.
+
+    A point's next colour ranks its signature: its colour and the sorted
+    multiset of (symbol index, position, colours of the tuple) over the
+    tuples through it, one entry per position it holds.  The colour of a
+    signature does not depend on the numbering, so by induction every
+    automorphism preserves every colouring yielded: two points of different
+    colours lie in different Aut-orbits."""
+    n = structure.size
+    through: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for si, tuples in enumerate(structure.relations):
+        for t in tuples:
+            for i, x in enumerate(t):
+                through[x].append((si, i, t))
+    colour = [0] * n
+    classes = min(n, 1)
+    yield colour
+    while True:
+        signatures = [(colour[v], tuple(sorted((si, i, tuple(colour[x] for x in t))
+                                                for si, i, t in through[v])))
+                      for v in range(n)]
+        rank = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
+        if len(rank) == classes:
+            return
+        classes = len(rank)
+        colour = [rank[sig] for sig in signatures]
+        yield colour
 
 
 def gaifman_graph(structure: Structure) -> Structure:

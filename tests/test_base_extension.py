@@ -1,10 +1,13 @@
 import pytest
 
-from eppa.base_extension import (_search_certificate, base_eppa, coherent_assignment,
+from eppa import base_extension
+from eppa.base_extension import (_extension_candidates, _first_homomorphism,
+                                 _search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import check_forced_values, verify_coherence, verify_extension
 from eppa.errors import BoundExceededError
-from eppa.structures import (GRAPH_SIGNATURE, Permutation, Signature, Structure,
+from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
+                             Signature, Structure, automorphism_group, colour_refinement,
                              enumerate_partial_automorphisms, graph)
 from eppa.textio import emit_certificate
 
@@ -221,3 +224,91 @@ class TestCoherentAssignment:
         c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         table = coherent_assignment(enumerate_partial_automorphisms(path3), c4, (0, 1, 2))
         assert table is not None
+
+
+def aut_first_assignment(maps, candidate, embedding):
+    """Reference: coherent_assignment as it was before the colour check,
+    building Aut(candidate) for every candidate."""
+    aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
+    emb = tuple(embedding)
+    extenders = {}
+    for p in maps:
+        cands = [g for g in aut.elements
+                 if all(g(emb[x]) == emb[y] for x, y in p.pairs)]
+        if not cands:
+            return None
+        extenders[p] = cands
+    arrows = {}
+    for key, p in sorted((p.encode(), p) for p in maps):
+        arrows.setdefault(p.domain(), []).append((key, p))
+    phi = {}
+    tree = {}
+    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
+        if root in tree:
+            continue
+        tree[root] = PartialAutomorphism.identity_on(root)
+        order = [root]
+        for s in order:
+            for _, p in arrows[s]:
+                if p.image() not in tree:
+                    tree[p.image()] = p.compose(tree[s])
+                    order.append(p.image())
+        hom = _first_homomorphism([p for _, p in arrows[root] if p.image() == root],
+                                  extenders)
+        if hom is None:
+            return None
+        lift = {t: extenders[tree[t]][0] for t in order}
+        for s in order:
+            for key, p in arrows[s]:
+                t = p.image()
+                g = tree[t].inverse().compose(p).compose(tree[s])
+                phi[key] = lift[t].compose(hom[g]).compose(lift[s].inverse())
+    return phi
+
+
+def searched_candidates(graphs_up_to_3):
+    """(A, Part(A), candidate) for every candidate the search proposes for the
+    graphs with at most 3 vertices at up to 2 extra points, and for U {0},
+    E {01} on 2 points at 1 extra point."""
+    mixed = Structure.make(UNARY_BINARY, 2, {"U": [(0,)], "E": [(0, 1)]})
+    runs = [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(mixed, 1)]
+    for base, extra in runs:
+        maps = part(base)
+        for candidate in _extension_candidates(base, extra):
+            yield base, maps, candidate
+
+
+class TestColourRejection:
+    """coherent_assignment rejects by colour refinement before it builds
+    Aut(candidate); the answers are those of the Aut-first search."""
+
+    def test_same_answers_as_aut_first_search(self, graphs_up_to_3):
+        total = hits = 0
+        for base, maps, candidate in searched_candidates(graphs_up_to_3):
+            emb = tuple(range(base.size))
+            got = coherent_assignment(maps, candidate, emb)
+            assert got == aut_first_assignment(maps, candidate, emb), candidate
+            total += 1
+            hits += got is not None
+        # per graph on 1, 2 and 3 vertices: 1 + 2 + 8, 1 + 4 + 32 and 1 + 8 + 128
+        assert total == 11 + 2 * 37 + 4 * 137 + 64
+        assert 0 < hits < total
+
+    def test_automorphisms_preserve_stable_colours(self, graphs_up_to_3):
+        for _, _, candidate in searched_candidates(graphs_up_to_3):
+            *_, colour = colour_refinement(candidate)
+            for g in automorphism_group(candidate, degree_bound=candidate.size).elements:
+                assert all(colour[g(v)] == colour[v] for v in range(candidate.size))
+
+    def test_search_builds_few_automorphism_groups(self, graphs_up_to_4, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return automorphism_group(*args, **kwargs)
+        monkeypatch.setattr(base_extension, "automorphism_group", counted)
+        assert len(graphs_up_to_4) == 18
+        for structure in graphs_up_to_4:
+            base_eppa(structure)
+        # 2,465 with Aut(candidate) built for every candidate
+        assert len(calls) <= 20

@@ -7,7 +7,7 @@ from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
                              enumerate_partial_automorphisms, gaifman_graph,
-                             graph, induced_substructure, is_automorphism,
+                             colour_refinement, graph, induced_substructure, is_automorphism,
                              is_embedding, is_homomorphism, is_partial_automorphism)
 
 
@@ -198,6 +198,86 @@ class TestAutomorphismGroup:
         from eppa.errors import BoundExceededError
         with pytest.raises(BoundExceededError):
             automorphism_group(graph(11, []))
+
+
+def tuple_loop_is_automorphism(g, structure):
+    """Reference check: a bijection that maps every tuple to a tuple."""
+    if len(set(g)) != structure.size:
+        return False
+    for name, _ in structure.signature.symbols:
+        tuples = structure.tuple_set(name)
+        for t in tuples:
+            if tuple(g[x] for x in t) not in tuples:
+                return False
+    return True
+
+
+MIXED = Signature.make(("U", 1), ("E", 2), ("H", 3), ("Z", 2))
+
+
+class TestIsAutomorphism:
+    """is_automorphism reads the per-point tails index; the tuple loop above
+    is its oracle, on every map of small universes into themselves."""
+
+    samples = [
+        Structure.make(MIXED, 0),
+        Structure.make(MIXED, 1, {"E": [(0, 0)], "H": [(0, 0, 0)]}),
+        Structure.make(MIXED, 3, {"U": [(0,), (1,), (2,)],
+                                  "E": list(itertools.product(range(3), repeat=2)),
+                                  "H": list(itertools.permutations(range(3)))}),
+        Structure.make(MIXED, 4, {"E": [(v, v) for v in range(4)]
+                                  + [(v, (v + 1) % 4) for v in range(4)],
+                                  "H": [(v, v, (v + 1) % 4) for v in range(4)]}),
+        Structure.make(MIXED, 4, {"U": [(0,), (1,)],
+                                  "E": [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2)],
+                                  "H": [(0, 1, 2), (1, 0, 3)]}),
+        Structure.make(MIXED, 4, {"U": [(2,)], "E": [(0, 1), (1, 0), (3, 3)],
+                                  "H": [(0, 1, 2), (1, 0, 2), (3, 3, 2)]}),
+        Structure.make(MIXED, 4, {"U": [(1,), (2,)], "H": [(0, 1, 3)]}),
+    ]
+
+    def test_agrees_with_tuple_loop_on_every_map(self):
+        accepted = 0
+        for structure in self.samples:
+            n = structure.size
+            for g in itertools.product(range(n), repeat=n):
+                expected = tuple_loop_is_automorphism(g, structure)
+                assert is_automorphism(g, structure) == expected, (structure, g)
+                assert is_automorphism(list(g), structure) == expected
+                if len(set(g)) != n:
+                    assert not expected
+                accepted += expected
+        # 1 + 1 + 6 (all of S_3) + 4 (rotations) + 2 + 2 + 1
+        assert accepted == 17
+
+    def test_wrong_length_or_range_raises(self):
+        for structure in self.samples[1:]:
+            n = structure.size
+            for bad in ((0,) * (n - 1), (0,) * (n + 1), (n,) * n):
+                with pytest.raises(EppaError):
+                    is_automorphism(bad, structure)
+
+
+class TestColourRefinement:
+    def test_path_colours_leaves_apart_from_centre(self, path3):
+        *_, stable = colour_refinement(path3)
+        assert stable[0] == stable[2] != stable[1]
+
+    def test_each_colouring_refines_the_last(self):
+        for structure in TestIsAutomorphism.samples:
+            colourings = list(colour_refinement(structure))
+            assert colourings[0] == [0] * structure.size
+            for coarse, fine in zip(colourings, colourings[1:]):
+                assert len(set(fine)) > len(set(coarse))
+                assert all(coarse[x] == coarse[y]
+                           for x in range(structure.size) for y in range(structure.size)
+                           if fine[x] == fine[y])
+
+    def test_automorphisms_preserve_the_stable_colouring(self):
+        for structure in TestIsAutomorphism.samples:
+            *_, stable = colour_refinement(structure)
+            for g in automorphism_group(structure).elements:
+                assert [stable[g(v)] for v in range(structure.size)] == stable
 
 
 class TestGaifman:
