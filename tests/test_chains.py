@@ -7,6 +7,20 @@ from eppa.coherence import PermutationGroup
 from eppa.errors import EppaError
 from eppa.structures import (Permutation, graph, automorphism_group,
                              enumerate_partial_automorphisms)
+from eppa.textio import emit_certificate
+
+P3 = graph(3, [(0, 1), (1, 2)])
+K2_K1 = graph(3, [(0, 1)])
+K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
+
+# sha256 digests of chains that take the base path (no forbidden family) and
+# the faithful path (Forb(K3)) over seeds with a nontrivial partial map order
+CHAIN_DIGESTS = (
+    ((), 6, P3, "8800472108397b19aba0d648862c21c4f6a543072e3d10e9a825f4494fe4c1ee"),
+    ((), 4, K2_K1, "1a979ab930817ebdbb4d5cfc2aa40c7f9191c27079ec185abfb1758d629ef3bc"),
+    ((K3,), 4, P3, "caa53b7735d6359761c17868a210893c4ef21417ae97cd3e263d2bdce9f2f3e5"),
+    ((K3,), 3, K2_K1, "e0d8f06e3b22d56e5d49a531f18d70084bb322102c98723a520ccc552eefee10"),
+)
 
 
 class TestBuildChain:
@@ -42,6 +56,11 @@ class TestBuildChain:
     def test_rejects_seed_outside_class(self, k3):
         with pytest.raises(EppaError):
             build_dlf_chain([k3], 1, k3)
+
+    @pytest.mark.parametrize("forbidden,stages,seed,digest", CHAIN_DIGESTS)
+    def test_pinned_digest(self, forbidden, stages, seed, digest):
+        text = emit_certificate(build_dlf_chain(forbidden, stages, seed))
+        assert text.rstrip("\n").rsplit("\n", 1)[1] == f"digest {digest}"
 
 
 class TestVerifyChain:
