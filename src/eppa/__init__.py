@@ -19,8 +19,7 @@ from .faithful import (FaithfulCertificate, LargeSetFamily, ValuedPoint,
 from .amalgamation import (AmalgamInstance, check_clique_characterization,
                            exists_embedding, forb_e_member, free_amalgam,
                            minimal_forbidden)
-from .chains import (ChainCertificate, build_dlf_chain, eppa_from_group,
-                     verify_chain)
+from .chains import ChainCertificate, build_dlf_chain, verify_chain
 from .textio import (emit_certificate, emit_structure, parse_certificate,
                      parse_structure, verify_certificate)
 

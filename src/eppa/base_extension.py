@@ -161,34 +161,27 @@ def _first_homomorphism(group: list[PartialAutomorphism],
 
 def _extension_candidates(base: Structure, extra: int):
     """Extensions of `base` by `extra` fresh points, in canonical bitmask
-    order over the new tuple slots.  Graph inputs stay graphs."""
+    order over the new slots.  A slot is (symbol, the tuples it adds): on a
+    graph one edge, added as both arcs on the first symbol, so that graph
+    inputs stay graphs; otherwise one tuple through a fresh point."""
     m = base.size + extra
     if base.is_graphlike():
-        slots = [(i, j) for i in range(m) for j in range(i + 1, m)
+        name0 = base.signature.symbols[0][0]
+        slots = [(name0, ((i, j), (j, i))) for i in range(m) for j in range(i + 1, m)
                  if j >= base.size]
-        if len(slots) > 16:
-            return
-        for state in range(1 << len(slots)):
-            rels = {name: set(base.tuples(name)) for name, _ in base.signature.symbols}
-            name0 = base.signature.symbols[0][0]
-            for k, (i, j) in enumerate(slots):
-                if state >> k & 1:
-                    rels[name0].add((i, j))
-                    rels[name0].add((j, i))
-            yield Structure.make(base.signature, m, rels)
-        return
-    slots = []
-    for name, arity in base.signature.symbols:
-        for t in itertools.product(range(m), repeat=arity):
-            if any(x >= base.size for x in t):
-                slots.append((name, t))
-    if len(slots) > 14:
+        most = 16
+    else:
+        slots = [(name, (t,)) for name, arity in base.signature.symbols
+                 for t in itertools.product(range(m), repeat=arity)
+                 if any(x >= base.size for x in t)]
+        most = 14
+    if len(slots) > most:
         return
     for state in range(1 << len(slots)):
         rels = {name: set(base.tuples(name)) for name, _ in base.signature.symbols}
-        for k, (name, t) in enumerate(slots):
+        for k, (name, added) in enumerate(slots):
             if state >> k & 1:
-                rels[name].add(t)
+                rels[name].update(added)
         yield Structure.make(base.signature, m, rels)
 
 

@@ -1,24 +1,24 @@
-"""Stagewise construction of a locally finite group chain that is dense in a
-prefix sense: every enumerated partial automorphism is eventually extended by
-a member of the current stage group, and the extension homomorphisms lift
-each group into the next stage.
-
-With a nonempty forbidden family of Gaifman cliques each stage stays inside
-the corresponding embedding-free class.
+"""Stagewise construction of a locally finite group chain, dense in a prefix
+sense.  Stage i + 1 is a coherent EPPA extension of stage i (the faithful one
+when a forbidden family of Gaifman cliques is given, so every stage stays in
+its class).  Its group is generated by the lifts of stage i's group, a
+homomorphism by coherence, and the extension of the first partial
+automorphism that no earlier stage handled.  `ChainStage` and
+`ChainCertificate` hold exactly the fields of the chain file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .base_extension import base_eppa
-from .coherence import ExtensionMap, PermutationGroup, Verdict
+from .coherence import PermutationGroup, Verdict
 from .errors import BoundExceededError, EppaError
 from .faithful import forb_e_eppa
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
-                         induced_substructure, is_automorphism, is_embedding)
+                         is_automorphism, is_embedding, is_partial_automorphism)
 
 MAX_STAGE_SIZE = 64  # a stage structure larger than this is not extended further
 
@@ -46,10 +46,10 @@ def _push_forward(p: PartialAutomorphism, inclusion: Sequence[int]) -> PartialAu
 def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
                     seed: Structure) -> ChainCertificate:
     """Run `stage_count` extension stages from the seed, starting from its
-    full automorphism group.  Each stage extends the first unhandled partial
-    automorphism of the current structure (in canonical order, interleaving
-    newly available maps) and generates the next group from the lifted
-    previous one plus that extension."""
+    full automorphism group.  Each stage extends the first partial
+    automorphism of the current structure, in canonical order, that is not
+    the image of an earlier stage's target, and generates the next group
+    from the lifted previous one plus that extension."""
     if stage_count < 0:
         raise EppaError(f"stage count must be >= 0, got {stage_count}")
     forbidden = tuple(forbidden)
@@ -57,27 +57,17 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
     if not forb_e_member(seed, forbidden):
         raise EppaError("seed is not free of the forbidden family")
 
-    stages: list[dict] = [{"structure": seed, "group": automorphism_group(seed)}]
+    stages = [ChainStage(structure=seed, group=automorphism_group(seed))]
     handled: list[tuple[int, PartialAutomorphism]] = []
+    taken: set[PartialAutomorphism] = set()  # the handled maps, pushed to this stage
 
     for stage in range(stage_count):
-        current: Structure = stages[-1]["structure"]
+        current = stages[-1].structure
         if current.size > MAX_STAGE_SIZE:
             raise BoundExceededError(
                 f"stage structure grew to {current.size} points (bound {MAX_STAGE_SIZE})")
-        taken = set()
-        for j, p in handled:
-            moved = p
-            for k in range(j, stage):
-                moved = _push_forward(moved, stages[k]["inclusion"])
-            taken.add(moved.encode())
-        target = None
-        for p in enumerate_partial_automorphisms(current):
-            if p.encode() not in taken:
-                target = p
-                break
-        if target is None:
-            target = PartialAutomorphism.empty()
+        target = next((p for p in enumerate_partial_automorphisms(current)
+                       if p not in taken), PartialAutomorphism.empty())
 
         if forbidden:
             cert = forb_e_eppa(current, forbidden)
@@ -88,20 +78,16 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
 
         lifted = tuple(phi.lookup(PartialAutomorphism.from_map(
             {x: g(x) for x in range(current.size)}))
-            for g in stages[-1]["group"].elements)
-        generators = list(lifted) + [phi.lookup(target)]
-        next_group = PermutationGroup.from_generators(nxt.size, generators)
+            for g in stages[-1].group.elements)
+        next_group = PermutationGroup.from_generators(
+            nxt.size, lifted + (phi.lookup(target),))
 
-        stages[-1]["inclusion"] = tuple(inclusion)
-        stages[-1]["lifted"] = lifted
+        stages[-1] = replace(stages[-1], inclusion=tuple(inclusion), lifted=lifted)
+        stages.append(ChainStage(structure=nxt, group=next_group))
         handled.append((stage, target))
-        stages.append({"structure": nxt, "group": next_group})
+        taken = {_push_forward(p, inclusion) for p in taken | {target}}
 
-    built = tuple(
-        ChainStage(structure=s["structure"], group=s["group"],
-                   inclusion=s.get("inclusion"), lifted=s.get("lifted"))
-        for s in stages)
-    cert = ChainCertificate(stages=built, handled=tuple(handled),
+    cert = ChainCertificate(stages=tuple(stages), handled=tuple(handled),
                             forbidden=forbidden)
     verdict = verify_chain(cert)
     if not verdict:
@@ -110,8 +96,11 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
 
 
 def verify_chain(cert: ChainCertificate) -> Verdict:
-    """Exhaustive stage checks: subgroup property, injective extension
-    homomorphisms, prefix density of handled maps, and freeness."""
+    """Exhaustive checks, in order: subgroups, inclusions, injective lift
+    homomorphisms (a lift is in the next group only if it has its degree;
+    that group is checked one stage on), prefix density (a handled map is a
+    partial automorphism of a stage with a successor, and extends into every
+    later group), and freeness."""
     from .amalgamation import forb_e_member
     stages = cert.stages
     for i, stage in enumerate(stages):
@@ -124,8 +113,7 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
             if not is_automorphism(g.images, stage.structure):
                 return Verdict.failed("subgroup",
                                       f"stage {i}: element is not an automorphism")
-        last = i == len(stages) - 1
-        if last:
+        if i == len(stages) - 1:
             continue
         nxt = stages[i + 1]
         if stage.inclusion is None or stage.lifted is None:
@@ -137,7 +125,7 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
         images = {}
         next_elements = set(nxt.group.elements)
         for h, img in zip(group.elements, stage.lifted):
-            if img not in next_elements:
+            if img.degree != nxt.structure.size or img not in next_elements:
                 return Verdict.failed("lift",
                                       f"stage {i}: lifted element leaves the next group")
             for x in range(stage.structure.size):
@@ -154,6 +142,12 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
                     return Verdict.failed(
                         "lift", f"stage {i}: lift is not a group homomorphism")
     for j, p in cert.handled:
+        if not 0 <= j < len(stages) - 1:
+            return Verdict.failed("density", f"map handled at stage {j}, "
+                                  "which has no successor")
+        if not is_partial_automorphism(stages[j].structure, p):
+            return Verdict.failed("density", f"map handled at stage {j} is not "
+                                  "a partial automorphism of it")
         moved = p
         for s in range(j, len(stages) - 1):
             moved = _push_forward(moved, stages[s].inclusion)
@@ -168,61 +162,3 @@ def verify_chain(cert: ChainCertificate) -> Verdict:
                 return Verdict.failed("freeness",
                                       f"stage {i} embeds a forbidden structure")
     return Verdict.passed()
-
-
-@dataclass(frozen=True)
-class GroupEppaResult:
-    """EPPA extension carved out of an ambient structure by a finite group of
-    its automorphisms; the extensions need not be coherent, so the coherence
-    status is informational."""
-
-    ambient: Structure
-    inner_points: tuple[int, ...]
-    inner: Structure
-    extension: Structure
-    extension_points: tuple[int, ...]
-    phi: ExtensionMap = field(hash=False)
-    coherent: Verdict = field(hash=False, default=None)
-
-
-def eppa_from_group(ambient: Structure, inner_points: Sequence[int],
-                    group: PermutationGroup) -> GroupEppaResult:
-    """Union of the group images of the inner set, as an induced substructure;
-    every partial automorphism of the inner structure must extend to a group
-    element (error otherwise)."""
-    from .coherence import verify_coherence
-    if group.degree != ambient.size:
-        raise EppaError("group degree does not match the ambient structure")
-    for g in group.elements:
-        if not is_automorphism(g.images, ambient):
-            raise EppaError("group contains a non-automorphism of the ambient structure")
-    inner_pts = tuple(sorted(set(inner_points)))
-    inner, inner_index = induced_substructure(ambient, inner_pts)
-
-    points = sorted({g(x) for g in group.elements for x in inner_pts})
-    extension, ext_index = induced_substructure(ambient, points)
-    point_set = set(points)
-    for g in group.elements:
-        if {g(x) for x in points} != point_set:
-            raise EppaError("extension set is not invariant under the group")
-
-    embedding = tuple(ext_index[x] for x in inner_pts)
-    table: dict[str, Permutation] = {}
-    for p in enumerate_partial_automorphisms(inner):
-        chosen = None
-        for g in group.elements:
-            if all(g(inner_pts[x]) == inner_pts[y] for x, y in p.pairs):
-                chosen = g
-                break
-        if chosen is None:
-            raise EppaError(f"partial automorphism {p.encode()} has no extension "
-                            "in the supplied group")
-        restricted = Permutation(tuple(ext_index[chosen(x)] for x in points))
-        table[p.encode()] = restricted
-    phi = ExtensionMap(domain_universe=inner.size, codomain_universe=extension.size,
-                       embedding=embedding, table=table)
-    maps = enumerate_partial_automorphisms(inner)
-    coherent = verify_coherence(phi, maps)
-    return GroupEppaResult(ambient=ambient, inner_points=inner_pts, inner=inner,
-                           extension=extension, extension_points=tuple(points),
-                           phi=phi, coherent=coherent)

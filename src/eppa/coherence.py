@@ -37,7 +37,6 @@ class PermutationGroup:
 
     degree: int
     elements: tuple[Permutation, ...]
-    generators: tuple[Permutation, ...]
 
     def __post_init__(self):
         if not self.elements:
@@ -51,28 +50,20 @@ class PermutationGroup:
                 raise EppaError("generator degree mismatch")
         elements = closure([Permutation.identity(degree)],
                            lambda a: (g.compose(a) for g in gens))
-        ordered = tuple(sorted(elements, key=lambda p: p.images))
-        return PermutationGroup(degree=degree, elements=ordered, generators=gens)
+        return PermutationGroup(degree, tuple(sorted(elements, key=lambda p: p.images)))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def is_closed(self) -> bool:
-        elems = set(self.elements)
-        if Permutation.identity(self.degree) not in elems:
+        """Every element has the group's degree, and the elements are closed
+        under composition.  That suffices: a finite nonempty set of
+        permutations closed under composition holds the powers of each g,
+        so g^k = identity for some k >= 1, and g^(k-1) is g's inverse."""
+        if any(g.degree != self.degree for g in self.elements):
             return False
-        for a in self.elements:
-            if a.inverse() not in elems:
-                return False
-        for a in self.elements:
-            for b in self.elements:
-                if a.compose(b) not in elems:
-                    return False
-        return True
-
-    def generates_all(self) -> bool:
-        regen = PermutationGroup.from_generators(self.degree, self.generators)
-        return set(regen.elements) == set(self.elements)
+        elems = set(self.elements)
+        return all(a.compose(b) in elems for a in self.elements for b in self.elements)
 
 
 @dataclass(frozen=True)

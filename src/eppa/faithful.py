@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import config
 from .base_extension import BaseEppaCertificate, base_eppa, verify_base_certificate
@@ -224,25 +224,32 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     return Permutation(tuple(images))
 
 
+def _cliques(n: int, adjacent: Callable[[int, int], bool],
+             max_size: int | None) -> list[tuple[int, ...]]:
+    """Nonempty sets of pairwise adjacent points of range(n), at most
+    `max_size` of them (no bound for None), in lexicographic order:
+    a depth-first search that extends a set only by later points adjacent
+    to all of its members."""
+    cap = n if max_size is None else max_size
+    out: list[tuple[int, ...]] = []
+
+    def extend(current: tuple[int, ...], candidates: list[int]):
+        if len(current) >= cap:
+            return
+        for i, v in enumerate(candidates):
+            out.append(current + (v,))
+            extend(current + (v,), [w for w in candidates[i + 1:] if adjacent(v, w)])
+
+    extend((), list(range(n)))
+    return out
+
+
 def enumerate_cliques(structure: Structure, max_size: int | None = None) -> list[tuple[int, ...]]:
     """All nonempty Gaifman cliques up to the size bound, lexicographically."""
     if max_size is not None and max_size < 0:
         raise EppaError(f"clique size bound must be >= 0, got {max_size}")
-    gaif = gaifman_graph(structure)
-    edges = gaif.tuple_set("E")
-    neighbours = [frozenset(v for u, v in edges if u == x) for x in range(structure.size)]
-    cap = structure.size if max_size is None else max_size
-    out: list[tuple[int, ...]] = []
-
-    def extend(current: list[int], candidates: Iterable[int]):
-        if len(current) >= cap:
-            return
-        for v in sorted(candidates):
-            out.append(tuple(current + [v]))
-            extend(current + [v], [w for w in candidates if w > v and w in neighbours[v]])
-
-    extend([], range(structure.size))
-    return out
+    edges = gaifman_graph(structure).tuple_set("E")
+    return _cliques(structure.size, lambda u, v: (u, v) in edges, max_size)
 
 
 @dataclass(frozen=True)
@@ -389,24 +396,12 @@ def forb_e_eppa(base: Structure, forbidden: Sequence[Structure],
 
 def generic_subsets(extension: ValuedExtension, max_size: int | None = None
                     ) -> list[tuple[int, ...]]:
-    """All nonempty generic subsets of C up to the size bound (lexicographic)."""
-    family = extension.family
-    cap = len(extension.points) if max_size is None else max_size
-    out: list[tuple[int, ...]] = []
-
-    def compatible(chosen: list[int], candidate: int) -> bool:
-        return is_generic([extension.points[i] for i in chosen + [candidate]], family)
-
-    def extend(current: list[int], start: int):
-        if len(current) >= cap:
-            return
-        for v in range(start, len(extension.points)):
-            if compatible(current, v):
-                out.append(tuple(current + [v]))
-                extend(current + [v], v + 1)
-
-    extend([], 0)
-    return out
+    """All nonempty generic subsets of C up to the size bound, as index
+    tuples into its points (lexicographic).  Genericity is a condition on
+    each pair of points, so these are the cliques of the pairwise relation."""
+    points, family = extension.points, extension.family
+    return _cliques(len(points), lambda i, j: is_generic((points[i], points[j]), family),
+                    max_size)
 
 
 def projection_is_small(extension: ValuedExtension, subset: Sequence[int]) -> bool:

@@ -414,7 +414,7 @@ def automorphism_group(structure: Structure,
         raise BoundExceededError(
             f"automorphism search on {structure.size} points exceeds bound {degree_bound}")
     elements = tuple(Permutation(g) for g in embeddings(structure, structure))
-    return PermutationGroup(degree=structure.size, elements=elements, generators=elements)
+    return PermutationGroup(degree=structure.size, elements=elements)
 
 
 def colour_refinement(structure: Structure) -> Iterator[list[int]]:

@@ -362,7 +362,7 @@ def _build_chain(r: _Lines) -> ChainCertificate:
     stages = []
     for i in range(count):
         structure, elems = r.structure(f"s{i}"), tuple(elements.get(i, ()))
-        group = PermutationGroup(degree=structure.size, elements=elems, generators=elems)
+        group = PermutationGroup(degree=structure.size, elements=elems)
         stages.append(ChainStage(structure=structure, group=group,
                                  inclusion=inclusions.get(i),
                                  lifted=tuple(lifts[i]) if i in lifts else None))

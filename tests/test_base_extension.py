@@ -214,6 +214,32 @@ class TestScaffold:
         assert verify_base_certificate(cert)
 
 
+class TestExtensionCandidates:
+    """Candidate k adds the slots at the set bits of k.  The golden digests
+    do not fix this order: ordering the graph slots by their larger point
+    first leaves every one of them unchanged."""
+
+    def test_graph_slots_are_edges_in_lexicographic_order(self):
+        slots = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        candidates = list(_extension_candidates(graph(2, [(0, 1)]), 2))
+        assert len(candidates) == 1 << len(slots)
+        for state, candidate in enumerate(candidates):
+            edges = [(0, 1)] + [e for k, e in enumerate(slots) if state >> k & 1]
+            assert candidate == graph(4, edges)
+
+    def test_other_slots_are_tuples_in_signature_and_product_order(self):
+        sig = Signature.make(("U", 1), ("E", 2))
+        slots = [("U", (1,)), ("E", (0, 1)), ("E", (1, 0)), ("E", (1, 1))]
+        candidates = list(_extension_candidates(Structure.make(sig, 1, {"U": [(0,)]}), 1))
+        assert len(candidates) == 1 << len(slots)
+        for state, candidate in enumerate(candidates):
+            rels = {"U": [(0,)], "E": []}
+            for k, (name, t) in enumerate(slots):
+                if state >> k & 1:
+                    rels[name].append(t)
+            assert candidate == Structure.make(sig, 2, rels)
+
+
 class TestCoherentAssignment:
     def test_rejects_candidate_without_extensions(self):
         lopsided = graph(3, [(0, 1)])

@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
-from eppa.chains import build_dlf_chain, eppa_from_group, verify_chain
+from eppa.chains import build_dlf_chain, verify_chain
 from eppa.coherence import PermutationGroup
 from eppa.errors import EppaError
-from eppa.structures import (Permutation, graph, automorphism_group,
-                             enumerate_partial_automorphisms)
+from eppa.structures import Permutation, enumerate_partial_automorphisms, graph
 from eppa.textio import emit_certificate
 
+K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
 K2_K1 = graph(3, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -80,8 +80,7 @@ class TestVerifyChain:
         cert = build_dlf_chain([], 1, path3)
         first = cert.stages[0]
         rotation = Permutation((1, 2, 0))  # not an automorphism of a path
-        broken = PermutationGroup(3, first.group.elements + (rotation,),
-                                  first.group.generators)
+        broken = PermutationGroup(3, first.group.elements + (rotation,))
         stages = (dataclasses.replace(first, group=broken),) + cert.stages[1:]
         verdict = verify_chain(dataclasses.replace(cert, stages=stages))
         assert not verdict
@@ -99,39 +98,33 @@ class TestVerifyChain:
         assert verdict.condition in ("density", "lift")
 
 
-class TestEppaFromGroup:
-    def test_k2_over_one_point(self, k2):
-        group = automorphism_group(k2)
-        result = eppa_from_group(k2, [0], group)
-        assert result.extension == k2
-        maps = enumerate_partial_automorphisms(result.inner)
-        assert {p.encode() for p in maps} == {"-", "0>0"}
-        for p in maps:
-            g = result.phi.lookup(p)
-            for x, y in p.pairs:
-                assert g(result.phi.embed(x)) == result.phi.embed(y)
+def chain_body(seed) -> str:
+    """The body (all lines but the digest) of the 1-stage chain over seed."""
+    return emit_certificate(build_dlf_chain([], 1, seed)).rsplit("\ndigest ", 1)[0]
 
-    def test_trivial_group_requires_identity_compatible_maps(self, k2):
-        trivial = PermutationGroup.from_generators(2, [])
-        with pytest.raises(EppaError):
-            eppa_from_group(k2, [0, 1], trivial)
 
-    def test_four_cycle_from_one_vertex(self):
-        c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        group = automorphism_group(c4)
-        result = eppa_from_group(c4, [0], group)
-        assert result.extension.size == 4
-        assert len(result.phi.table) == 2
+class TestHostileChainFile:
+    """Canonical, correctly stamped chain files whose data do not fit
+    together: each is rejected with a named condition, never a traceback."""
 
-    def test_extension_is_group_invariant(self):
-        c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        group = automorphism_group(c4)
-        result = eppa_from_group(c4, [0, 1], group)
-        pts = set(result.extension_points)
-        for g in group.elements:
-            assert {g(x) for x in pts} == pts
-
-    def test_coherence_status_is_reported(self, k2):
-        group = automorphism_group(k2)
-        result = eppa_from_group(k2, [0], group)
-        assert result.coherent is not None
+    @pytest.mark.parametrize("seed, edits, condition", [
+        # an element of the wrong degree, before any composition
+        (K2, [("gelem 0 : 1 0\n", "gelem 0 : 1 0\ngelem 0 : 1 0 2\n")], "subgroup"),
+        # a handled map with points outside its stage
+        (K2, [("handled 0 : -", "handled 0 : -\nhandled 0 : 5>5")], "density"),
+        # a lift of the wrong degree that the next group lists
+        (P3, [("lift 0 1 : 2 1 0 3", "lift 0 1 : 2 1 0"),
+              ("gelem 1 : 2 1 0 3", "gelem 1 : 2 1 0\ngelem 1 : 2 1 0 3")], "lift"),
+        # a handled map at the last stage, which has no successor
+        (K2, [("handled 0 : -", "handled 3 : -")], "density"),
+        (K2, [("handled 0 : -", "handled 1 : -")], "density"),
+        # a handled map that is not a partial automorphism of its stage
+        (P3, [("handled 0 : -", "handled 0 : 0>0,2>1")], "density"),
+    ])
+    def test_rejected_by_name(self, seed, edits, condition, stamp, run_verify):
+        body = chain_body(seed)
+        for old, new in edits:
+            assert old in body
+            body = body.replace(old, new, 1)
+        code, out, err = run_verify(stamp(body.split("\n")))
+        assert (code, out.split()[:2]) == (2, ["fail", condition]), (out, err)

@@ -11,8 +11,9 @@ from eppa.faithful import (ValuedPoint, build_valued_extension,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
                            large_sets, projection_is_small, theta,
                            value_permutation, verify_faithful_view)
-from eppa.structures import (PartialAutomorphism, Permutation, graph,
-                             enumerate_partial_automorphisms, is_embedding)
+from eppa.structures import (PartialAutomorphism, Permutation, Signature, Structure,
+                             graph, enumerate_partial_automorphisms, is_embedding,
+                             is_gaifman_clique)
 from eppa.textio import emit_certificate, parse_certificate, verify_certificate
 
 
@@ -345,3 +346,42 @@ class TestGenericProjections:
         a = ext.points[0]
         with pytest.raises(EppaError):
             value_permutation([(a, a)], Permutation((1, 0)), family, 0)
+
+
+def brute_force_sets(n, accepts, cap):
+    """Every nonempty subset of range(n) of at most `cap` points that
+    `accepts` takes, sorted."""
+    top = n if cap is None else min(cap, n)
+    return sorted(c for k in range(1, top + 1)
+                  for c in itertools.combinations(range(n), k) if accepts(c))
+
+
+@pytest.fixture(scope="module")
+def small_faithful():
+    """Faithful certificates of P3, K2 and 3K1."""
+    return [clique_faithful_extension(g)
+            for g in (graph(3, [(0, 1), (1, 2)]), graph(2, [(0, 1)]), graph(3, []))]
+
+
+class TestCliqueSearch:
+    """`enumerate_cliques` and `generic_subsets` against brute force over all
+    subsets, order included."""
+
+    HU = Structure.make(Signature.make(("H", 3), ("U", 1)), 5,
+                        {"H": [(0, 1, 2), (1, 3, 4)], "U": [(4,)]})
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+    def test_cliques_match_brute_force(self, cap, graphs_up_to_4, small_faithful):
+        faithful = [fc.structure for fc in small_faithful]
+        for structure in [graph(0, [])] + graphs_up_to_4 + [self.HU] + faithful:
+            expected = brute_force_sets(
+                structure.size, lambda c: is_gaifman_clique(structure, c), cap)
+            assert enumerate_cliques(structure, cap) == expected
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+    def test_generic_subsets_match_brute_force(self, cap, small_faithful):
+        for ext in (fc.extension for fc in small_faithful):
+            expected = brute_force_sets(
+                len(ext.points),
+                lambda c: is_generic([ext.points[i] for i in c], ext.family), cap)
+            assert generic_subsets(ext, cap) == expected
