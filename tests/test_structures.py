@@ -1,14 +1,21 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from eppa.amalgamation import exists_embedding
+from eppa.base_extension import base_eppa
 from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
                              enumerate_partial_automorphisms, gaifman_graph,
                              colour_refinement, graph, induced_substructure, is_automorphism,
                              is_embedding, is_homomorphism, is_partial_automorphism)
+from eppa.textio import parse_certificate
+
+PAW = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
+       / "base4-n4-01_02_03_12.cert")
 
 
 def brute_partial_automorphisms(structure):
@@ -256,6 +263,115 @@ class TestIsAutomorphism:
             for bad in ((0,) * (n - 1), (0,) * (n + 1), (n,) * n):
                 with pytest.raises(EppaError):
                     is_automorphism(bad, structure)
+
+    binary = [
+        Structure.make(GRAPH_SIGNATURE, 5, {"E": [(0, 1), (1, 2), (2, 0), (3, 3)]}),
+        Structure.make(GRAPH_SIGNATURE, 5, {"E": [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]}),
+        Structure.make(GRAPH_SIGNATURE, 4, {"E": [(0, 0), (1, 1), (0, 2), (1, 3)]}),
+        Structure.make(GRAPH_SIGNATURE, 4, {"E": [(0, 1), (1, 0), (2, 3)]}),
+        Structure.make(Signature.make(("E", 2), ("H", 3)), 4,
+                       {"E": [(0, 1), (1, 0), (2, 2), (3, 3)],
+                        "H": [(0, 2, 3), (1, 3, 2)]}),
+        Structure.make(Signature.make(("E", 2), ("F", 2)), 4,
+                       {"E": [(0, 1), (1, 2), (2, 3), (3, 0)],
+                        "F": [(0, 2), (2, 0), (1, 3), (3, 1)]}),
+    ]
+
+    def test_points_with_no_or_one_tail_loops_and_arcs(self):
+        """Directed arcs, loops, points with 0 or 1 tails and a mixed E/2 +
+        H/3 signature, on every map: the same verdict as the tuple loop."""
+        accepted = 0
+        for structure in self.binary:
+            n = structure.size
+            for g in itertools.product(range(n), repeat=n):
+                expected = tuple_loop_is_automorphism(g, structure)
+                assert is_automorphism(g, structure) == expected, (structure, g)
+                assert is_automorphism(list(g), structure) == expected
+                accepted += expected
+        # the rotations of the directed triangle; the identity of the
+        # directed 4-cycle with a pendant arc; the identity and the swap of
+        # the two loops with their arcs; the identity and the swap of the
+        # 2-cycle's points; the identity and 0<->1, 2<->3; the rotations of
+        # the directed 4-cycle with its two symmetric diagonals
+        assert accepted == 3 + 1 + 2 + 2 + 2 + 4
+
+    def test_stored_paw_certificate(self):
+        """The 33 distinct permutations of the paw's stored 256-point
+        certificate are automorphisms of its B.  B is 96-regular, so the
+        tails' sizes never tell a swap apart: a swap of two adjacent points
+        is not an automorphism, and neither is a certified map with two
+        images exchanged."""
+        cert = parse_certificate(PAW.read_text(encoding="utf-8"))
+        b = cert.extension
+        perms = sorted({g.images for g in cert.phi.table.values()})
+        assert (b.size, len(perms)) == (256, 33)
+        for g in perms:
+            assert is_automorphism(g, b)
+            assert tuple_loop_is_automorphism(g, b)
+        u = b.relations[0][0][1]
+        swap = list(range(b.size))
+        swap[0], swap[u] = u, 0
+        bent = list(perms[-1])
+        bent[0], bent[1] = bent[1], bent[0]
+        for g in (swap, bent):
+            assert not is_automorphism(g, b)
+            assert not tuple_loop_is_automorphism(g, b)
+
+
+def tuple_set_is_embedding(h, a, b):
+    """Reference check: an injective homomorphism whose image pulls every
+    tuple of b back to a tuple of a, read from the full tuple sets."""
+    if len(set(h)) != a.size:
+        return False
+    for name, _ in a.signature.symbols:
+        target = b.tuple_set(name)
+        if any(tuple(h[x] for x in t) not in target for t in a.tuples(name)):
+            return False
+    image = set(h)
+    back = {v: i for i, v in enumerate(h)}
+    for name, _ in a.signature.symbols:
+        source = a.tuple_set(name)
+        for t in b.tuples(name):
+            if all(x in image for x in t) and tuple(back[x] for x in t) not in source:
+                return False
+    return True
+
+
+class TestIsEmbeddingOracle:
+    """is_embedding reads the tails index at the image points only; the
+    tuple-set check above is its oracle."""
+
+    def test_graphs_into_fallback_of_p3_k1(self, graphs_up_to_4):
+        """Every map of each graph with at most 4 vertices into a 6-point
+        window of the 32-point B of P3+K1, and a seeded sample of injective
+        maps into all of B."""
+        b = base_eppa(graph(4, [(0, 1), (1, 2)])).extension
+        assert b.size == 32
+        rng = random.Random(14)
+        accepted = checked = 0
+        for a in graphs_up_to_4:
+            maps = list(itertools.product(range(6), repeat=a.size))
+            maps += [tuple(rng.sample(range(b.size), a.size)) for _ in range(300)]
+            for h in maps:
+                expected = tuple_set_is_embedding(h, a, b)
+                assert is_embedding(h, a, b) == expected, (a, h)
+                accepted += expected
+                checked += 1
+        assert 0 < accepted < checked
+
+    def test_mixed_signatures(self):
+        """Every map between the unary, binary and ternary samples of
+        TestIsAutomorphism, loops and repeated points included."""
+        samples = TestIsAutomorphism.samples + TestIsAutomorphism.binary
+        accepted = 0
+        for a, b in itertools.product(samples, repeat=2):
+            if a.signature != b.signature or a.size > 3:
+                continue
+            for h in itertools.product(range(b.size), repeat=a.size):
+                expected = tuple_set_is_embedding(h, a, b)
+                assert is_embedding(h, a, b) == expected, (a, b, h)
+                accepted += expected
+        assert accepted > 0
 
 
 class TestColourRefinement:

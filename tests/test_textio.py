@@ -6,12 +6,12 @@ import pytest
 from eppa.base_extension import base_eppa
 from eppa.chains import build_dlf_chain
 from eppa.coherence import ExtensionMap
-from eppa.errors import StructureSyntaxError
+from eppa.errors import EppaError, StructureSyntaxError
 from eppa.faithful import clique_faithful_extension, forb_e_eppa
 from eppa.quotient import special_extension
-from eppa.structures import PartialAutomorphism, Permutation, graph
-from eppa.textio import (emit_certificate, emit_structure, parse_certificate,
-                         parse_structure, parse_structure_named,
+from eppa.structures import PartialAutomorphism, Permutation, Signature, Structure, graph
+from eppa.textio import (_parse_structure_block, emit_certificate, emit_structure,
+                         parse_certificate, parse_structure, parse_structure_named,
                          verify_certificate)
 
 K2_TEXT = """structure k2
@@ -194,3 +194,204 @@ class TestCanonicalOnly:
             assert code in (0, 1, 2, 3), err
             if code == 0:
                 assert emit_certificate(parse_certificate(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# The structure-block reader as it was written first: one tuple line at a
+# time, each point range-checked, duplicates caught by a set of seen tuples,
+# and the structure built through Structure.make.  It is the oracle of the
+# bulk reader in eppa.textio.
+
+def _reference_clean(line):
+    return line.split("#", 1)[0].strip()
+
+
+def _reference_int(word, line, least=0):
+    digits = word[1:] if word.startswith("-") else word
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(word)
+    except ValueError:
+        raise StructureSyntaxError(f"expected an integer, got {word!r}", line) from None
+    if value < least:
+        raise StructureSyntaxError(f"expected an integer >= {least}, got {value}", line)
+    return value
+
+
+def reference_parse_block(lines, start):
+    i = start
+    while i < len(lines) and not _reference_clean(lines[i]):
+        i += 1
+    if i >= len(lines):
+        raise StructureSyntaxError("expected 'structure <name>'", start + 1)
+    head = _reference_clean(lines[i]).split()
+    if len(head) != 2 or head[0] != "structure":
+        raise StructureSyntaxError(f"expected 'structure <name>', got {lines[i]!r}", i + 1)
+    name = head[1]
+    i += 1
+    symbols = []
+    while i < len(lines):
+        parts = _reference_clean(lines[i]).split()
+        if not parts:
+            i += 1
+            continue
+        if parts[0] != "rel":
+            break
+        if len(parts) != 3:
+            raise StructureSyntaxError("rel line needs a name and an arity", i + 1)
+        symbols.append((parts[1], _reference_int(parts[2], i + 1, least=1)))
+        i += 1
+    while i < len(lines) and not _reference_clean(lines[i]):
+        i += 1
+    if i >= len(lines):
+        raise StructureSyntaxError("expected 'size <n>'", i)
+    parts = _reference_clean(lines[i]).split()
+    if len(parts) != 2 or parts[0] != "size":
+        raise StructureSyntaxError(f"expected 'size <n>', got {lines[i]!r}", i + 1)
+    size = _reference_int(parts[1], i + 1)
+    i += 1
+    signature = Signature(tuple(symbols))
+    arities = dict(symbols)
+    rels = {sym: [] for sym, _ in symbols}
+    seen = {sym: set() for sym, _ in symbols}
+    while True:
+        if i >= len(lines):
+            raise StructureSyntaxError("missing 'end'", i)
+        parts = _reference_clean(lines[i]).split()
+        if not parts:
+            i += 1
+            continue
+        if parts[0] == "end":
+            if len(parts) != 1:
+                raise StructureSyntaxError("malformed 'end'", i + 1)
+            i += 1
+            break
+        sym = parts[0]
+        if sym not in arities:
+            raise StructureSyntaxError(f"unknown symbol {sym!r}", i + 1)
+        if len(parts) - 1 != arities[sym]:
+            raise StructureSyntaxError(
+                f"{sym} expects {arities[sym]} points, got {len(parts) - 1}", i + 1)
+        t = tuple(_reference_int(w, i + 1) for w in parts[1:])
+        for x in t:
+            if not 0 <= x < size:
+                raise StructureSyntaxError(
+                    f"point {x} out of range for size {size}", i + 1)
+        if t in seen[sym]:
+            raise StructureSyntaxError(f"duplicate tuple {sym} {t}", i + 1)
+        seen[sym].add(t)
+        rels[sym].append(t)
+        i += 1
+    return name, Structure.make(signature, size, rels), i
+
+
+def block_outcome(parse, lines, start=0):
+    """What a block reader makes of `lines`: its result, or the type,
+    message and line of the error it raises."""
+    try:
+        return parse(lines, start)
+    except EppaError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+HEAD = ["structure s", "rel U 1", "rel E 2", "rel H 3", "size 4"]
+
+PAW = STORED / "base4-n4-01_02_03_12.cert"
+
+
+def paw_block_b() -> list[str]:
+    lines = PAW.read_text(encoding="utf-8").split("\n")
+    start = lines.index("structure b")
+    return lines[start:lines.index("end", start) + 1]
+
+
+class TestBlockReaderOracle:
+    """The structure-block reader against the line-at-a-time reference:
+    the same structure, or the same error type, message and line."""
+
+    @pytest.mark.parametrize("body", [
+        ["E 0 -1", "end"],
+        ["E 0 +1", "end"],
+        ["E 0 1_0", "end"],
+        ["E 0 \u0661", "end"],
+        ["E -0 1", "end"],
+        ["E 0 1.0", "end"],
+        ["E 0 01", "end"],
+        ["E 0 4", "end"],
+        ["H 3 3 9", "end"],
+        ["E 0 1", "E 1 2", "E 0 1", "end"],
+        ["E 1 0", "H 0 1 2", "", "# c", "E 1 0", "E 0 4", "end"],
+        ["E 0 4", "E 1 0", "E 1 0", "end"],
+        ["E 1 0", "E 1 0", "E 0 x", "end"],
+        ["E 1 0", "E 1 0"],
+        ["E 1 0", "U 1", "U 1 # again", "end"],
+        ["E 0 1 2", "end"],
+        ["E 0", "end"],
+        ["U", "end"],
+        ["F 0 1", "end"],
+        ["E 0 1"],
+        [],
+        ["end x"],
+        ["E 0 1", "end", "E 1 0"],
+        ["# lead", "", "E 3 2 # arc", "  H 2 1 0  ", "E 0 1", "U 3", "U 0", "",
+         "E 2 3", "H 0 1 2", "end", "# tail"],
+        ["end"],
+    ])
+    def test_small_blocks(self, body):
+        lines = HEAD + body
+        assert (block_outcome(_parse_structure_block, lines)
+                == block_outcome(reference_parse_block, lines))
+
+    @pytest.mark.parametrize("lines", [
+        ["", "# only", "structure t", "", "rel E 2", "size 0", "end"],
+        ["structure t", "size 0", "end"],
+        ["structure t", "rel E 2", "rel E 2", "size 2", "end"],
+        ["structure t", "rel E 0", "size 2", "end"],
+        ["structure t", "rel E 2", "size -2", "end"],
+        ["structure t", "rel E 2", "end"],
+        ["structure", "rel E 2", "size 2", "end"],
+        [""],
+    ])
+    def test_headers(self, lines):
+        assert (block_outcome(_parse_structure_block, lines)
+                == block_outcome(reference_parse_block, lines))
+
+    def test_reads_past_the_start(self):
+        lines = ["junk", "structure t", "rel E 2", "size 2", "E 1 0", "E 0 1", "end", "x"]
+        assert (block_outcome(_parse_structure_block, lines, 1)
+                == block_outcome(reference_parse_block, lines, 1))
+
+    def test_paw_block_b(self):
+        block = paw_block_b()
+        name, structure, consumed = _parse_structure_block(block, 0)
+        assert (name, consumed, structure.size) == ("b", len(block), 256)
+        assert sum(map(len, structure.relations)) == 24576
+        assert (name, structure, consumed) == reference_parse_block(block, 0)
+
+    def test_seeded_mutants_of_paw_block_b(self):
+        """One-token edits, copied, moved and deleted lines of the paw's
+        256-point block: the same outcome on every mutant."""
+        block = paw_block_b()
+        pool = ("x", "-1", "+1", "1_0", "\u0661", "0", "1", "255", "256", "E", "F",
+                "end", "", "#", "01", "size", "rel")
+        rng = random.Random(14)
+        errors = 0
+        for trial in range(16):
+            lines = list(block)
+            at = rng.randrange(len(lines))
+            kind = trial % 4
+            if kind == 0:
+                words = lines[at].split(" ")
+                words[rng.randrange(len(words) > 1, len(words))] = rng.choice(pool)
+                lines[at] = " ".join(words)
+            elif kind == 1:
+                lines.insert(rng.randrange(4, len(lines)), lines[max(at, 3)])
+            elif kind == 2:
+                lines.insert(rng.randrange(4, len(lines)), lines.pop(max(at, 3)))
+            else:
+                del lines[at]
+            expected = block_outcome(reference_parse_block, lines)
+            assert block_outcome(_parse_structure_block, lines) == expected, (trial, at)
+            errors += isinstance(expected[0], type)
+        assert 0 < errors < 16
