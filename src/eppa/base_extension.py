@@ -51,13 +51,17 @@ class BaseEppaCertificate:
         return enumerate_partial_automorphisms(self.base)
 
 
-def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
+def verify_base_certificate(cert: BaseEppaCertificate, *,
+                            maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
     """Full re-check: embedding, the table over Part(A) (automorphisms,
     extension, coherence over the complete coherent-triple set) and forced
     values.  phi then embeds Aut(A) as a group: coherence makes it a
     homomorphism there, and two distinct automorphisms of A differ at some
-    x, so their extensions differ at the embedded image of x."""
-    maps = cert.part()
+    x, so their extensions differ at the embedded image of x.  `maps` is
+    Part(A) as enumerate_partial_automorphisms lists it, when the caller
+    has already listed it; otherwise it is listed here."""
+    if maps is None:
+        maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
     v = verify_coherent_extension(cert.phi, maps, cert.extension)
@@ -201,7 +205,7 @@ def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
                                embedding=emb, table=table)
             cert = BaseEppaCertificate(base=base, extension=candidate,
                                        embedding=emb, phi=phi)
-            if verify_base_certificate(cert):
+            if verify_base_certificate(cert, maps=maps):
                 return cert
     return None
 
@@ -361,7 +365,7 @@ def base_eppa(base: Structure) -> BaseEppaCertificate:
         cert = _search_certificate(base, maps, budget)
     if cert is None:
         cert = scaffold_certificate(base, maps)
-        verdict = verify_base_certificate(cert)
+        verdict = verify_base_certificate(cert, maps=maps)
         if not verdict:
             raise VerificationError(f"internal realization failure: {verdict.message()}")
     return cert

@@ -124,16 +124,17 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
                      ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
     """All coherent triples within `maps`: composable pairs with their
     composite, which must itself belong to `maps`; in the order of `maps`
-    by p2, then by p1."""
-    by_key = {p.encode(): p for p in maps}
-    by_domain: dict[frozenset[int], list[PartialAutomorphism]] = {}
+    by p2, then by p1.  The composite is looked up by its pair tuple: p2's
+    pairs are sorted by their distinct first points, so (x, p1(y)) over
+    them is already the sorted pair tuple of p1 o p2."""
+    by_pairs = {p.pairs: p for p in maps}
+    by_domain: dict[frozenset[int], list[tuple[PartialAutomorphism, dict[int, int]]]] = {}
     for p in maps:
-        by_domain.setdefault(p.domain(), []).append(p)
+        by_domain.setdefault(p.domain(), []).append((p, p.as_dict()))
     out = []
     for p2 in maps:
-        for p1 in by_domain.get(p2.image(), ()):
-            q = p1.compose(p2)
-            ql = by_key.get(q.encode())
+        for p1, m in by_domain.get(p2.image(), ()):
+            ql = by_pairs.get(tuple([(x, m[y]) for x, y in p2.pairs]))
             if ql is not None:
                 out.append((p1, p2, ql))
     return out
@@ -144,10 +145,12 @@ def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
                      ) -> Verdict:
     """Brute-force complete: checks phi(q) = phi(p1) o phi(p2) on exactly the
     triples produced by coherent_triples, or on `triples` when the caller has
-    already listed them for these maps.  Each phi(p) is looked up once."""
-    image = {p: phi.lookup(p) for p in maps}
+    already listed them for these maps.  Each phi(p) is looked up once, and
+    each composite is compared as a plain image tuple, with no Permutation
+    built for it."""
+    image = {p: phi.lookup(p).images for p in maps}
     for p1, p2, q in coherent_triples(maps) if triples is None else triples:
-        if image[p1].compose(image[p2]) != image[q]:
+        if tuple(map(image[p1].__getitem__, image[p2])) != image[q]:
             return Verdict.failed(
                 "coherence",
                 f"triple ({p1.encode()}, {p2.encode()}, {q.encode()}): "

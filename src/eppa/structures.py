@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter, lt
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULT_AUT_DEGREE_BOUND
 from .errors import BoundExceededError, EppaError
@@ -55,13 +56,21 @@ class Structure:
     relations: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        """One pass per relation: neighbours strictly increase (sorted and
+        free of duplicates), every tuple has the arity, and the least and
+        greatest points lie in the universe.  Only a relation that fails a
+        pass is searched for its first bad tuple, to name it."""
         if self.size < 0:
             raise EppaError(f"structure size must be >= 0, got {self.size}")
         if len(self.relations) != len(self.signature.symbols):
             raise EppaError("relation list does not match signature")
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
-            if list(tuples) != sorted(set(tuples)):
+            if not all(map(lt, tuples, itertools.islice(tuples, 1, None))):
                 raise EppaError(f"relation {name} is not canonically sorted")
+            if not tuples or (all(map(arity.__eq__, map(len, tuples)))
+                              and min(map(min, tuples)) >= 0
+                              and max(map(max, tuples)) < self.size):
+                continue
             for t in tuples:
                 if len(t) != arity:
                     raise EppaError(f"tuple {t} has wrong arity for {name}")
@@ -89,17 +98,24 @@ class Structure:
         return frozenset(self.tuples(name))
 
     @cached_property
-    def tails(self) -> tuple[tuple[frozenset, ...], ...]:
-        """Per symbol and per point v, the tuples that start at v, each
-        without its first point: a binary tuple (v, w) as w, any other as
-        t[1:].  A permutation g is an automorphism iff it sends the tails at
-        v onto the tails at g(v) for every symbol and point."""
+    def tails(self) -> tuple[tuple[tuple[frozenset, ...], tuple[Callable, ...] | None], ...]:
+        """Per symbol, (sets, gathers).  sets[v] holds the tuples that start
+        at v, each without its first point: a binary tuple (v, w) as w, any
+        other as t[1:].  A permutation g is an automorphism iff it sends the
+        tails at v onto the tails at g(v) for every symbol and point.
+
+        For a binary symbol gathers[v](g) lists the images under g of the
+        tails at v, in one C-level call (an operator.itemgetter over them in
+        increasing order; a point with one tail w gathers (w, w), and a
+        point with none gathers ()).  For other arities gathers is None."""
         out = []
         for (_, arity), tuples in zip(self.signature.symbols, self.relations):
             at: list[list] = [[] for _ in range(self.size)]
             for t in tuples:
                 at[t[0]].append(t[1] if arity == 2 else t[1:])
-            out.append(tuple(frozenset(ts) for ts in at))
+            # the tuples are sorted, so each at[v] is too
+            gathers = tuple(map(_gather, at)) if arity == 2 else None
+            out.append((tuple(frozenset(ts) for ts in at), gathers))
         return tuple(out)
 
     def is_graphlike(self) -> bool:
@@ -111,6 +127,21 @@ class Structure:
                 if a == b or (b, a) not in tuples:
                     return False
         return True
+
+
+def _gather(points: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """g -> (g[x] for x in points) as a tuple, in one C-level call where
+    operator.itemgetter allows: it takes at least one point, and over one
+    point it returns a bare value, so one point is gathered twice."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    if points:
+        return itemgetter(points[0], points[0])
+    return _no_points
+
+
+def _no_points(g: Sequence[int]) -> tuple[()]:
+    return ()
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]]) -> Structure:
@@ -145,15 +176,28 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
+    @staticmethod
+    def _unchecked(images: tuple[int, ...]) -> "Permutation":
+        """A Permutation of images known to be one, built without the
+        sorting check of __post_init__."""
+        perm = object.__new__(Permutation)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return Permutation(tuple(self.images[y] for y in other.images))
+        """self after other: (self.compose(other))(x) = self(other(x)).  The
+        composite of two permutations of one degree is a permutation, so
+        only the degrees are checked."""
+        if len(self.images) != len(other.images):
+            raise EppaError(f"cannot compose permutations of degrees "
+                            f"{len(self.images)} and {len(other.images)}")
+        return Permutation._unchecked(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -272,20 +316,26 @@ def is_homomorphism(h: Sequence[int], a: Structure, b: Structure) -> bool:
 
 
 def is_embedding(h: Sequence[int], a: Structure, b: Structure) -> bool:
-    """Injective homomorphism whose image reflects every relation of b."""
+    """Injective homomorphism whose image reflects every relation of b.
+
+    Read point by point from the `Structure.tails` of both sides: for each
+    point x of a, h maps the tails at x onto the tails at h(x) whose points
+    all lie in the image of h.  Every tuple of b inside the image starts at
+    an image point, so only those points' tails are read, never all of b."""
     _check_map(h, a, b)
-    if len(set(h)) != a.size:
+    image = frozenset(h)
+    if len(image) != a.size:
         return False
-    if not is_homomorphism(h, a, b):
-        return False
-    image = set(h)
-    back = {v: i for i, v in enumerate(h)}
-    for name, _ in a.signature.symbols:
-        source = a.tuple_set(name)
-        for t in b.tuples(name):
-            if all(x in image for x in t):
-                if tuple(back[x] for x in t) not in source:
+    at = h.__getitem__
+    for ((_, arity), (own_sets, _), (target_sets, _)) in zip(a.signature.symbols,
+                                                             a.tails, b.tails):
+        for own, target in zip(own_sets, map(target_sets.__getitem__, h)):
+            if arity == 2:
+                if set(map(at, own)) != target & image:
                     return False
+            elif ({tuple(map(at, t)) for t in own}
+                  != {t for t in target if image.issuperset(t)}):
+                return False
     return True
 
 
@@ -294,19 +344,23 @@ def is_automorphism(g: Sequence[int], structure: Structure) -> bool:
     A bijection of a finite set that maps a relation into itself maps it
     onto itself, so this is is_embedding(g, structure, structure).  Read
     point by point from `Structure.tails`: g maps the tuples that start at v
-    onto those that start at g(v)."""
+    onto those that start at g(v).  For a binary symbol it is enough that
+    the tails at g(v) contain the gathered images of those at v: that is g
+    mapping the relation into itself."""
     _check_map(g, structure, structure)
     if len(set(g)) != structure.size:
         return False
     image = g.__getitem__
-    for (_, arity), tails in zip(structure.signature.symbols, structure.tails):
-        for v, own in enumerate(tails):
-            if arity == 2:
-                moved = set(map(image, own))
-            else:
-                moved = {tuple(map(image, t)) for t in own}
-            if moved != tails[g[v]]:
-                return False
+    for sets, gathers in structure.tails:
+        targets = map(sets.__getitem__, g)
+        if gathers is not None:
+            for gather, target in zip(gathers, targets):
+                if not target.issuperset(gather(g)):
+                    return False
+        else:
+            for own, target in zip(sets, targets):
+                if {tuple(map(image, t)) for t in own} != target:
+                    return False
     return True
 
 

@@ -11,6 +11,8 @@ accepts the file only if emitting that certificate gives back its bytes.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
+from operator import eq
 from typing import Sequence
 
 from . import config
@@ -42,6 +44,9 @@ def _int(word: str, line: int, least: int = 0) -> int:
 
 
 def _ints(words: Sequence[str], line: int) -> tuple[int, ...]:
+    digits = "".join(words)
+    if digits.isascii() and digits.isdigit():  # every word plain and >= 0
+        return tuple(map(int, words))
     return tuple(_int(w, line) for w in words)
 
 
@@ -61,8 +66,7 @@ def emit_structure(structure: Structure, name: str = "s") -> str:
         lines.append(f"rel {sym} {arity}")
     lines.append(f"size {structure.size}")
     for sym, _ in structure.signature.symbols:
-        for t in structure.tuples(sym):
-            lines.append(" ".join([sym] + [str(x) for x in t]))
+        lines += [f"{sym} {' '.join(map(str, t))}" for t in structure.tuples(sym)]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -86,7 +90,14 @@ def _clean(line: str) -> str:
 
 def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Structure, int]:
     """Parse one structure block beginning at or after `start`; returns
-    (name, structure, index just past 'end')."""
+    (name, structure, index just past 'end').
+
+    A tuple line is read in one step when its points are plain decimals
+    below the size; any other line goes through the word-by-word checks
+    that name its error.  Each relation is sorted once, and a duplicate
+    shows as two equal neighbours.  Errors are those of a line-by-line
+    reading: the first bad line in the file is named, a repeated tuple at
+    its second copy."""
     i = start
     while i < len(lines) and not _clean(lines[i]):
         i += 1
@@ -121,37 +132,64 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     signature = Signature(tuple(symbols))
     arities = dict(symbols)
     rels: dict[str, list[tuple[int, ...]]] = {sym: [] for sym, _ in symbols}
-    seen: dict[str, set[tuple[int, ...]]] = {sym: set() for sym, _ in symbols}
-    while True:
-        if i >= len(lines):
-            raise StructureSyntaxError("missing 'end'", i)
-        parts = _clean(lines[i]).split()
-        if not parts:
-            i += 1
-            continue
-        if parts[0] == "end":
-            if len(parts) != 1:
-                raise StructureSyntaxError("malformed 'end'", i + 1)
-            i += 1
-            break
-        sym = parts[0]
-        if sym not in arities:
-            raise StructureSyntaxError(f"unknown symbol {sym!r}", i + 1)
-        if len(parts) - 1 != arities[sym]:
-            raise StructureSyntaxError(
-                f"{sym} expects {arities[sym]} points, got {len(parts) - 1}", i + 1)
-        t = _ints(parts[1:], i + 1)
-        for x in t:
-            if not 0 <= x < size:
+    first = i
+    try:
+        while True:
+            if i >= len(lines):
+                raise StructureSyntaxError("missing 'end'", i)
+            sym, *words = lines[i].split("#", 1)[0].split() or [""]
+            if not sym:
+                i += 1
+                continue
+            if sym == "end":
+                if words:
+                    raise StructureSyntaxError("malformed 'end'", i + 1)
+                i += 1
+                break
+            if sym not in arities:
+                raise StructureSyntaxError(f"unknown symbol {sym!r}", i + 1)
+            if len(words) != arities[sym]:
                 raise StructureSyntaxError(
-                    f"point {x} out of range for size {size}", i + 1)
-        if t in seen[sym]:
-            raise StructureSyntaxError(f"duplicate tuple {sym} {t}", i + 1)
-        seen[sym].add(t)
-        rels[sym].append(t)
-        i += 1
-    del seen  # freed before Structure.make builds its own set
-    return name, Structure.make(signature, size, rels), i
+                    f"{sym} expects {arities[sym]} points, got {len(words)}", i + 1)
+            digits = "".join(words)
+            if not (digits.isascii() and digits.isdigit()
+                    and max(t := tuple(map(int, words))) < size):
+                t = _points(words, size, i + 1)
+            rels[sym].append(t)
+            i += 1
+    except StructureSyntaxError as exc:
+        raise _first_duplicate(lines, first, i) or exc from None
+    for ts in rels.values():
+        ts.sort()
+        if any(map(eq, ts, islice(ts, 1, None))):
+            raise _first_duplicate(lines, first, i)
+    return name, Structure(signature, size, tuple(tuple(rels[sym]) for sym, _ in symbols)), i
+
+
+def _points(words: Sequence[str], size: int, line: int) -> tuple[int, ...]:
+    """A tuple line's points, read word by word: the slow path, which names
+    the first word that is not an integer or not a point."""
+    t = _ints(words, line)
+    for x in t:
+        if not 0 <= x < size:
+            raise StructureSyntaxError(f"point {x} out of range for size {size}", line)
+    return t
+
+
+def _first_duplicate(lines: Sequence[str], start: int,
+                     stop: int) -> StructureSyntaxError | None:
+    """The error for the first tuple line in lines[start:stop] that repeats
+    an earlier one, or None; every tuple line there is known to be valid."""
+    seen = set()
+    for i in range(start, stop):
+        parts = _clean(lines[i]).split()
+        if not parts or parts[0] == "end":
+            continue
+        t = tuple(map(int, parts[1:]))
+        if (parts[0], t) in seen:
+            return StructureSyntaxError(f"duplicate tuple {parts[0]} {t}", i + 1)
+        seen.add((parts[0], t))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +204,7 @@ def _finish(lines: list[str]) -> str:
 
 
 def _perm_text(perm: Permutation) -> str:
-    return " ".join(str(x) for x in perm.images)
+    return " ".join(map(str, perm.images))
 
 
 def _map_line(prefix: str, key: str, perm: Permutation) -> str:
@@ -174,7 +212,7 @@ def _map_line(prefix: str, key: str, perm: Permutation) -> str:
 
 
 def _embed_line(tag: str, images: Sequence[int]) -> str:
-    return (tag + " " + " ".join(str(x) for x in images)).rstrip()
+    return (tag + " " + " ".join(map(str, images))).rstrip()
 
 
 def _structure_lines(structure: Structure, name: str) -> list[str]:

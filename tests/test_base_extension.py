@@ -63,6 +63,28 @@ class TestBaseEppa:
         second = emit_certificate(base_eppa(path3))
         assert first == second
 
+    def test_part_listed_once_per_call(self, graphs_up_to_4, monkeypatch):
+        """base_eppa hands the Part(A) it listed to the verifier, which
+        lists it itself only when called without one."""
+        calls = []
+
+        def counted(structure):
+            calls.append(structure)
+            return part(structure)
+        monkeypatch.setattr(base_extension, "enumerate_partial_automorphisms", counted)
+        assert len(graphs_up_to_4) == 18
+        for structure in graphs_up_to_4:
+            calls.clear()
+            cert = base_eppa(structure)
+            assert calls == [structure]
+            maps = part(structure)
+            assert verify_base_certificate(cert, maps=maps)
+            assert calls == [structure]
+            assert verify_base_certificate(cert)
+            assert calls == [structure, structure]
+        with pytest.raises(TypeError):
+            verify_base_certificate(cert, maps)
+
     def test_size_bound(self, monkeypatch):
         monkeypatch.setenv("EPPA_MAX_POINTS", "2")
         with pytest.raises(BoundExceededError):

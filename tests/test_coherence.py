@@ -167,3 +167,27 @@ class TestPermutationGroup:
         cycle = Permutation((1, 2, 0))
         broken = PermutationGroup(3, (Permutation.identity(3), swap, cycle))
         assert not broken.is_closed()
+
+
+class TestPermutationProducts:
+    """compose and inverse skip the sorting check; their results equal the
+    checked Permutation of the same images, and only a degree mismatch is
+    refused."""
+
+    def test_products_equal_checked_permutations(self):
+        rng = random.Random(14)
+        for n in range(6):
+            for _ in range(20):
+                a = Permutation(tuple(rng.sample(range(n), n)))
+                b = Permutation(tuple(rng.sample(range(n), n)))
+                ab = a.compose(b)
+                assert ab == Permutation(tuple(a(b(x)) for x in range(n)))
+                assert hash(ab) == hash(Permutation(ab.images))
+                assert a.inverse() == Permutation(tuple(sorted(range(n), key=a)))
+                assert a.compose(a.inverse()) == Permutation.identity(n)
+
+    def test_degree_mismatch_refused(self):
+        with pytest.raises(EppaError):
+            Permutation((1, 0)).compose(Permutation((0, 2, 1)))
+        with pytest.raises(EppaError):
+            Permutation((0, 2, 1)).compose(Permutation((1, 0)))

@@ -36,6 +36,53 @@ def brute_partial_automorphisms(structure):
     return found
 
 
+MIXED = Signature.make(("U", 1), ("E", 2), ("H", 3), ("Z", 2))
+MIXED3 = Signature.make(("U", 1), ("E", 2), ("H", 3))
+
+
+def reference_structure_error(signature, size, relations):
+    """The first complaint of the tuple-at-a-time structure check, or None."""
+    for (name, arity), tuples in zip(signature.symbols, relations):
+        if list(tuples) != sorted(set(tuples)):
+            return f"relation {name} is not canonically sorted"
+        for t in tuples:
+            if len(t) != arity:
+                return f"tuple {t} has wrong arity for {name}"
+            for x in t:
+                if not 0 <= x < size:
+                    return f"point {x} out of range in {name}{t}"
+    return None
+
+
+class TestStructureChecks:
+    """Structure validates each relation in bulk passes and names the same
+    first bad tuple as a check of one tuple at a time."""
+
+    @pytest.mark.parametrize("size, relations", [
+        (3, ((), ((0, 1), (1, 2)), ())),
+        (3, (((0,), (2,)), ((0, 0), (2, 2)), ((0, 1, 2),))),
+        (3, ((), ((1, 2), (0, 1)), ())),
+        (3, ((), ((0, 1), (0, 1)), ())),
+        (3, ((), ((0, 1), (0, 1, 2)), ())),
+        (3, ((), ((0,), (0, 1)), ())),
+        (3, ((), ((0, 1), (1, 3)), ())),
+        (3, ((), ((-1, 0), (0, 1)), ())),
+        (3, ((), ((0, 3), (1, 2, 0)), ())),
+        (3, ((), ((0, 1), (2, 1)), ((0, 1, 2), (0, 1, 5)))),
+        (3, (((-1,),), ((0, 1), (1, 0)), ((0, 1, 2), (1, 2)))),
+        (3, (((0,), (1,)), (), ((0, 0, 0), (0, 0, 1, 2)))),
+        (0, ((), ((0, 0),), ())),
+    ])
+    def test_same_first_complaint(self, size, relations):
+        expected = reference_structure_error(MIXED3, size, relations)
+        if expected is None:
+            assert Structure(MIXED3, size, relations).relations == relations
+        else:
+            with pytest.raises(EppaError) as err:
+                Structure(MIXED3, size, relations)
+            assert str(err.value) == expected
+
+
 class TestInducedSubstructure:
     def test_k3_edge_restriction(self, k3):
         sub, index = induced_substructure(k3, {0, 1})
@@ -219,7 +266,6 @@ def tuple_loop_is_automorphism(g, structure):
     return True
 
 
-MIXED = Signature.make(("U", 1), ("E", 2), ("H", 3), ("Z", 2))
 
 
 class TestIsAutomorphism:
