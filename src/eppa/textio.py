@@ -44,8 +44,10 @@ def _int(word: str, line: int, least: int = 0) -> int:
 
 
 def _ints(words: Sequence[str], line: int) -> tuple[int, ...]:
+    """Plain decimal integers >= 0: in one step when every word is ASCII
+    digits, else word by word, which names the first bad word."""
     digits = "".join(words)
-    if digits.isascii() and digits.isdigit():  # every word plain and >= 0
+    if digits.isascii() and digits.isdigit():
         return tuple(map(int, words))
     return tuple(_int(w, line) for w in words)
 
@@ -92,10 +94,9 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     """Parse one structure block beginning at or after `start`; returns
     (name, structure, index just past 'end').
 
-    A tuple line is read in one step when its points are plain decimals
-    below the size; any other line goes through the word-by-word checks
-    that name its error.  Each relation is sorted once, and a duplicate
-    shows as two equal neighbours.  Errors are those of a line-by-line
+    A tuple line of plain decimals is read in one step (see _ints), then
+    checked against the size by its greatest point.  Each relation is
+    sorted once, and a duplicate shows as two equal neighbours.  Errors are those of a line-by-line
     reading: the first bad line in the file is named, a repeated tuple at
     its second copy."""
     i = start
@@ -151,10 +152,10 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
             if len(words) != arities[sym]:
                 raise StructureSyntaxError(
                     f"{sym} expects {arities[sym]} points, got {len(words)}", i + 1)
-            digits = "".join(words)
-            if not (digits.isascii() and digits.isdigit()
-                    and max(t := tuple(map(int, words))) < size):
-                t = _points(words, size, i + 1)
+            t = _ints(words, i + 1)
+            if max(t) >= size:
+                x = next(x for x in t if x >= size)
+                raise StructureSyntaxError(f"point {x} out of range for size {size}", i + 1)
             rels[sym].append(t)
             i += 1
     except StructureSyntaxError as exc:
@@ -164,16 +165,6 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
         if any(map(eq, ts, islice(ts, 1, None))):
             raise _first_duplicate(lines, first, i)
     return name, Structure(signature, size, tuple(tuple(rels[sym]) for sym, _ in symbols)), i
-
-
-def _points(words: Sequence[str], size: int, line: int) -> tuple[int, ...]:
-    """A tuple line's points, read word by word: the slow path, which names
-    the first word that is not an integer or not a point."""
-    t = _ints(words, line)
-    for x in t:
-        if not 0 <= x < size:
-            raise StructureSyntaxError(f"point {x} out of range for size {size}", line)
-    return t
 
 
 def _first_duplicate(lines: Sequence[str], start: int,
