@@ -56,10 +56,11 @@ class Structure:
     relations: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        """One pass per relation: neighbours strictly increase (sorted and
-        free of duplicates), every tuple has the arity, and the least and
-        greatest points lie in the universe.  Only a relation that fails a
-        pass is searched for its first bad tuple, to name it."""
+        """Bulk passes per relation: neighbours strictly increase (sorted
+        and free of duplicates), the tuples have one length, the arity, and
+        the least and greatest of the points they hold lie in the universe.
+        Only a relation that fails a pass is searched for its first bad
+        tuple, to name it."""
         if self.size < 0:
             raise EppaError(f"structure size must be >= 0, got {self.size}")
         if len(self.relations) != len(self.signature.symbols):
@@ -67,9 +68,11 @@ class Structure:
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
             if not all(map(lt, tuples, itertools.islice(tuples, 1, None))):
                 raise EppaError(f"relation {name} is not canonically sorted")
-            if not tuples or (all(map(arity.__eq__, map(len, tuples)))
-                              and min(map(min, tuples)) >= 0
-                              and max(map(max, tuples)) < self.size):
+            if not tuples:
+                continue
+            points = set(itertools.chain.from_iterable(tuples))
+            if ({*map(len, tuples)} == {arity}
+                    and min(points) >= 0 and max(points) < self.size):
                 continue
             for t in tuples:
                 if len(t) != arity:

@@ -138,10 +138,11 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
         while True:
             if i >= len(lines):
                 raise StructureSyntaxError("missing 'end'", i)
-            sym, *words = lines[i].split("#", 1)[0].split() or [""]
-            if not sym:
+            parts = lines[i].split("#", 1)[0].split()  # as _clean(...).split()
+            if not parts:
                 i += 1
                 continue
+            sym, words = parts[0], parts[1:]
             if sym == "end":
                 if words:
                     raise StructureSyntaxError("malformed 'end'", i + 1)
