@@ -107,10 +107,9 @@ class Structure:
         other as t[1:].  A permutation g is an automorphism iff it sends the
         tails at v onto the tails at g(v) for every symbol and point.
 
-        For a binary symbol gathers[v](g) lists the images under g of the
-        tails at v, in one C-level call (an operator.itemgetter over them in
-        increasing order; a point with one tail w gathers (w, w), and a
-        point with none gathers ()).  For other arities gathers is None."""
+        For a binary symbol gathers[v](g) is the tuple of the images under
+        g of the tails at v, in one C-level call (see _gather).  For other
+        arities gathers is None."""
         out = []
         for (_, arity), tuples in zip(self.signature.symbols, self.relations):
             at: list[list] = [[] for _ in range(self.size)]
