@@ -83,7 +83,11 @@ def enumerate_structures(signature: Signature, size: int,
                          ) -> list[Structure]:
     """Canonical representatives (`canonical_form`) of all structures on
     `size` points, optionally in `universe`, which must be hereditary and closed
-    under isomorphism: it is evaluated once per class, on its first labelled member."""
+    under isomorphism: it is evaluated once per class, on its first labelled member.
+    The labelled states, bitmasks over the slots (symbol, tuple), are swept
+    once per S_n-orbit, and only the orbit's least encoding is built.  Two
+    members of an orbit hold equally many slots of each symbol, so the one
+    that holds their lowest differing slot has the lesser encoding."""
     if (count := sum(size ** arity for _, arity in signature.symbols)) > 20:
         raise BoundExceededError(f"{count} relation slots; enumeration refused")
     slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
@@ -103,15 +107,17 @@ def enumerate_structures(signature: Signature, size: int,
     out: list[Structure] = []
     for state in (m for m in range(len(seen)) if not seen[m]):
         seen[state] = 1
-        orbit = [state]
+        orbit, least = [state], state
         for member in orbit:  # close the orbit under the generators
+            if (diff := member ^ least) & -diff & member:
+                least = member
             for low, mid, high in moves:
                 image = low[member & 255] | mid[member >> 8 & 255] | high[member >> 16]
                 if not seen[image]:
                     seen[image] = 1
                     orbit.append(image)
         if universe is None or universe(Structure(signature, size, encode(state))):
-            out.append(Structure(signature, size, min(map(encode, orbit))))
+            out.append(Structure(signature, size, encode(least)))
     return out
 
 

@@ -7,8 +7,9 @@ Two realizations sit behind one verified certificate contract:
 * a functor search that tries the structure itself and then minimal
   point-extensions; per connected component of the partial-automorphism
   groupoid it searches only a homomorphism of one vertex group, and spanning
-  tree lifts carry it to the rest of the component.  Colour refinement
-  rejects most candidates before their automorphism group is built: every
+  tree lifts carry it to the rest of the component.  Most labelled states
+  are rejected on their bitmask, before a Structure is built, and colour
+  refinement rejects most of the rest before Aut(candidate) is built: every
   automorphism preserves the refined colours, so a partial automorphism
   that joins two colours has no extender, and the search's answers are
   exactly those of building Aut(candidate) every time;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import config
 from .coherence import (ExtensionMap, Verdict, check_forced_values,
@@ -64,10 +65,11 @@ def verify_base_certificate(cert: BaseEppaCertificate, *,
         maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
-    v = verify_coherent_extension(cert.phi, maps, cert.extension)
+    keys = [p.encode() for p in maps]
+    v = verify_coherent_extension(cert.phi, maps, cert.extension, keys=keys)
     if not v:
         return v
-    return check_forced_values(cert.phi, maps)
+    return check_forced_values(cert.phi, maps, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,8 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     when, after some round, a p in `maps` sends x to y with emb(x) and
     emb(y) of different colours.  The rejection is exact: every automorphism
     preserves each round's colours, so such a p has no extender, and
-    building Aut(candidate) would end in the same None.
+    building Aut(candidate) would end in the same None.  The search's
+    candidates pass the first round already (_extension_candidates).
     """
     emb = tuple(embedding)
     pairs = [(emb[x], emb[y]) for x, y in set().union(*(p.pairs for p in maps)) if x != y]
@@ -163,11 +166,15 @@ def _first_homomorphism(group: list[PartialAutomorphism],
     return dict(zip(group, values)) if search(0) else None
 
 
-def _extension_candidates(base: Structure, extra: int):
+def _extension_candidates(base: Structure, extra: int, pairs: Iterable[tuple[int, int]]):
     """Extensions of `base` by `extra` fresh points, in canonical bitmask
     order over the new slots.  A slot is (symbol, the tuples it adds): on a
     graph one edge, added as both arcs on the first symbol, so that graph
-    inputs stay graphs; otherwise one tuple through a fresh point."""
+    inputs stay graphs; otherwise one tuple through a fresh point.  No
+    Structure is built for a state in which some (x, y) in `pairs` joins base
+    points with different counts of tuples at some (symbol, position): x's
+    count in `base` plus the set slots that add one, at most one per slot.
+    That is the first round of colour refinement in coherent_assignment."""
     m = base.size + extra
     if base.is_graphlike():
         name0 = base.signature.symbols[0][0]
@@ -181,7 +188,17 @@ def _extension_candidates(base: Structure, extra: int):
         most = 14
     if len(slots) > most:
         return
+    # per point and (symbol, position): (count in base, mask of slots adding one)
+    counts = [[(sum(t[i] == x for t in tuples),
+                sum(1 << k for k, (slot_name, added) in enumerate(slots)
+                    if slot_name == name and any(t[i] == x for t in added)))
+               for (name, arity), tuples in zip(base.signature.symbols, base.relations)
+               for i in range(arity)] for x in range(base.size)]
+    checks = {(cy - cx, mx, my) for x, y in pairs
+             for (cx, mx), (cy, my) in zip(counts[x], counts[y]) if (cx, mx) != (cy, my)}
     for state in range(1 << len(slots)):
+        if any((state & mx).bit_count() - (state & my).bit_count() != d for d, mx, my in checks):
+            continue
         rels = {name: set(base.tuples(name)) for name, _ in base.signature.symbols}
         for k, (name, added) in enumerate(slots):
             if state >> k & 1:
@@ -195,8 +212,9 @@ def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
     with `maps` = Part(A): the first certificate that verifies, or None when
     the budget is exhausted."""
     emb = tuple(range(base.size))
+    pairs = {(x, y) for p in maps for x, y in p.pairs if x != y}
     for extra in range(max_extra + 1):
-        for candidate in _extension_candidates(base, extra):
+        for candidate in _extension_candidates(base, extra, pairs):
             table = coherent_assignment(maps, candidate, emb)
             if table is None:
                 continue

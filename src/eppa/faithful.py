@@ -346,10 +346,11 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     if not is_embedding(phi.embedding, base, c_structure):
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
     maps = enumerate_partial_automorphisms(base)
-    v = verify_coherent_extension(phi, maps, c_structure)
+    keys = [p.encode() for p in maps]
+    v = verify_coherent_extension(phi, maps, c_structure, keys=keys)
     if not v:
         return v
-    v = check_forced_values(phi, maps)
+    v = check_forced_values(phi, maps, keys=keys)
     if not v:
         return v
     nu_set = frozenset(phi.embedding)

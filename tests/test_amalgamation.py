@@ -90,7 +90,7 @@ class TestEnumerateStructures:
     @pytest.mark.parametrize("signature, size, universe", [
         *(pytest.param(GRAPH_SIGNATURE, n, None, id=f"E2-{n}") for n in range(4)),
         pytest.param(GRAPH_SIGNATURE, 4, is_graph_universe, id="graphs-4"),
-        *(pytest.param(UNARY_BINARY, n, None, id=f"U1E2-{n}") for n in range(3)),
+        *(pytest.param(UNARY_BINARY, n, None, id=f"U1E2-{n}") for n in range(4)),
         *(pytest.param(TERNARY, n, None, id=f"H3-{n}") for n in range(3)),
     ])
     def test_matches_the_labelled_sweep_in_order(self, signature, size, universe):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from eppa import base_extension
@@ -243,7 +245,7 @@ class TestExtensionCandidates:
 
     def test_graph_slots_are_edges_in_lexicographic_order(self):
         slots = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        candidates = list(_extension_candidates(graph(2, [(0, 1)]), 2))
+        candidates = list(_extension_candidates(graph(2, [(0, 1)]), 2, ()))
         assert len(candidates) == 1 << len(slots)
         for state, candidate in enumerate(candidates):
             edges = [(0, 1)] + [e for k, e in enumerate(slots) if state >> k & 1]
@@ -252,7 +254,7 @@ class TestExtensionCandidates:
     def test_other_slots_are_tuples_in_signature_and_product_order(self):
         sig = Signature.make(("U", 1), ("E", 2))
         slots = [("U", (1,)), ("E", (0, 1)), ("E", (1, 0)), ("E", (1, 1))]
-        candidates = list(_extension_candidates(Structure.make(sig, 1, {"U": [(0,)]}), 1))
+        candidates = list(_extension_candidates(Structure.make(sig, 1, {"U": [(0,)]}), 1, ()))
         assert len(candidates) == 1 << len(slots)
         for state, candidate in enumerate(candidates):
             rels = {"U": [(0,)], "E": []}
@@ -260,6 +262,60 @@ class TestExtensionCandidates:
                 if state >> k & 1:
                     rels[name].append(t)
             assert candidate == Structure.make(sig, 2, rels)
+
+
+def moved_pairs(maps):
+    return {(x, y) for p in maps for x, y in p.pairs if x != y}
+
+
+def bitmask_runs(graphs_up_to_4):
+    """(A, extra) for every graph with at most 4 vertices at up to 2 extra
+    points, and for a loop digraph, a U1+E2 structure and ternary tuples at
+    every extra within the slot caps."""
+    h3 = Signature.make(("H", 3))
+    others = [
+        (Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]}), 1),
+        (Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 0), (0, 1), (1, 2), (2, 1)]}), 1),
+        (Structure.make(UNARY_BINARY, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]}), 1),
+        (Structure.make(h3, 3, {"H": [(0, 1, 2)]}), 0),
+        (Structure.make(h3, 2, {"H": [(0, 0, 1)]}), 0),
+    ]
+    runs = [(g, extra) for g in graphs_up_to_4 for extra in range(3)]
+    return runs + [(s, extra) for s, most in others for extra in range(most + 1)]
+
+
+class TestBitmaskRejection:
+    """The search's sweep skips, on the bitmask, the states whose candidates
+    the first round of colour refinement tells apart at a moved pair; the
+    unfiltered sweep is the same generator with no pairs."""
+
+    def test_accepts_what_the_unfiltered_sweep_accepts(self, graphs_up_to_4):
+        hits = 0
+        for base, extra in bitmask_runs(graphs_up_to_4):
+            maps = part(base)
+            emb = tuple(range(base.size))
+
+            def accepted(pairs):
+                return [c for c in _extension_candidates(base, extra, pairs)
+                        if coherent_assignment(maps, c, emb) is not None]
+            found = accepted(moved_pairs(maps))
+            assert found == accepted(()), (base, extra)
+            hits += len(found)
+        assert hits > 0
+
+    def test_skips_exactly_the_first_round_rejections(self, graphs_up_to_4):
+        skipped = 0
+        for base, extra in bitmask_runs(graphs_up_to_4):
+            pairs = moved_pairs(part(base))
+
+            def first_round_joins(candidate):
+                *_, colour = itertools.islice(colour_refinement(candidate), 2)
+                return all(colour[x] == colour[y] for x, y in pairs)
+            every = list(_extension_candidates(base, extra, ()))
+            kept = list(_extension_candidates(base, extra, pairs))
+            assert kept == [c for c in every if first_round_joins(c)], (base, extra)
+            skipped += len(every) - len(kept)
+        assert skipped > 0
 
 
 class TestCoherentAssignment:
@@ -322,7 +378,7 @@ def searched_candidates(graphs_up_to_3):
     runs = [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(mixed, 1)]
     for base, extra in runs:
         maps = part(base)
-        for candidate in _extension_candidates(base, extra):
+        for candidate in _extension_candidates(base, extra, ()):
             yield base, maps, candidate
 
 

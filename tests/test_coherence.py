@@ -3,12 +3,12 @@ import random
 import pytest
 
 from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap,
-                            coherent_lift, coherent_triples, mask_atoms,
-                            set_map_coherent_triples, verify_coherence,
-                            verify_extension)
+                            check_forced_values, coherent_lift, coherent_triples,
+                            mask_atoms, set_map_coherent_triples, verify_coherence,
+                            verify_coherent_extension, verify_extension)
 from eppa.errors import EppaError
 from eppa.structures import (PartialAutomorphism, Permutation,
-                             enumerate_partial_automorphisms)
+                             enumerate_partial_automorphisms, graph)
 
 
 def brute_triples(maps):
@@ -79,6 +79,63 @@ class TestVerifiers:
         phi = ExtensionMap(2, 2, (0, 1), {})
         with pytest.raises(EppaError):
             verify_extension(phi, [p])
+
+
+class TestTableChecksByKey:
+    """The table checks look each map up by the encodings a caller passes
+    as `keys`, or encode the maps themselves; the verdicts and messages are
+    the same either way.  The table extends Part(K2) into 2K2."""
+
+    K2 = [PartialAutomorphism.decode(k) for k in
+          ("-", "0>0", "0>0,1>1", "0>1", "0>1,1>0", "1>0", "1>1")]
+    B = graph(4, [(0, 1), (2, 3)])
+
+    def table(self, **changes):
+        swap, ident = Permutation((1, 0, 2, 3)), Permutation.identity(4)
+        table = {p.encode(): ident if all(x == y for x, y in p.pairs) else swap
+                 for p in self.K2}
+        return ExtensionMap(2, 4, (0, 1), {**table, **changes})
+
+    def both(self, check, phi, *args):
+        keys = [p.encode() for p in self.K2]
+        with_keys = check(phi, self.K2, *args, keys=keys)
+        assert with_keys == check(phi, self.K2, *args)
+        return with_keys
+
+    def test_valid_table_passes_every_check(self):
+        assert self.both(verify_coherent_extension, self.table(), self.B)
+        assert self.both(check_forced_values, self.table())
+
+    @pytest.mark.parametrize("changes, condition, detail", [
+        ({"1>1": Permutation((0, 1, 3, 2))}, "forced-identity",
+         "phi(1>1) is not the identity"),
+        ({"1>0": Permutation.identity(4)}, "forced-inverse", "phi(1>0) != phi(0>1)^-1"),
+    ])
+    def test_forced_values_name_the_map(self, changes, condition, detail):
+        verdict = self.both(check_forced_values, self.table(**changes))
+        assert (verdict.condition, verdict.detail) == (condition, detail)
+
+    @pytest.mark.parametrize("changes, condition, detail", [
+        ({"2>2": Permutation.identity(4)}, "table", "table entry for 2>2 is not a listed map"),
+        ({"0>1": Permutation((1, 2, 0, 3))}, "automorphism",
+         "phi(0>1) is not an automorphism"),
+        ({"0>1": Permutation.identity(4)}, "extension",
+         "phi(0>1) moves embedded point 0 to 0, expected image of 1"),
+        ({"0>0": Permutation((0, 1, 3, 2))}, "coherence",
+         "triple (0>0, 0>0, 0>0): phi(q) != phi(p1) o phi(p2)"),
+    ])
+    def test_table_checks_name_the_map(self, changes, condition, detail):
+        verdict = self.both(verify_coherent_extension, self.table(**changes), self.B)
+        assert (verdict.condition, verdict.detail) == (condition, detail)
+
+    def test_missing_entry(self):
+        phi = self.table()
+        del phi.table["0>1"]
+        verdict = self.both(verify_coherent_extension, phi, self.B)
+        assert (verdict.condition, verdict.detail) == ("table", "missing table entry for 0>1")
+        for check in (verify_extension, check_forced_values):
+            with pytest.raises(EppaError, match="missing table entry for 0>1"):
+                check(phi, self.K2)
 
 
 def random_induced_families(seed, count, max_universe=6):
