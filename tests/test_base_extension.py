@@ -270,8 +270,8 @@ def moved_pairs(maps):
 
 def bitmask_runs(graphs_up_to_4):
     """(A, extra) for every graph with at most 4 vertices at up to 2 extra
-    points, and for a loop digraph, a U1+E2 structure and ternary tuples at
-    every extra within the slot caps."""
+    points, and for two loop digraphs, a U1+E2 structure and two ternary
+    tuples at every extra up to 1 that the slot caps allow."""
     h3 = Signature.make(("H", 3))
     others = [
         (Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]}), 1),
