@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import config
 from .coherence import (ExtensionMap, Verdict, check_forced_values,
@@ -65,11 +65,10 @@ def verify_base_certificate(cert: BaseEppaCertificate, *,
         maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
-    keys = [p.encode() for p in maps]
-    v = verify_coherent_extension(cert.phi, maps, cert.extension, keys=keys)
+    v = verify_coherent_extension(cert.phi, maps, cert.extension)
     if not v:
         return v
-    return check_forced_values(cert.phi, maps, keys=keys)
+    return check_forced_values(cert.phi, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     candidates pass the first round already (_extension_candidates).
     """
     emb = tuple(embedding)
-    pairs = [(emb[x], emb[y]) for x, y in set().union(*(p.pairs for p in maps)) if x != y]
+    pairs = [(emb[x], emb[y]) for x, y in _moved_pairs(maps)]
     for colour in colour_refinement(candidate):
         if any(colour[x] != colour[y] for x, y in pairs):
             return None
@@ -166,15 +165,21 @@ def _first_homomorphism(group: list[PartialAutomorphism],
     return dict(zip(group, values)) if search(0) else None
 
 
-def _extension_candidates(base: Structure, extra: int, pairs: Iterable[tuple[int, int]]):
+def _moved_pairs(maps: Sequence[PartialAutomorphism]) -> set[tuple[int, int]]:
+    """The pairs (x, y), x != y, such that some map in `maps` sends x to y."""
+    return {(x, y) for p in maps for x, y in p.pairs if x != y}
+
+
+def _extension_candidates(base: Structure, extra: int, maps: Sequence[PartialAutomorphism]):
     """Extensions of `base` by `extra` fresh points, in canonical bitmask
     order over the new slots.  A slot is (symbol, the tuples it adds): on a
     graph one edge, added as both arcs on the first symbol, so that graph
     inputs stay graphs; otherwise one tuple through a fresh point.  No
-    Structure is built for a state in which some (x, y) in `pairs` joins base
-    points with different counts of tuples at some (symbol, position): x's
-    count in `base` plus the set slots that add one, at most one per slot.
-    That is the first round of colour refinement in coherent_assignment."""
+    Structure is built for a state in which a moved pair (x, y) of `maps`
+    joins base points with different counts of tuples at some (symbol,
+    position): x's count in `base` plus the set slots that add one, at most
+    one per slot.  That is the first round of colour refinement in
+    coherent_assignment; with no maps, every state is built."""
     m = base.size + extra
     if base.is_graphlike():
         name0 = base.signature.symbols[0][0]
@@ -194,7 +199,7 @@ def _extension_candidates(base: Structure, extra: int, pairs: Iterable[tuple[int
                     if slot_name == name and any(t[i] == x for t in added)))
                for (name, arity), tuples in zip(base.signature.symbols, base.relations)
                for i in range(arity)] for x in range(base.size)]
-    checks = {(cy - cx, mx, my) for x, y in pairs
+    checks = {(cy - cx, mx, my) for x, y in _moved_pairs(maps)
              for (cx, mx), (cy, my) in zip(counts[x], counts[y]) if (cx, mx) != (cy, my)}
     for state in range(1 << len(slots)):
         if any((state & mx).bit_count() - (state & my).bit_count() != d for d, mx, my in checks):
@@ -212,9 +217,8 @@ def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
     with `maps` = Part(A): the first certificate that verifies, or None when
     the budget is exhausted."""
     emb = tuple(range(base.size))
-    pairs = {(x, y) for p in maps for x, y in p.pairs if x != y}
     for extra in range(max_extra + 1):
-        for candidate in _extension_candidates(base, extra, pairs):
+        for candidate in _extension_candidates(base, extra, maps):
             table = coherent_assignment(maps, candidate, emb)
             if table is None:
                 continue

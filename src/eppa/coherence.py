@@ -110,9 +110,8 @@ class ExtensionMap:
             if perm.degree != self.codomain_universe:
                 raise EppaError(f"table value for {key} is not a codomain permutation")
 
-    def lookup(self, p: PartialAutomorphism, key: str | None = None) -> Permutation:
-        """phi(p); `key` is p.encode(), when the caller has encoded p."""
-        key = p.encode() if key is None else key
+    def lookup(self, p: PartialAutomorphism) -> Permutation:
+        key = p.encode()
         if key not in self.table:
             raise EppaError(f"missing table entry for {key}")
         return self.table[key]
@@ -142,15 +141,14 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
 
 
 def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
-                     *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None,
-                     keys: Sequence[str] | None = None) -> Verdict:
+                     *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
+                     ) -> Verdict:
     """Brute-force complete: checks phi(q) = phi(p1) o phi(p2) on exactly the
     triples produced by coherent_triples, or on `triples` when the caller has
-    already listed them for these maps.  Each phi(p) is looked up once (by
-    its encoding in `keys`, when given), and each composite is compared as a
-    plain image tuple, with no Permutation built for it."""
-    keys = keys or [p.encode() for p in maps]
-    image = {p: phi.lookup(p, k).images for p, k in zip(maps, keys)}
+    already listed them for these maps.  Each phi(p) is looked up once, and
+    each composite is compared as a plain image tuple, with no Permutation
+    built for it."""
+    image = {p: phi.lookup(p).images for p in maps}
     for p1, p2, q in coherent_triples(maps) if triples is None else triples:
         if tuple(map(image[p1].__getitem__, image[p2])) != image[q]:
             return Verdict.failed(
@@ -160,51 +158,48 @@ def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
     return Verdict.passed()
 
 
-def verify_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism], *,
-                     keys: Sequence[str] | None = None) -> Verdict:
-    """phi(p) must extend p through the embedding, for every p (looked up by
-    its encoding in `keys`, when given)."""
-    for p, key in zip(maps, keys or [p.encode() for p in maps]):
-        g = phi.lookup(p, key)
+def verify_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> Verdict:
+    """phi(p) must extend p through the embedding, for every p."""
+    for p in maps:
+        g = phi.lookup(p)
         for x, y in p.pairs:
             if g(phi.embed(x)) != phi.embed(y):
                 return Verdict.failed(
                     "extension",
-                    f"phi({key}) moves embedded point {x} to "
+                    f"phi({p.encode()}) moves embedded point {x} to "
                     f"{g(phi.embed(x))}, expected image of {y}")
     return Verdict.passed()
 
 
 def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
                               structure: Structure, *,
-                              triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None,
-                              keys: Sequence[str] | None = None) -> Verdict:
+                              triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
+                              ) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
     its keys are exactly the encodings of `maps`, each phi(p) is an
     automorphism of `structure`, phi(p) extends p, and phi is coherent (on
     `triples`, as in verify_coherence).  Each distinct permutation is checked
-    once, at its first key.  `keys` are the encodings of `maps`, when the
-    caller has them; each map is encoded at most once here."""
-    keys = keys or [p.encode() for p in maps]
-    listed = set(keys)
-    missing = sorted(listed - phi.table.keys())
+    once, at its first key."""
+    keys = {p.encode() for p in maps}
+    missing = sorted(keys - phi.table.keys())
     if missing:
         return Verdict.failed("table", f"missing table entry for {missing[0]}")
-    extra = sorted(phi.table.keys() - listed)
+    extra = sorted(phi.table.keys() - keys)
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
     checked: set[Permutation] = set()
-    for key in keys:
-        g = phi.table[key]
+    for p in maps:
+        g = phi.lookup(p)
         if g in checked:
             continue
         if not is_automorphism(g.images, structure):
-            return Verdict.failed("automorphism", f"phi({key}) is not an automorphism")
+            return Verdict.failed("automorphism",
+                                  f"phi({p.encode()}) is not an automorphism")
         checked.add(g)
-    v = verify_extension(phi, maps, keys=keys)
+    v = verify_extension(phi, maps)
     if not v:
         return v
-    return verify_coherence(phi, maps, triples=triples, keys=keys)
+    return verify_coherence(phi, maps, triples=triples)
 
 
 @dataclass(frozen=True)
@@ -321,19 +316,18 @@ def set_map_coherent_triples(maps: Sequence[SetPartialMap]
     return out
 
 
-def check_forced_values(phi: ExtensionMap, maps: Sequence[PartialAutomorphism], *,
-                        keys: Sequence[str] | None = None) -> Verdict:
+def check_forced_values(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> Verdict:
     """phi(empty) = id, phi(id_D) = id, phi(p^-1) = phi(p)^-1 whenever present.
-    `keys` are the encodings of `maps`, when the caller has them; an inverse
-    is found among `maps` by its pairs."""
+    An inverse is looked up as the map listed in `maps`, which is encoded once."""
     ident = Permutation.identity(phi.codomain_universe)
-    keys = keys or [p.encode() for p in maps]
-    key_of = {p.pairs: key for p, key in zip(maps, keys)}
-    for p, key in zip(maps, keys):
-        if all(x == y for x, y in p.pairs) and phi.lookup(p, key) != ident:
-            return Verdict.failed("forced-identity", f"phi({key}) is not the identity")
-        q = p.inverse()
-        if (q_key := key_of.get(q.pairs)) is not None:
-            if phi.lookup(q, q_key) != phi.lookup(p, key).inverse():
-                return Verdict.failed("forced-inverse", f"phi({q_key}) != phi({key})^-1")
+    listed = {p: p for p in maps}
+    for p in maps:
+        if all(x == y for x, y in p.pairs):
+            if phi.lookup(p) != ident:
+                return Verdict.failed("forced-identity",
+                                      f"phi({p.encode()}) is not the identity")
+        if (q := listed.get(p.inverse())) is not None:
+            if phi.lookup(q) != phi.lookup(p).inverse():
+                return Verdict.failed("forced-inverse",
+                                      f"phi({q.encode()}) != phi({p.encode()})^-1")
     return Verdict.passed()

@@ -346,11 +346,10 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     if not is_embedding(phi.embedding, base, c_structure):
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
     maps = enumerate_partial_automorphisms(base)
-    keys = [p.encode() for p in maps]
-    v = verify_coherent_extension(phi, maps, c_structure, keys=keys)
+    v = verify_coherent_extension(phi, maps, c_structure)
     if not v:
         return v
-    v = check_forced_values(phi, maps, keys=keys)
+    v = check_forced_values(phi, maps)
     if not v:
         return v
     nu_set = frozenset(phi.embedding)

@@ -145,9 +145,8 @@ def verify_structural(cert: SpecialCertificate) -> Verdict:
     if not is_embedding(cert.phi.embedding, cert.base, cert.extension):
         return Verdict.failed("iota-embedding", "A is not induced along iota")
     triples = coherent_triples(cert.maps)
-    keys = [p.encode() for p in cert.maps]
     for table, structure in ((cert.phi, cert.extension), (cert.psi, cert.codomain)):
-        v = verify_coherent_extension(table, cert.maps, structure, triples=triples, keys=keys)
+        v = verify_coherent_extension(table, cert.maps, structure, triples=triples)
         if not v:
             return v
     if not is_homomorphism(cert.hom, cert.extension, cert.codomain):
@@ -156,13 +155,14 @@ def verify_structural(cert: SpecialCertificate) -> Verdict:
         if cert.hom[cert.phi.embedding[x]] != cert.psi.embed(x):
             return Verdict.failed("homomorphism",
                                   f"f o iota differs from the base embedding at {x}")
-    for p, key in zip(cert.maps, keys):
-        g = cert.phi.lookup(p, key)
-        gp = cert.psi.lookup(p, key)
+    for p in cert.maps:
+        g = cert.phi.lookup(p)
+        gp = cert.psi.lookup(p)
         for b in range(cert.extension.size):
             if cert.hom[g(b)] != gp(cert.hom[b]):
                 return Verdict.failed(
-                    "equivariance", f"f(phi({key})(b)) != psi({key})(f(b)) at point {b}")
+                    "equivariance",
+                    f"f(phi({p.encode()})(b)) != psi({p.encode()})(f(b)) at point {b}")
     return Verdict.passed()
 
 

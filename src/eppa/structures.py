@@ -269,6 +269,10 @@ class PartialAutomorphism:
 
     def encode(self) -> str:
         """Canonical key: comma-joined "x>y" pairs, "-" for the empty map."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:  # built once per map, however often it is looked up
         if not self.pairs:
             return "-"
         return ",".join(f"{x}>{y}" for x, y in self.pairs)

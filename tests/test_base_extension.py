@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from eppa import base_extension
-from eppa.base_extension import (_extension_candidates, _first_homomorphism,
+from eppa.base_extension import (_extension_candidates, _first_homomorphism, _moved_pairs,
                                  _search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import check_forced_values, verify_coherence, verify_extension
@@ -264,10 +264,6 @@ class TestExtensionCandidates:
             assert candidate == Structure.make(sig, 2, rels)
 
 
-def moved_pairs(maps):
-    return {(x, y) for p in maps for x, y in p.pairs if x != y}
-
-
 def bitmask_runs(graphs_up_to_4):
     """(A, extra) for every graph with at most 4 vertices at up to 2 extra
     points, and for two loop digraphs, a U1+E2 structure and two ternary
@@ -287,7 +283,7 @@ def bitmask_runs(graphs_up_to_4):
 class TestBitmaskRejection:
     """The search's sweep skips, on the bitmask, the states whose candidates
     the first round of colour refinement tells apart at a moved pair; the
-    unfiltered sweep is the same generator with no pairs."""
+    unfiltered sweep is the same generator with no maps."""
 
     def test_accepts_what_the_unfiltered_sweep_accepts(self, graphs_up_to_4):
         hits = 0
@@ -295,10 +291,10 @@ class TestBitmaskRejection:
             maps = part(base)
             emb = tuple(range(base.size))
 
-            def accepted(pairs):
-                return [c for c in _extension_candidates(base, extra, pairs)
+            def accepted(swept):
+                return [c for c in _extension_candidates(base, extra, swept)
                         if coherent_assignment(maps, c, emb) is not None]
-            found = accepted(moved_pairs(maps))
+            found = accepted(maps)
             assert found == accepted(()), (base, extra)
             hits += len(found)
         assert hits > 0
@@ -306,13 +302,14 @@ class TestBitmaskRejection:
     def test_skips_exactly_the_first_round_rejections(self, graphs_up_to_4):
         skipped = 0
         for base, extra in bitmask_runs(graphs_up_to_4):
-            pairs = moved_pairs(part(base))
+            maps = part(base)
+            pairs = _moved_pairs(maps)
 
             def first_round_joins(candidate):
                 *_, colour = itertools.islice(colour_refinement(candidate), 2)
                 return all(colour[x] == colour[y] for x, y in pairs)
             every = list(_extension_candidates(base, extra, ()))
-            kept = list(_extension_candidates(base, extra, pairs))
+            kept = list(_extension_candidates(base, extra, maps))
             assert kept == [c for c in every if first_round_joins(c)], (base, extra)
             skipped += len(every) - len(kept)
         assert skipped > 0

@@ -158,6 +158,13 @@ class TestPartialAutomorphisms:
         for p in enumerate_partial_automorphisms(path3):
             assert PartialAutomorphism.decode(p.encode()) == p
 
+    def test_key_is_built_once_and_leaves_equality_alone(self, path3):
+        for p in enumerate_partial_automorphisms(path3):
+            fresh = PartialAutomorphism(p.pairs)
+            assert p.encode() is p.encode()
+            assert (fresh, hash(fresh)) == (p, hash(p))
+            assert {p: 1}[fresh] == 1 and fresh.encode() == p.encode()
+
     @pytest.mark.parametrize("key", ["", "-1", "0", "0>", "0>x", "0>-1", "0>1>2",
                                      "+0>1", "1_0>1", "\u0661>1", "0>1,", "0>1,0>2"])
     def test_decode_refuses_malformed_keys(self, key):
