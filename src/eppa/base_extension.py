@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import config
-from .coherence import (ExtensionMap, Verdict, check_forced_values,
+from .coherence import (ExtensionMap, Verdict, spanning_trees,
                         verify_coherent_extension)
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
@@ -54,9 +54,11 @@ class BaseEppaCertificate:
 
 def verify_base_certificate(cert: BaseEppaCertificate, *,
                             maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
-    """Full re-check: embedding, the table over Part(A) (automorphisms,
-    extension, coherence over the complete coherent-triple set) and forced
-    values.  phi then embeds Aut(A) as a group: coherence makes it a
+    """Full re-check: embedding, then the table over Part(A): automorphisms,
+    extension and coherence, decided on a spanning set of coherent triples
+    (verify_coherent_extension).  Coherence over Part(A) forces the values
+    phi(id_D) = id and phi(p^-1) = phi(p)^-1, so they need no check of their
+    own.  phi then embeds Aut(A) as a group: coherence makes it a
     homomorphism there, and two distinct automorphisms of A differ at some
     x, so their extensions differ at the embedded image of x.  `maps` is
     Part(A) as enumerate_partial_automorphisms lists it, when the caller
@@ -65,10 +67,7 @@ def verify_base_certificate(cert: BaseEppaCertificate, *,
         maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
-    v = verify_coherent_extension(cert.phi, maps, cert.extension)
-    if not v:
-        return v
-    return check_forced_values(cert.phi, maps)
+    return verify_coherent_extension(cert.phi, maps, cert.extension)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +82,9 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
 
     Coherence makes the assignment a functor from the groupoid of partial
     automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
-    Part(A) is closed under inverses, so a BFS from the least domain r of a
-    connected component reaches exactly that component; its tree gives
-    tree(t): r -> t.  The one choice searched is a homomorphism `hom` of r's
+    Each connected component has its root r and BFS tree tree(t): r -> t
+    from spanning_trees, the trees the verifier's spanning triples are
+    listed over.  The one choice searched is a homomorphism `hom` of r's
     vertex group.  With lift(t) the first extender of tree(t) (the identity
     at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1
     extends p because each factor extends its own map.
@@ -112,32 +111,20 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
             return None
         extenders[p] = cands
 
-    arrows: dict[frozenset[int], list[tuple[str, PartialAutomorphism]]] = {}
-    for key, p in sorted((p.encode(), p) for p in maps):
-        arrows.setdefault(p.domain(), []).append((key, p))
-
+    arrows, trees = spanning_trees(maps)
     phi: dict[str, Permutation] = {}
-    tree: dict[frozenset[int], PartialAutomorphism] = {}
-    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
-        if root in tree:
-            continue
-        tree[root] = PartialAutomorphism.identity_on(root)
-        order = [root]
-        for s in order:  # also visits the domains appended below
-            for _, p in arrows[s]:
-                if p.image() not in tree:
-                    tree[p.image()] = p.compose(tree[s])
-                    order.append(p.image())
-        hom = _first_homomorphism([p for _, p in arrows[root] if p.image() == root],
+    for tree in trees:
+        root = next(iter(tree))
+        hom = _first_homomorphism([p for p in arrows[root] if p.image() == root],
                                   extenders)
         if hom is None:
             return None
-        lift = {t: extenders[tree[t]][0] for t in order}
-        for s in order:
-            for key, p in arrows[s]:
+        lift = {t: extenders[tree_t][0] for t, tree_t in tree.items()}
+        for s in tree:
+            for p in arrows[s]:
                 t = p.image()
                 g = tree[t].inverse().compose(p).compose(tree[s])
-                phi[key] = lift[t].compose(hom[g]).compose(lift[s].inverse())
+                phi[p.encode()] = lift[t].compose(hom[g]).compose(lift[s].inverse())
     return phi
 
 

@@ -8,6 +8,7 @@ output to stdout or to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -126,6 +127,7 @@ def _cmd_minforb(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eppa",

@@ -4,7 +4,9 @@ of set-level partial maps to permutations.
 A triple (p1, p2, q) of partial bijections is coherent when dom(p2) = dom(q),
 range(p1) = range(q), range(p2) = dom(p1) and q = p1 o p2.  A map into a
 permutation group is coherent when it sends coherent triples to composing
-permutations; on a group of total maps this is exactly a homomorphism.
+permutations; on a group of total maps this is exactly a homomorphism.  On
+a set of maps closed under composition and inverses, such as Part(A), it is
+decided on a spanning set of the triples (spanning_triples).
 """
 
 from __future__ import annotations
@@ -140,6 +142,78 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
     return out
 
 
+def spanning_trees(maps: Sequence[PartialAutomorphism]
+                   ) -> tuple[dict[frozenset[int], list[PartialAutomorphism]],
+                              list[dict[frozenset[int], PartialAutomorphism]]]:
+    """BFS spanning trees of the groupoid whose objects are the domains of
+    `maps` and whose arrows are the maps, for `maps` closed under inverses,
+    like Part(A): a BFS from a root then reaches exactly its connected
+    component.  Returns the arrows out of each domain, in encoding order,
+    and one tree per component, rooted at its least domain by (size, sorted
+    points) and taken in that order of roots.  A tree maps each domain t
+    of its component, in BFS order and the root first, to tree(t): root ->
+    t, a composite of the arrows walked and the identity at the root."""
+    arrows: dict[frozenset[int], list[PartialAutomorphism]] = {}
+    for p in sorted(maps, key=PartialAutomorphism.encode):
+        arrows.setdefault(p.domain(), []).append(p)
+    trees: list[dict[frozenset[int], PartialAutomorphism]] = []
+    reached: set[frozenset[int]] = set()
+    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
+        if root in reached:
+            continue
+        tree = {root: PartialAutomorphism.identity_on(root)}
+        order = [root]
+        for s in order:  # also visits the domains appended below
+            for p in arrows[s]:
+                if p.image() not in tree:
+                    tree[p.image()] = p.compose(tree[s])
+                    order.append(p.image())
+        reached.update(order)
+        trees.append(tree)
+    return arrows, trees
+
+
+def spanning_triples(maps: Sequence[PartialAutomorphism]
+                     ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
+    """Coherent triples within `maps` on which coherence implies coherence on
+    all of coherent_triples(maps), for `maps` closed under composition and
+    inverses, like Part(A).  Per component of spanning_trees(maps), with
+    root r, vertex group G(r) (the maps r -> r) and tree T_t: r -> t:
+
+      (a, b, a o b)        for a, b in G(r);
+      (T_t, h, T_t o h)    for every domain t != r of the component and h in G(r);
+      (p, T_s, p o T_s)    for every map p: s -> t of the component with s != r.
+
+    No triple is listed twice.  Proof.  The first family makes phi a
+    homomorphism on G(r), so phi(id_r) = id, and the triples the other two
+    families leave out, at T_r = id_r, hold as well.  For p: s -> t
+    let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) = p o T_s, the
+    second family at h = g(p) and the third at p give phi(p) phi(T_s) =
+    phi(T_t) phi(g(p)), so phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1.  For
+    p: s -> t and p': t -> u, g(p') o g(p) = g(p' o p), so phi(p') phi(p) =
+    phi(T_u) phi(g(p')) phi(g(p)) phi(T_s)^-1 = phi(p' o p): phi is a
+    functor on the groupoid, which is coherence (a functor on a connected
+    groupoid is fixed by a vertex group homomorphism and its values on a
+    spanning tree; R. Brown, Topology and Groupoids).  The composites are
+    taken from `maps`, so each triple is one of coherent_triples(maps)."""
+    by_pairs = {p.pairs: p for p in maps}
+
+    def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
+        m = p1.as_dict()
+        return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
+
+    arrows, trees = spanning_trees(maps)
+    out = []
+    for tree in trees:
+        root = next(iter(tree))
+        group = [p for p in arrows[root] if p.image() == root]
+        out += [(a, b, after(a, b)) for a in group for b in group]
+        branches = list(tree.items())[1:]  # every domain but the root
+        out += [(tree_t, h, after(tree_t, h)) for _, tree_t in branches for h in group]
+        out += [(p, tree_s, after(p, tree_s)) for s, tree_s in branches for p in arrows[s]]
+    return out
+
+
 def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
                      *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
                      ) -> Verdict:
@@ -177,9 +251,16 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
                               ) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
     its keys are exactly the encodings of `maps`, each phi(p) is an
-    automorphism of `structure`, phi(p) extends p, and phi is coherent (on
-    `triples`, as in verify_coherence).  Each distinct permutation is checked
-    once, at its first key."""
+    automorphism of `structure`, phi(p) extends p, and phi is coherent.
+    Each distinct permutation is checked once, at its first key.
+
+    Coherence is checked on `triples` when given, as in verify_coherence.
+    Otherwise `maps` must be closed under composition and inverses, like
+    Part(A), and it is checked on spanning_triples(maps), listed only once
+    the other checks pass.  Those triples are coherent triples and imply
+    all the others, so the verdict is that of the full check; when one
+    fails, the full check runs to name the first failing triple in
+    coherent_triples order."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -198,6 +279,8 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
         checked.add(g)
     v = verify_extension(phi, maps)
     if not v:
+        return v
+    if triples is None and verify_coherence(phi, maps, triples=spanning_triples(maps)):
         return v
     return verify_coherence(phi, maps, triples=triples)
 
@@ -318,7 +401,10 @@ def set_map_coherent_triples(maps: Sequence[SetPartialMap]
 
 def check_forced_values(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> Verdict:
     """phi(empty) = id, phi(id_D) = id, phi(p^-1) = phi(p)^-1 whenever present.
-    An inverse is looked up as the map listed in `maps`, which is encoded once."""
+    An inverse is looked up as the map listed in `maps`, which is encoded once.
+    No verifier calls it: over Part(A), which holds every id_D and every
+    inverse, coherence forces these values.  It stays as an independent
+    check for the tests."""
     ident = Permutation.identity(phi.codomain_universe)
     listed = {p: p for p in maps}
     for p in maps:

@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import config
 from .base_extension import BaseEppaCertificate, base_eppa, verify_base_certificate
-from .coherence import (ExtensionMap, PermutationGroup, Verdict, check_forced_values,
-                        mask_points, verify_coherent_extension)
+from .coherence import (ExtensionMap, PermutationGroup, Verdict, mask_points,
+                        verify_coherent_extension)
 from .errors import BoundExceededError, EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, enumerate_partial_automorphisms,
@@ -337,8 +337,10 @@ def clique_faithful_extension(base: Structure,
 
 def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
-    embeddings, the table over Part(A), forced values, a witness for every
-    clique, and freeness from the forbidden family.  Each distinct witness
+    embeddings, the table over Part(A) (automorphisms, extension, and
+    coherence on a spanning set of coherent triples, which also forces
+    phi(id_D) = id and phi(p^-1) = phi(p)^-1), a witness for every clique,
+    and freeness from the forbidden family.  Each distinct witness
     permutation is checked to be an automorphism once, at its first clique."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi
     if not is_embedding(cert.base_embedding, base, cert.base_extension):
@@ -347,9 +349,6 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
     maps = enumerate_partial_automorphisms(base)
     v = verify_coherent_extension(phi, maps, c_structure)
-    if not v:
-        return v
-    v = check_forced_values(phi, maps)
     if not v:
         return v
     nu_set = frozenset(phi.embedding)

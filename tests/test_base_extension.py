@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -6,8 +9,10 @@ from eppa import base_extension
 from eppa.base_extension import (_extension_candidates, _first_homomorphism, _moved_pairs,
                                  _search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
-from eppa.coherence import check_forced_values, verify_coherence, verify_extension
+from eppa.coherence import (check_forced_values, verify_coherence, verify_coherent_extension,
+                            verify_extension)
 from eppa.errors import BoundExceededError
+from eppa.faithful import clique_faithful_extension
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group, colour_refinement,
                              enumerate_partial_automorphisms, graph)
@@ -125,6 +130,51 @@ def test_searched_certificate_digest(name, structure, size, digest):
     cert = base_eppa(structure)
     assert cert.extension.size == size
     assert emit_certificate(cert).rstrip("\n").rsplit(" ", 1)[1] == digest
+
+
+def gauged(phi, maps, rng):
+    """phi(p: s -> t) replaced by c_t phi(p) c_s^-1, with c_t a random value
+    phi(q) of a map q that fixes t pointwise: c_t fixes the embedded copy of
+    t, so the table is again an extending automorphism table, and coherent
+    when phi is."""
+    fixing = {p.domain(): [] for p in maps}
+    for q in maps:
+        m = q.as_dict()
+        for t, values in fixing.items():
+            if all(m.get(x) == x for x in t):
+                values.append(phi.lookup(q))
+    c = {t: rng.choice(values) for t, values in fixing.items()}
+    return {p.encode(): c[p.image()].compose(phi.lookup(p)).compose(c[p.domain()].inverse())
+            for p in maps}
+
+
+def test_spanning_and_full_coherence_agree_on_swapped_tables(graphs_up_to_4):
+    """verify_coherent_extension decides coherence over Part(A) on its
+    spanning triples; on tables with 1-3 entries swapped for other extenders
+    its verdict and message are those of the check over every coherent
+    triple.  A gauged table is swapped to another gauge's value or, where
+    Aut(B) is cheap to list, to any extender in it."""
+    cases = [(s, base_eppa(s)) for s in graphs_up_to_4 + [row[1] for row in SEARCHED_DIGESTS
+                                                            if row[0] in ("U+E", "H (0,0,1)")]]
+    cases = [(s, cert.extension, cert.phi) for s, cert in cases]
+    faithful = clique_faithful_extension(graph(3, [(0, 1), (1, 2)]))
+    cases.append((faithful.base, faithful.structure, faithful.phi))
+    rng = random.Random(16)
+    verdicts = Counter()
+    for structure, extension, phi in cases:
+        maps = part(structure)
+        aut = automorphism_group(extension, 12).elements if extension.size <= 12 else ()
+        for _ in range(8):
+            table, other = gauged(phi, maps, rng), gauged(phi, maps, rng)
+            for p in rng.sample(maps, min(len(maps), rng.randint(1, 3))):
+                table[p.encode()] = rng.choice(
+                    [g for g in aut if all(g(phi.embed(x)) == phi.embed(y) for x, y in p.pairs)]
+                    + [other[p.encode()]])
+            mutant = dataclasses.replace(phi, table=table)
+            full = verify_coherence(mutant, maps)
+            assert verify_coherent_extension(mutant, maps, extension) == full
+            verdicts[full.ok] += 1
+    assert verdicts[True] > 20 and verdicts[False] > 20
 
 
 class TestBruteForce:

@@ -9,7 +9,7 @@ import pytest
 
 import eppa
 from eppa.base_extension import BaseEppaCertificate, base_eppa
-from eppa.cli import main
+from eppa.cli import build_parser, main
 from eppa.coherence import ExtensionMap
 from eppa.faithful import clique_faithful_extension
 from eppa.quotient import special_extension
@@ -214,17 +214,38 @@ class TestOtherVerbs:
 
     def test_console_entry_point(self, files, tmp_path):
         out = tmp_path / "cert.txt"
-        # the child imports the same eppa package as this test, installed or not
-        src = str(Path(eppa.__file__).parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run(
-            [sys.executable, "-m", "eppa.cli", "extend", "--in", files["k2"],
-             "--mode", "base", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        result = run_fresh(["extend", "--in", files["k2"], "--mode", "base",
+                            "--out", str(out)])
         assert result.returncode == 0
         assert out.exists()
+
+    def test_parser_built_once_answers_as_a_fresh_process(self, files, monkeypatch, capsys):
+        """main builds its parser once per process; runs after the first,
+        including a refused command line and --help, answer exactly as the
+        same run does first in a fresh process."""
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        runs = [["verify", str(STORED / "base4-n2-01.cert")], ["verify"], ["--help"],
+                ["minforb", "--class-forbid", files["k3"], "--max", "3"]]
+        codes = []
+        for argv in runs:
+            fresh = run_fresh(argv)
+            codes.append(main(argv))
+            captured = capsys.readouterr()
+            assert (codes[-1], captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [0, 1, 0, 0]
+        assert build_parser() is build_parser()
+
+
+def run_fresh(argv):
+    """`python -m eppa.cli` on `argv` in a fresh process that imports the
+    same eppa package as this test, installed or not."""
+    src = str(Path(eppa.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "eppa.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def k2_special():

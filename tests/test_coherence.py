@@ -4,8 +4,8 @@ import pytest
 
 from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap,
                             check_forced_values, coherent_lift, coherent_triples,
-                            mask_atoms, set_map_coherent_triples, verify_coherence,
-                            verify_coherent_extension, verify_extension)
+                            mask_atoms, set_map_coherent_triples, spanning_triples,
+                            verify_coherence, verify_coherent_extension, verify_extension)
 from eppa.errors import EppaError
 from eppa.structures import (PartialAutomorphism, Permutation,
                              enumerate_partial_automorphisms, graph)
@@ -47,6 +47,35 @@ class TestCoherentTriples:
         got = coherent_triples(maps)
         assert sorted((a.encode(), b.encode(), c.encode()) for a, b, c in got) \
             == sorted((a.encode(), b.encode(), c.encode()) for a, b, c in brute_triples(maps))
+
+
+def encoded(triples):
+    return [tuple(p.encode() for p in triple) for triple in triples]
+
+
+class TestSpanningTriples:
+    """spanning_triples lists, per component of Part(A), the vertex group's
+    products, the tree maps after each vertex group element and each map
+    after its domain's tree map."""
+
+    def test_every_spanning_triple_is_a_coherent_triple(self, graphs_up_to_4):
+        for structure in graphs_up_to_4:
+            maps = enumerate_partial_automorphisms(structure)
+            spanning = encoded(spanning_triples(maps))
+            assert len(set(spanning)) == len(spanning)
+            assert set(spanning) <= set(encoded(coherent_triples(maps)))
+
+    def test_count_on_the_empty_graph_on_4_vertices(self):
+        maps = enumerate_partial_automorphisms(graph(4, []))
+        assert (len(spanning_triples(maps)), len(coherent_triples(maps))) == (793, 3809)
+
+    def test_k2(self):
+        maps = enumerate_partial_automorphisms(graph(2, [(0, 1)]))
+        assert encoded(spanning_triples(maps)) == [
+            ("-", "-", "-"), ("0>0", "0>0", "0>0"), ("0>1", "0>0", "0>1"),
+            ("1>0", "0>1", "0>0"), ("1>1", "0>1", "0>1"),
+            ("0>0,1>1", "0>0,1>1", "0>0,1>1"), ("0>0,1>1", "0>1,1>0", "0>1,1>0"),
+            ("0>1,1>0", "0>0,1>1", "0>1,1>0"), ("0>1,1>0", "0>1,1>0", "0>0,1>1")]
 
 
 class TestVerifiers:
@@ -120,6 +149,18 @@ class TestTableChecksNameTheMap:
     def test_table_checks_name_the_map(self, changes, condition, detail):
         verdict = verify_coherent_extension(self.table(**changes), self.K2, self.B)
         assert (verdict.condition, verdict.detail) == (condition, detail)
+
+    def test_coherence_failure_is_named_in_full_triple_order(self):
+        # the spanning set meets (1>0, 0>1, 0>0) first, while the first
+        # failing triple of coherent_triples is the identity's idempotence
+        phi = self.table(**{"0>0,1>1": Permutation((0, 1, 3, 2)),
+                            "0>1": Permutation((1, 0, 3, 2))})
+        spanning = verify_coherence(phi, self.K2, triples=spanning_triples(self.K2))
+        assert spanning.detail == "triple (1>0, 0>1, 0>0): phi(q) != phi(p1) o phi(p2)"
+        verdict = verify_coherent_extension(phi, self.K2, self.B)
+        assert verdict == verify_coherence(phi, self.K2)
+        assert (verdict.condition, verdict.detail) == (
+            "coherence", "triple (0>0,1>1, 0>0,1>1, 0>0,1>1): phi(q) != phi(p1) o phi(p2)")
 
     def test_missing_entry(self):
         phi = self.table()
