@@ -9,7 +9,7 @@ from eppa.base_extension import base_eppa
 from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
-                             enumerate_partial_automorphisms, gaifman_graph,
+                             embeddings, enumerate_partial_automorphisms, gaifman_graph,
                              colour_refinement, graph, induced_substructure, is_automorphism,
                              is_embedding, is_homomorphism, is_partial_automorphism)
 from eppa.textio import parse_certificate
@@ -425,6 +425,131 @@ class TestIsEmbeddingOracle:
                 assert is_embedding(h, a, b) == expected, (a, b, h)
                 accepted += expected
         assert accepted > 0
+
+
+def reference_embeddings(pattern, target):
+    """Oracle for `embeddings`: the tuple-at-a-time backtracker it replaced.
+    Assigning pattern point k to v checks the pattern tuples whose largest
+    point is k and the target tuples through v whose points are all
+    assigned, in recursive generators."""
+    if pattern.signature != target.signature:
+        raise EppaError("signature mismatch")
+    m, n = pattern.size, target.size
+    if m > n:
+        return
+    closing = [[] for _ in range(m)]
+    through = [[] for _ in range(n)]
+    for pattern_tuples, target_tuples in zip(pattern.relations, target.relations):
+        target_set = frozenset(target_tuples)
+        pattern_set = frozenset(pattern_tuples)
+        for t in pattern_tuples:
+            closing[max(t)].append((t, target_set))
+        for u in target_tuples:
+            for v in set(u):
+                through[v].append((u, pattern_set))
+    image = [-1] * m
+    back = [-1] * n
+
+    def feasible(k, v):
+        for t, target_set in closing[k]:
+            if tuple(image[x] for x in t) not in target_set:
+                return False
+        for u, pattern_set in through[v]:
+            pulled = tuple(back[x] for x in u)
+            if -1 not in pulled and pulled not in pattern_set:
+                return False
+        return True
+
+    def extend(k):
+        if k == m:
+            yield tuple(image)
+            return
+        for v in range(n):
+            if back[v] >= 0:
+                continue
+            image[k] = v
+            back[v] = k
+            if feasible(k, v):
+                yield from extend(k + 1)
+            back[v] = -1
+
+    yield from extend(0)
+
+
+def random_structure(rng, signature, size, density):
+    """Each slot (symbol, tuple) held with probability `density`."""
+    return Structure.make(signature, size, {
+        name: [t for t in itertools.product(range(size), repeat=arity)
+               if rng.random() < density]
+        for name, arity in signature.symbols})
+
+
+def with_induced(structures):
+    """The structures and all their induced substructures, each labelled
+    structure once, in first-seen order."""
+    out = {}
+    for s in structures:
+        for k in range(s.size + 1):
+            for pts in itertools.combinations(range(s.size), k):
+                sub, _ = induced_substructure(s, pts)
+                out.setdefault((sub.size, sub.relations), sub)
+    return list(out.values())
+
+
+class TestEmbeddingsOracle:
+    """`embeddings` gives the reference backtracker's full stream, in
+    order, on every pair drawn from each family: graphs, digraphs with
+    loops and one-way arcs, and signatures that mix unary or ternary
+    symbols with a binary one."""
+
+    @staticmethod
+    def check_all_pairs(structures):
+        searches = hits = 0
+        for pattern, target in itertools.product(structures, repeat=2):
+            expected = list(reference_embeddings(pattern, target))
+            assert list(embeddings(pattern, target)) == expected, (pattern, target)
+            searches += 1
+            hits += bool(expected)
+        assert 0 < hits < searches
+        return searches
+
+    def test_graphs_up_to_4_and_induced(self, graphs_up_to_4):
+        assert self.check_all_pairs(with_induced(graphs_up_to_4)) == 23 ** 2
+
+    def test_digraphs_with_loops_and_one_way_arcs(self):
+        rng = random.Random(17)
+        e2 = Signature.make(("E", 2))
+        small = [Structure.make(e2, n, {"E": arcs})
+                 for n in range(3)
+                 for k in range(n * n + 1)
+                 for arcs in itertools.combinations(itertools.product(range(n), repeat=2), k)]
+        assert len(small) == 1 + 2 + 16
+        three = [random_structure(rng, e2, 3, rng.choice((0.2, 0.4, 0.6))) for _ in range(40)]
+        assert any((a, b) in s.tuple_set("E") and (b, a) not in s.tuple_set("E")
+                   for s in three for a, b in itertools.permutations(range(3), 2))
+        self.check_all_pairs(small + three)
+
+    @pytest.mark.parametrize("signature", [Signature.make(("U", 1), ("E", 2)),
+                                           Signature.make(("E", 2), ("H", 3))],
+                             ids=["U1-E2", "E2-H3"])
+    def test_mask_and_tuple_symbols_in_one_search(self, signature):
+        rng = random.Random(",".join(signature.names()))
+        sampled = [random_structure(rng, signature, n, density)
+                   for n in (2, 3) for density in (0.15, 0.3, 0.5) for _ in range(3)]
+        self.check_all_pairs(with_induced(sampled))
+
+    def test_empty_pattern_larger_pattern_and_empty_target(self, k3):
+        empty = Structure.make(GRAPH_SIGNATURE, 0)
+        for pattern, target, expected in [(empty, k3, [()]), (empty, empty, [()]),
+                                          (k3, empty, []), (k3, graph(2, [(0, 1)]), []),
+                                          (graph(1, []), empty, [])]:
+            assert list(embeddings(pattern, target)) == expected
+            assert list(reference_embeddings(pattern, target)) == expected
+
+    def test_signature_mismatch(self, k2):
+        other = Structure.make(Signature.make(("R", 2)), 2)
+        with pytest.raises(EppaError):
+            list(embeddings(k2, other))
 
 
 class TestColourRefinement:
