@@ -120,6 +120,30 @@ class Structure:
             out.append((tuple(frozenset(ts) for ts in at), gathers))
         return tuple(out)
 
+    @cached_property
+    def masks(self) -> tuple[int | tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]:
+        """Per symbol, bitmasks over the universe for `embeddings`.  For a
+        unary symbol, the mask of the points that hold it.  For a binary
+        symbol, (out, into, loops): out[v] is the mask of the points w with
+        (v, w) in the relation, into[v] that of the points u with (u, v),
+        and loops that of the points v with (v, v); into is out when the
+        relation is symmetric.  None for other arities."""
+        out: list = []
+        for (_, arity), tuples in zip(self.signature.symbols, self.relations):
+            if arity == 1:
+                out.append(sum(1 << v for v, in tuples))
+            elif arity == 2:
+                succ, pred = [0] * self.size, [0] * self.size
+                for v, w in tuples:
+                    succ[v] |= 1 << w
+                    pred[w] |= 1 << v
+                loops = sum(1 << v for v, w in tuples if v == w)
+                succ, pred = tuple(succ), tuple(pred)
+                out.append((succ, succ if pred == succ else pred, loops))
+            else:
+                out.append(None)
+        return tuple(out)
+
     def is_graphlike(self) -> bool:
         """All symbols binary with symmetric irreflexive interpretation."""
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
@@ -402,54 +426,96 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
     """Every embedding of `pattern` into `target`, as its image tuple, in
     lexicographic order of assignments.
 
-    Backtracking over the pattern's points in order.  Assigning point k to v
-    checks only the pattern tuples whose largest point is k and the target
-    tuples through v whose points are all assigned, so on every branch each
-    tuple of either side is checked once, when its last point is assigned
-    (Ullmann 1976; VF2, Cordella et al. 2004).
+    Backtracking over the pattern's points in order, with the candidates
+    for each point as one bitmask over the target's points (Ullmann 1976;
+    McCreesh and Prosser 2015), read from the `Structure.masks` of both
+    sides.  Point k may go to a free point that holds the unary symbols and
+    loops that k holds, and no others, and that lies in out[h(j)] exactly
+    when (j, k) is a pattern tuple and in into[h(j)] exactly when (k, j) is,
+    for every earlier point j and binary symbol.  The candidates are tried
+    lowest point first.  Only a symbol of arity >= 3 is checked a tuple at a
+    time: assigning k to v checks the pattern tuples whose largest point is
+    k and the target tuples through v whose points are all assigned.  The
+    remaining candidates of each assigned point wait on an explicit stack,
+    so the depth of the search is not bounded by Python's recursion limit.
     """
     if pattern.signature != target.signature:
         raise EppaError("signature mismatch")
     m, n = pattern.size, target.size
     if m > n:
         return
+    if m == 0:
+        yield ()
+        return
+    # h(k) must lie in fixed[k], and in table[h(j)] for the j-th table of
+    # each row of rows[k], j < k
+    fixed = [(1 << n) - 1] * m
+    rows: list[list[list[Sequence[int]]]] = [[] for _ in range(m)]
     closing: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(m)]
     through: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
-    for pattern_tuples, target_tuples in zip(pattern.relations, target.relations):
-        target_set = frozenset(target_tuples)
-        pattern_set = frozenset(pattern_tuples)
-        for t in pattern_tuples:
-            closing[max(t)].append((t, target_set))
-        for u in target_tuples:
-            for v in set(u):
-                through[v].append((u, pattern_set))
-    image = [-1] * m
-    back = [-1] * n
-
-    def feasible(k: int, v: int) -> bool:
-        for t, target_set in closing[k]:
-            if tuple(image[x] for x in t) not in target_set:
-                return False
-        for u, pattern_set in through[v]:
-            pulled = tuple(back[x] for x in u)
-            if -1 not in pulled and pulled not in pattern_set:
-                return False
-        return True
-
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == m:
-            yield tuple(image)
-            return
-        for v in range(n):
-            if back[v] >= 0:
-                continue
-            image[k] = v
+    for (_, arity), own, their, pattern_tuples, target_tuples in zip(
+            pattern.signature.symbols, pattern.masks, target.masks,
+            pattern.relations, target.relations):
+        if arity == 1:
+            for k in range(m):
+                fixed[k] &= their if own >> k & 1 else ~their
+        elif arity == 2:
+            (own_out, own_into, own_loops), (out, into, loops) = own, their
+            not_out = tuple(~x for x in out)
+            not_into = not_out if into is out else tuple(~x for x in into)
+            for k in range(m):
+                fixed[k] &= loops if own_loops >> k & 1 else ~loops
+            # (j, k) in the pattern iff j in own_into[k]; (k, j) iff j in
+            # own_out[k]; the second test is the first when both relations
+            # are symmetric
+            directions = [(out, not_out, own_into)]
+            if into is not out or own_into is not own_out:
+                directions.append((into, not_into, own_out))
+            for k in range(1, m):
+                rows[k] += ([tables if related[k] >> j & 1 else complements for j in range(k)]
+                            for tables, complements, related in directions)
+        else:
+            target_set = frozenset(target_tuples)
+            pattern_set = frozenset(pattern_tuples)
+            for t in pattern_tuples:
+                closing[max(t)].append((t, target_set))
+            for u in target_tuples:
+                for v in set(u):
+                    through[v].append((u, pattern_set))
+    hyper = any(closing) or any(through)
+    image = [0] * m
+    back = [0] * n  # back[v] is read only while v is assigned
+    taken = [0] * m  # taken[k]: the mask of h(0), ..., h(k - 1)
+    stack = [fixed[0]]  # stack[k]: the candidates for k not yet tried
+    while stack:
+        k = len(stack) - 1
+        rest = stack[k]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        stack[k] = rest ^ low
+        v = image[k] = low.bit_length() - 1
+        if hyper:
             back[v] = k
-            if feasible(k, v):
-                yield from extend(k + 1)
-            back[v] = -1
-
-    yield from extend(0)
+            assigned = taken[k] | low
+            if (any(tuple(map(image.__getitem__, t)) not in target_set
+                    for t, target_set in closing[k])
+                    or any(tuple(map(back.__getitem__, u)) not in pattern_set
+                           for u, pattern_set in through[v]
+                           if all(assigned >> x & 1 for x in u))):
+                continue
+        if k + 1 == m:
+            yield tuple(image)
+            continue
+        k += 1
+        taken[k] = taken[k - 1] | low
+        candidates = fixed[k] & ~taken[k]
+        for row in rows[k]:
+            for table, w in zip(row, image):
+                candidates &= table[w]
+        if candidates:
+            stack.append(candidates)
 
 
 def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomorphism]:

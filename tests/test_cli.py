@@ -186,6 +186,19 @@ class TestOtherVerbs:
         glued = parse_structure(text)
         assert glued == graph(3, [(0, 1), (0, 2)])
 
+    def test_amalgam_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # the embedding search assigns one pattern point per level of its
+        # stack, so a pattern with more points than Python's recursion limit
+        # is searched like any other
+        n = sys.getrecursionlimit() + 100
+        big = tmp_path / "big.struct"
+        big.write_text(emit_structure(graph(n, []), "big"), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["amalgam", str(big), str(big), "--over", str(big)]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out == emit_structure(graph(n, []), "amalgam")
+        assert elapsed < 3.0
+
     def test_dlf_build_and_verify(self, files):
         out = str(files["tmp"] / "chain.txt")
         assert main(["dlf", "--class", files["k3"], "--stages", "1",
