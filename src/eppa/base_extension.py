@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import config
 from .coherence import (ExtensionMap, Verdict, spanning_trees,
@@ -87,7 +87,9 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     listed over.  The one choice searched is a homomorphism `hom` of r's
     vertex group.  With lift(t) the first extender of tree(t) (the identity
     at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1
-    extends p because each factor extends its own map.
+    extends p because each factor extends its own map.  So extenders are
+    listed only for the vertex group, and only the first for each tree map:
+    every p = tree(t) g(p) tree(s)^-1 then has one, with no check of its own.
 
     Before Aut(candidate) is built, colour refinement rejects the candidate
     when, after some round, a p in `maps` sends x to y with emb(x) and
@@ -103,23 +105,18 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
             return None
     aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
 
-    extenders: dict[PartialAutomorphism, list[Permutation]] = {}
-    for p in maps:
-        cands = [g for g in aut.elements
-                 if all(g(emb[x]) == emb[y] for x, y in p.pairs)]
-        if not cands:
-            return None
-        extenders[p] = cands
+    def extenders(p: PartialAutomorphism) -> Iterator[Permutation]:
+        return (g for g in aut.elements if all(g(emb[x]) == emb[y] for x, y in p.pairs))
 
     arrows, trees = spanning_trees(maps)
     phi: dict[str, Permutation] = {}
     for tree in trees:
         root = next(iter(tree))
-        hom = _first_homomorphism([p for p in arrows[root] if p.image() == root],
-                                  extenders)
-        if hom is None:
+        group = [p for p in arrows[root] if p.image() == root]
+        hom = _first_homomorphism(group, {g: list(extenders(g)) for g in group})
+        lift = {t: next(extenders(tree_t), None) for t, tree_t in tree.items()}
+        if hom is None or None in lift.values():
             return None
-        lift = {t: extenders[tree_t][0] for t, tree_t in tree.items()}
         for s in tree:
             for p in arrows[s]:
                 t = p.image()

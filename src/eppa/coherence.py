@@ -35,7 +35,11 @@ def closure(start: Iterable[H], step: Callable[[H], Iterable[H]]) -> set[H]:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """Finite permutation group materialized as a full element list."""
+    """Finite permutation group materialized as a full element list.
+    from_generators lists the products of the generators, sorted by images,
+    without repeats: the generated group, since a finite set of permutations
+    closed under composition holds each g's inverse, a power of g.  So a
+    list is a group in that order iff from_generators gives it back."""
 
     degree: int
     elements: tuple[Permutation, ...]
@@ -56,16 +60,6 @@ class PermutationGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def is_closed(self) -> bool:
-        """Every element has the group's degree, and the elements are closed
-        under composition.  That suffices: a finite nonempty set of
-        permutations closed under composition holds the powers of each g,
-        so g^k = identity for some k >= 1, and g^(k-1) is g's inverse."""
-        if any(g.degree != self.degree for g in self.elements):
-            return False
-        elems = set(self.elements)
-        return all(a.compose(b) in elems for a in self.elements for b in self.elements)
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,7 @@ class SetPartialMap:
             if a in seen:
                 raise EppaError("duplicate domain set")
             seen.add(a)
-            if _apply_mask(self.witness, a, self.universe) != b:
+            if _apply_mask(self.witness, a) != b:
                 raise EppaError("witness fails to induce the map on some domain set")
 
     def domain_sets(self) -> tuple[int, ...]:
@@ -313,7 +307,7 @@ class SetPartialMap:
         raise KeyError(a)
 
 
-def _apply_mask(perm: Permutation, mask: int, universe: int) -> int:
+def _apply_mask(perm: Permutation, mask: int) -> int:
     out = 0
     m = mask
     while m:
@@ -368,7 +362,7 @@ def coherent_lift(universe: int, maps: Sequence[SetPartialMap]) -> list[Permutat
         atoms = mask_atoms(universe, m.domain_sets())
         images = [None] * universe
         for atom in atoms:
-            target = _apply_mask(m.witness, atom, universe)
+            target = _apply_mask(m.witness, atom)
             src = mask_points(atom)
             dst = sorted(mask_points(target))
             for i, j in zip(src, dst):

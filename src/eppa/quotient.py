@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, closure,
                         coherent_triples, verify_coherent_extension)
-from .errors import VerificationError
+from .errors import EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
 
@@ -102,6 +102,8 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
     assigned automorphisms), the coherent action and the equivariant
     homomorphism; everything is verified structurally before returning."""
     maps = tuple(maps)
+    if len(set(maps)) != len(maps):
+        raise EppaError("P lists a partial automorphism twice")
     group = _generated_group(codomain, maps, psi)
     gindex = {g: i for i, g in enumerate(group.elements)}
     classes = _word_classes(base, maps, psi, group)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from itertools import islice
 from operator import eq
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from . import config
 from .base_extension import BaseEppaCertificate, verify_base_certificate
@@ -336,6 +336,15 @@ class _Lines:
         return {key: Permutation(_ints(body, line)) for line, (key,), body in self.keyed(tag)}
 
 
+def _once(tag: str, items: Sequence[tuple[int, Hashable]]) -> tuple:
+    """The values of (line, value) pairs in order; a repeat is an error at its line."""
+    seen: dict[Hashable, int] = {}
+    for line, value in items:
+        if seen.setdefault(value, line) != line:
+            raise StructureSyntaxError(f"repeated {tag!r} line", line)
+    return tuple(seen)
+
+
 def _bounded(structure: Structure) -> Structure:
     """Structure `a` of a kind whose verifier enumerates all of Part(A)."""
     if structure.size > config.max_points():
@@ -374,7 +383,8 @@ def _build_special(r: _Lines) -> SpecialCertificate:
     base, extension, codomain = r.structure("a"), r.structure("b"), r.structure("base")
     return SpecialCertificate(
         base=base, extension=extension, codomain=codomain,
-        maps=tuple(_pmap(" ".join(words[1:]), line) for line, words in r.lines("pmap")),
+        maps=_once("pmap", [(line, _pmap(" ".join(words[1:]), line))
+                           for line, words in r.lines("pmap")]),
         phi=ExtensionMap(base.size, extension.size, r.ints("embed"), r.table("phi")),
         psi=ExtensionMap(base.size, codomain.size, r.ints("embed-base"), r.table("psi")),
         hom=r.ints("hom"))
@@ -396,22 +406,26 @@ def _build_chain(r: _Lines) -> ChainCertificate:
         stages.append(ChainStage(structure=structure, group=group,
                                  inclusion=inclusions.get(i),
                                  lifted=tuple(lifts[i]) if i in lifts else None))
-    handled = tuple((_int(i, line), _pmap(" ".join(body), line))
-                    for line, (i,), body in r.keyed("handled"))
+    handled = _once("handled", [(line, (_int(i, line), _pmap(" ".join(body), line)))
+                               for line, (i,), body in r.keyed("handled")])
     return ChainCertificate(stages=tuple(stages), handled=handled, forbidden=_forbidden(r))
 
 
-# kind name -> (certificate class, emitter, builder from a _Lines reading)
+# kind name -> (class, emitter, builder from a _Lines reading, verifier called by name)
 _KINDS = {
-    "base-eppa": (BaseEppaCertificate, emit_base_certificate, _build_base),
-    "faithful": (FaithfulCertificate, emit_faithful_certificate, _build_faithful),
-    "special": (SpecialCertificate, emit_special_certificate, _build_special),
-    "chain": (ChainCertificate, emit_chain_certificate, _build_chain),
+    "base-eppa": (BaseEppaCertificate, emit_base_certificate, _build_base,
+                  lambda cert: verify_base_certificate(cert)),
+    "faithful": (FaithfulCertificate, emit_faithful_certificate, _build_faithful,
+                 lambda cert: verify_faithful_view(cert)),
+    "special": (SpecialCertificate, emit_special_certificate, _build_special,
+                lambda cert: verify_special(cert)),
+    "chain": (ChainCertificate, emit_chain_certificate, _build_chain,
+              lambda cert: verify_chain(cert)),
 }
 
 
 def emit_certificate(cert) -> str:
-    for cls, emit, _ in _KINDS.values():
+    for cls, emit, _, _ in _KINDS.values():
         if isinstance(cert, cls):
             return emit(cert)
     raise TypeError(f"cannot serialize {type(cert)!r}")
@@ -432,7 +446,7 @@ def parse_certificate(text: str):
     line, kind = reader.value("certificate")
     if kind not in _KINDS:
         raise StructureSyntaxError(f"unknown certificate kind {kind!r}", line)
-    _, emit, build = _KINDS[kind]
+    _, emit, build, _ = _KINDS[kind]
     cert = build(reader)
     canonical = emit(cert)
     if canonical != text:
@@ -446,12 +460,7 @@ def parse_certificate(text: str):
 
 def verify_certificate(cert) -> Verdict:
     """Dispatch the appropriate verifier for a parsed certificate."""
-    if isinstance(cert, BaseEppaCertificate):
-        return verify_base_certificate(cert)
-    if isinstance(cert, FaithfulCertificate):
-        return verify_faithful_view(cert)
-    if isinstance(cert, SpecialCertificate):
-        return verify_special(cert)
-    if isinstance(cert, ChainCertificate):
-        return verify_chain(cert)
+    for cls, _, _, verify in _KINDS.values():
+        if isinstance(cert, cls):
+            return verify(cert)
     raise TypeError(f"cannot verify {type(cert)!r}")

@@ -376,6 +376,17 @@ class TestCoherentAssignment:
         table = coherent_assignment(enumerate_partial_automorphisms(path3), c4, (0, 1, 2))
         assert table is not None
 
+    def test_first_homomorphism_backtracks(self):
+        # the swap's first extender has order 6, so h(swap)^2 != h(id) and
+        # the search must undo it and take the transposition
+        ident = PartialAutomorphism.decode("0>0,1>1")
+        swap = PartialAutomorphism.decode("0>1,1>0")
+        first, second = Permutation((1, 0, 3, 4, 2)), Permutation((1, 0, 2, 3, 4))
+        extenders = {ident: [Permutation.identity(5)], swap: [first, second]}
+        hom = _first_homomorphism([ident, swap], extenders)
+        assert hom == {ident: Permutation.identity(5), swap: second}
+        assert _first_homomorphism([ident, swap], {**extenders, swap: [first]}) is None
+
 
 def aut_first_assignment(maps, candidate, embedding):
     """Reference: coherent_assignment as it was before the colour check,

@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
-from eppa.chains import build_dlf_chain, verify_chain
+from eppa.chains import ChainCertificate, ChainStage, build_dlf_chain, verify_chain
 from eppa.coherence import PermutationGroup
 from eppa.errors import EppaError
-from eppa.structures import Permutation, enumerate_partial_automorphisms, graph
+from eppa.structures import (PartialAutomorphism, Permutation,
+                             enumerate_partial_automorphisms, graph)
 from eppa.textio import emit_certificate
 
 K2 = graph(2, [(0, 1)])
@@ -98,6 +99,59 @@ class TestVerifyChain:
         assert verdict.condition in ("density", "lift")
 
 
+    def test_canonical_non_automorphism_group_detected(self, path3):
+        # the rotations form a group, listed in canonical order, but are not
+        # automorphisms of the path
+        cert = build_dlf_chain([], 1, path3)
+        rotations = PermutationGroup.from_generators(3, [Permutation((1, 2, 0))])
+        stages = (dataclasses.replace(cert.stages[0], group=rotations),) + cert.stages[1:]
+        verdict = verify_chain(dataclasses.replace(cert, stages=stages))
+        assert verdict.message() == "subgroup: stage 0: element is not an automorphism"
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(inclusion=None), "inclusion: stage 0: missing inclusion data"),
+        (dict(lifted=None), "inclusion: stage 0: missing inclusion data"),
+        (dict(inclusion=(0, 0)), "inclusion: stage 0: inclusion is not an embedding"),
+    ])
+    def test_inclusion_failures_detected(self, k2, edit, message):
+        cert = build_dlf_chain([], 1, k2)
+        stages = (dataclasses.replace(cert.stages[0], **edit),) + cert.stages[1:]
+        assert verify_chain(dataclasses.replace(cert, stages=stages)).message() == message
+
+    def test_short_lift_table_detected(self, k2):
+        cert = build_dlf_chain([], 1, k2)
+        stage0 = dataclasses.replace(cert.stages[0], lifted=cert.stages[0].lifted[:-1])
+        verdict = verify_chain(dataclasses.replace(cert, stages=(stage0,) + cert.stages[1:]))
+        assert verdict.message() == "lift: stage 0: lift table size mismatch"
+
+    def test_lift_that_is_not_a_homomorphism_detected(self):
+        # K1 inside three isolated points: the transposition (1 2) fixes the
+        # included point, so as the lift of the identity it extends it and
+        # lies in the next group, yet its square is not itself
+        swap = Permutation((0, 2, 1))
+        cert = ChainCertificate(stages=(
+            ChainStage(graph(1, []), PermutationGroup.from_generators(1, []),
+                       inclusion=(0,), lifted=(swap,)),
+            ChainStage(graph(3, []), PermutationGroup.from_generators(3, [swap]))),
+            handled=())
+        verdict = verify_chain(cert)
+        assert verdict.message() == "lift: stage 0: lift is not a group homomorphism"
+
+    def test_handled_map_without_later_extension_detected(self):
+        # the next group holds only the lifts of Aut(P3) = {id, (0 2)}, so no
+        # element sends the image of 0 to the image of 1
+        cert = build_dlf_chain([], 1, P3)
+        handled = cert.handled + ((0, PartialAutomorphism.decode("0>1")),)
+        verdict = verify_chain(dataclasses.replace(cert, handled=handled))
+        assert verdict.message() == ("density: map handled at stage 0 has no "
+                                     "extension in stage 1")
+
+    def test_forbidden_structure_in_a_stage_detected(self, k2):
+        cert = build_dlf_chain([], 1, k2)
+        verdict = verify_chain(dataclasses.replace(cert, forbidden=(k2,)))
+        assert verdict.message() == "freeness: stage 0 embeds a forbidden structure"
+
+
 def chain_body(seed) -> str:
     """The body (all lines but the digest) of the 1-stage chain over seed."""
     return emit_certificate(build_dlf_chain([], 1, seed)).rsplit("\ndigest ", 1)[0]
@@ -120,6 +174,9 @@ class TestHostileChainFile:
         (K2, [("handled 0 : -", "handled 1 : -")], "density"),
         # a handled map that is not a partial automorphism of its stage
         (P3, [("handled 0 : -", "handled 0 : 0>0,2>1")], "density"),
+        # the last stage's elements out of canonical order, or one repeated
+        (K2, [("gelem 1 : 0 1\ngelem 1 : 1 0", "gelem 1 : 1 0\ngelem 1 : 0 1")], "subgroup"),
+        (K2, [("gelem 1 : 1 0", "gelem 1 : 1 0\ngelem 1 : 1 0")], "subgroup"),
     ])
     def test_rejected_by_name(self, seed, edits, condition, stamp, run_verify):
         body = chain_body(seed)
@@ -128,3 +185,4 @@ class TestHostileChainFile:
             body = body.replace(old, new, 1)
         code, out, err = run_verify(stamp(body.split("\n")))
         assert (code, out.split()[:2]) == (2, ["fail", condition]), (out, err)
+

@@ -251,13 +251,6 @@ class TestPermutationGroup:
         cycle = Permutation((1, 2, 0))
         group = PermutationGroup.from_generators(3, [swap, cycle])
         assert len(group) == 6
-        assert group.is_closed()
-
-    def test_non_closed_list_detected(self):
-        swap = Permutation((1, 0, 2))
-        cycle = Permutation((1, 2, 0))
-        broken = PermutationGroup(3, (Permutation.identity(3), swap, cycle))
-        assert not broken.is_closed()
 
 
 class TestPermutationProducts:

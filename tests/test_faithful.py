@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -330,6 +331,34 @@ class TestForbE:
     def test_forbidden_edge_gives_edgeless_extension(self, k2):
         fc = forb_e_eppa(graph(1, []), [k2])
         assert fc.structure.tuples("E") == ()
+
+
+class TestVerifierConditions:
+    """verify_faithful_view on a path certificate with one field edited:
+    each edit breaks exactly one condition, and the verdict names it."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fc: dict(base_embedding=(0, 0, 1)),
+         "embedding: A is not induced in the base extension"),
+        (lambda fc: dict(phi=ExtensionMap(3, fc.structure.size, (0, 0, 8), fc.phi.table)),
+         "embedding: nu is not an embedding of A into C"),
+        (lambda fc: dict(clique_witnesses={**fc.clique_witnesses,
+                                           (1, 0): fc.clique_witnesses[(0,)]}),
+         "clique: (1, 0) is not a Gaifman clique of C"),
+        (lambda fc: dict(clique_witnesses={
+            **fc.clique_witnesses, (1,): Permutation.identity(fc.structure.size)}),
+         "clique-witness: witness for (1,) does not map into nu(A)"),
+        (lambda fc: dict(clique_witnesses={k: v for k, v in fc.clique_witnesses.items()
+                                           if k != (0,)}),
+         "clique-cover: no witness recorded for clique (0,)"),
+        (lambda fc: dict(forbidden=(graph(2, [(0, 1)]),)),
+         "freeness: forbidden structure embeds at "),
+    ])
+    def test_edit_fails_its_condition(self, path3, edit, message):
+        fc = clique_faithful_extension(path3)
+        assert fc.phi.embedding == (0, 4, 8)
+        verdict = verify_faithful_view(dataclasses.replace(fc, **edit(fc)))
+        assert verdict.message().startswith(message), verdict.message()
 
 
 class TestGenericProjections:

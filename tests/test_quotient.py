@@ -4,7 +4,7 @@ import pytest
 
 from eppa.base_extension import base_eppa
 from eppa.coherence import ExtensionMap
-from eppa.errors import VerificationError
+from eppa.errors import EppaError, VerificationError
 from eppa.quotient import (SpecialCertificate, quotient_matches_word_relation,
                            special_extension, verify_special, verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
@@ -56,6 +56,11 @@ class TestConstruction:
         psi = ExtensionMap(2, 2, (0, 1), {sub_id.encode(): Permutation((1, 0))})
         with pytest.raises(VerificationError):
             special_extension(two, (sub_id,), two, psi)
+
+    def test_rejects_a_map_listed_twice(self):
+        k2, maps, psi = k2_instance()
+        with pytest.raises(EppaError, match="twice"):
+            special_extension(k2, maps + maps[1:], k2, psi)
 
     def test_pipeline_psi_from_base_eppa(self, path3):
         base_cert = base_eppa(path3)
@@ -135,6 +140,27 @@ class TestVerifier:
         verdict = verify_special(cert)
         assert verdict.condition == "transition-realization"
         assert "sends 0 to 2" in verdict.detail
+
+    def test_f_after_iota_must_be_the_base_embedding(self):
+        # reversing f on the edge keeps it a homomorphism onto K2
+        k2, maps, psi = k2_instance()
+        cert = special_extension(k2, maps, k2, psi)
+        verdict = verify_special(dataclasses.replace(cert, hom=tuple(reversed(cert.hom))))
+        assert verdict.message() == ("homomorphism: f o iota differs from the base "
+                                     "embedding at 0")
+
+    def test_unrealized_tuple_orbit_is_rejected(self, c20_over_p3):
+        # the diameters of the 20-cycle, added to B and to the base extension,
+        # keep every letter an automorphism and f a homomorphism, but no
+        # embedded edge of the path is moved onto one
+        cert = c20_over_p3
+        chords = [t for i in range(10) for t in ((i, i + 10), (i + 10, i))]
+        chorded = [Structure.make(s.signature, s.size, {"E": list(s.tuples("E")) + chords})
+                   for s in (cert.extension, cert.codomain)]
+        verdict = verify_special(dataclasses.replace(cert, extension=chorded[0],
+                                                     codomain=chorded[1]))
+        assert verdict.message() == ("tuple-realization: E tuple (0, 10) is not a word "
+                                     "image of an embedded tuple")
 
     def test_long_words_are_realized(self, c20_over_p3):
         # some edges of the 20-cycle quotient are word images of an embedded

@@ -166,6 +166,19 @@ class TestCanonicalOnly:
         code, _, err = run_verify(stamp(body.replace(old, new, 1).split("\n")))
         assert code == 1, err
 
+    @pytest.mark.parametrize("name, line, tag", [
+        ("special-0-n3-02.cert", "pmap 0>1", "pmap"),
+        ("chain-K2-2.cert", "handled 1 : 0>0", "handled"),
+    ])
+    def test_repeated_line_is_a_parse_error(self, name, line, tag, stamp, run_verify):
+        # a repeated pmap or handled line is written back unchanged, so the
+        # parser refuses its second copy itself
+        body = body_of((STORED / name).read_text(encoding="utf-8"))
+        at = body.index(line)
+        code, out, err = run_verify(stamp(body[:at + 1] + body[at:]))
+        assert (code, out) == (1, "")
+        assert f"line {at + 2}: repeated '{tag}' line" in err
+
     def test_bad_image_names_its_file_line(self, stamp, run_verify):
         body = body_of(EDITED["base"]())
         at = next(i for i, line in enumerate(body) if line.startswith("phi - : "))
