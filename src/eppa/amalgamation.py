@@ -83,7 +83,7 @@ def enumerate_structures(signature: Signature, size: int,
                          ) -> list[Structure]:
     """Canonical representatives (`canonical_form`) of all structures on
     `size` points, optionally in `universe`, which must be hereditary and closed
-    under isomorphism: it is evaluated once per class, on its first labelled member.
+    under isomorphism: it is evaluated once per class, on the representative.
     The labelled states, bitmasks over the slots (symbol, tuple), are swept
     once per S_n-orbit, and only the orbit's least encoding is built.  Two
     members of an orbit hold equally many slots of each symbol, so the one
@@ -116,8 +116,9 @@ def enumerate_structures(signature: Signature, size: int,
                 if not seen[image]:
                     seen[image] = 1
                     orbit.append(image)
-        if universe is None or universe(Structure(signature, size, encode(state))):
-            out.append(Structure(signature, size, encode(least)))
+        structure = Structure(signature, size, encode(least))
+        if universe is None or universe(structure):
+            out.append(structure)
     return out
 
 

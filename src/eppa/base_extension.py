@@ -45,8 +45,12 @@ class BaseEppaCertificate:
 
     base: Structure
     extension: Structure
-    embedding: tuple[int, ...]
     phi: ExtensionMap = field(hash=False)
+
+    @property
+    def embedding(self) -> tuple[int, ...]:
+        """The embedding of A into B that phi extends through."""
+        return self.phi.embedding
 
     def part(self) -> list[PartialAutomorphism]:
         return enumerate_partial_automorphisms(self.base)
@@ -198,21 +202,17 @@ def _extension_candidates(base: Structure, extra: int, maps: Sequence[PartialAut
 def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
                         max_extra: int) -> BaseEppaCertificate | None:
     """Iterative deepening over point-extensions and coherent assignments,
-    with `maps` = Part(A): the first certificate that verifies, or None when
-    the budget is exhausted."""
+    with `maps` = Part(A): the certificate of the first assignment found, or
+    None when the budget is exhausted."""
     emb = tuple(range(base.size))
     for extra in range(max_extra + 1):
         for candidate in _extension_candidates(base, extra, maps):
             table = coherent_assignment(maps, candidate, emb)
-            if table is None:
-                continue
-            phi = ExtensionMap(domain_universe=base.size,
-                               codomain_universe=candidate.size,
-                               embedding=emb, table=table)
-            cert = BaseEppaCertificate(base=base, extension=candidate,
-                                       embedding=emb, phi=phi)
-            if verify_base_certificate(cert, maps=maps):
-                return cert
+            if table is not None:
+                phi = ExtensionMap(domain_universe=base.size,
+                                   codomain_universe=candidate.size,
+                                   embedding=emb, table=table)
+                return BaseEppaCertificate(base=base, extension=candidate, phi=phi)
     return None
 
 
@@ -347,7 +347,7 @@ def scaffold_certificate(base: Structure,
     emb = tuple(range(base.size))
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=size,
                        embedding=emb, table=table)
-    return BaseEppaCertificate(base=base, extension=extension, embedding=emb, phi=phi)
+    return BaseEppaCertificate(base=base, extension=extension, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +356,9 @@ def base_eppa(base: Structure) -> BaseEppaCertificate:
     """Coherent EPPA extension of an arbitrary finite structure.
 
     Tries the minimal realizations first (the structure itself, then small
-    point-extensions) and falls back to the generic scaffold; the returned
-    certificate has been verified in full, once (the search verifies what it
-    finds).
+    point-extensions) and falls back to the generic scaffold; whichever
+    realization answers is verified in full, once, and a failure raises
+    VerificationError.
     """
     bound = config.max_points()
     if base.size > bound:
@@ -371,7 +371,7 @@ def base_eppa(base: Structure) -> BaseEppaCertificate:
         cert = _search_certificate(base, maps, budget)
     if cert is None:
         cert = scaffold_certificate(base, maps)
-        verdict = verify_base_certificate(cert, maps=maps)
-        if not verdict:
-            raise VerificationError(f"internal realization failure: {verdict.message()}")
+    verdict = verify_base_certificate(cert, maps=maps)
+    if not verdict:
+        raise VerificationError(f"internal realization failure: {verdict.message()}")
     return cert

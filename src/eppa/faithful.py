@@ -133,7 +133,11 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
     """Materialize C over the base extension B with the generic-tuple relation
     rule and the canonical embedding nu of A along `embedding`: nu(a) gives
     each set u containing b = embedding[a] the 1-based position of b in the
-    ascending enumeration of u intersected with A, and every other set 0."""
+    ascending enumeration of u intersected with A, and every other set 0.
+    For `embedding` into B and a family from `large_sets` over it, nu(a) is
+    always a point of C: Aut(B) holds the identity, so no large set lies
+    inside the inner copy, and nu(a)'s value on u, at most the number of
+    inner points in u, stays below |u|."""
     bound = config.max_valued_points()
     count = valuation_count(extension, family)
     if count > bound:
@@ -150,14 +154,9 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
         over[pt.owner].append(i)
 
     inner = set(embedding)
-    nu_points = []
-    for a, b in enumerate(embedding):
-        pt = ValuedPoint(owner=b, values=tuple(
-            [x for x in mask_points(u) if x in inner].index(b) + 1 if u >> b & 1 else 0
-            for u in family.sets))
-        if pt not in index:
-            raise EppaError(f"embedding valuation for point {a} is infeasible")
-        nu_points.append(index[pt])
+    nu_points = [index[ValuedPoint(owner=b, values=tuple(
+        [x for x in mask_points(u) if x in inner].index(b) + 1 if u >> b & 1 else 0
+        for u in family.sets))] for b in embedding]
 
     rels: dict[str, list[tuple[int, ...]]] = {}
     budget = 2_000_000
@@ -283,7 +282,10 @@ def clique_faithful_extension(base: Structure,
     of every partial automorphism, and constructed witnesses moving each
     enumerated clique into the embedded copy of A.  Genericity is pairwise,
     and Gaifman neighbours share a generic tuple, so cliques are generic;
-    hat_extend sends clique points to their nu points (both re-verified)."""
+    hat_extend sends clique points to their nu points (both re-verified).
+    Every clique S has a mover into A: S is within the cap and generic with
+    distinct owners, so a large projection would be a listed set on which
+    |S| points take distinct values in [1, |S|)."""
     if size_cap is not None and size_cap < 0:
         raise EppaError(f"size cap must be >= 0, got {size_cap}")
     if base_cert is None:
@@ -313,9 +315,6 @@ def clique_faithful_extension(base: Structure,
     for clique in enumerate_cliques(extension.structure, size_cap):
         pts = [extension.points[i] for i in clique]
         witness_g = _mover_into([pt.owner for pt in pts], family.inner, family.aut)
-        if witness_g is None:
-            raise VerificationError(
-                f"projection of clique {clique} is large; faithfulness fails")
         pairs = [(pt, extension.points[extension.nu[back[witness_g(pt.owner)]]])
                  for pt in pts]
         witnesses[clique] = hat_extend(pairs, witness_g, extension)

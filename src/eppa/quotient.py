@@ -12,6 +12,7 @@ conditions exactly, by closing under the letters."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -23,26 +24,6 @@ from .structures import (PartialAutomorphism, Permutation, Structure,
                          is_embedding, is_homomorphism)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 def _generated_group(structure: Structure, maps: Sequence[PartialAutomorphism],
                      table: ExtensionMap) -> PermutationGroup:
     """The group generated by the assigned automorphisms table(p), p in `maps`,
@@ -50,26 +31,36 @@ def _generated_group(structure: Structure, maps: Sequence[PartialAutomorphism],
     return PermutationGroup.from_generators(structure.size, [table.lookup(p) for p in maps])
 
 
+def _letters(maps: Sequence[PartialAutomorphism], table: ExtensionMap
+             ) -> list[tuple[dict[int, int], Permutation]]:
+    """Each p in `maps` and its inverse, as (the partial map, its table image)."""
+    out = []
+    for p in maps:
+        g = table.lookup(p)
+        out += [(dict(p.pairs), g), (dict(p.inverse().pairs), g.inverse())]
+    return out
+
+
 def _word_classes(base: Structure, maps: Sequence[PartialAutomorphism],
                   psi: ExtensionMap, group: PermutationGroup
                   ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Classes of (A x G)/~, each a sorted tuple of (point, group index)
-    pairs, ordered by least member: the union-find closure of the single
-    moves (x, g) ~ (p(x), psi(p) o g)."""
-    gindex = {g: i for i, g in enumerate(group.elements)}
-    ng = len(group.elements)
-    uf = _UnionFind(base.size * ng)
-    for p in maps:
-        gp = psi.lookup(p)
-        for gi, g in enumerate(group.elements):
-            moved = gindex[gp.compose(g)]
-            for x, y in p.pairs:
-                uf.union(x * ng + gi, y * ng + moved)
-    class_of: dict[int, list[tuple[int, int]]] = {}
-    for x in range(base.size):
-        for gi in range(ng):
-            class_of.setdefault(uf.find(x * ng + gi), []).append((x, gi))
-    return tuple(sorted(tuple(sorted(members)) for members in class_of.values()))
+    pairs: the closures under the single moves (x, g) -> (p(x), psi(p) o g),
+    one per letter of `_letters` (each p and its inverse), of the states in
+    product order, so the classes come ordered by least member.  Each
+    letter's move on group indices is tabled once."""
+    elements = group.elements
+    gindex = {g: i for i, g in enumerate(elements)}
+    moves = [(pairs, [gindex[gp.compose(g)] for g in elements])
+             for pairs, gp in _letters(maps, psi)]
+    classes, seen = [], set()
+    for state in itertools.product(range(base.size), range(len(elements))):
+        if state not in seen:
+            members = closure([state], lambda s: ((pairs[s[0]], moved[s[1]])
+                                                  for pairs, moved in moves if s[0] in pairs))
+            seen |= members
+            classes.append(tuple(sorted(members)))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -168,16 +159,6 @@ def verify_structural(cert: SpecialCertificate) -> Verdict:
     return Verdict.passed()
 
 
-def _letters(maps: Sequence[PartialAutomorphism], table: ExtensionMap
-             ) -> list[tuple[dict[int, int], Permutation]]:
-    """Each p in `maps` and its inverse, as (the partial map, its table image)."""
-    out = []
-    for p in maps:
-        g = table.lookup(p)
-        out += [(dict(p.pairs), g), (dict(p.inverse().pairs), g.inverse())]
-    return out
-
-
 def verify_special(cert: SpecialCertificate, max_word_len: int = 6) -> Verdict:
     """The structural checks, then the three special-extension conditions,
     each decided exactly: words over P act on the finite set of states
@@ -229,18 +210,3 @@ def verify_special(cert: SpecialCertificate, max_word_len: int = 6) -> Verdict:
                     f"no word with the same group image sends {x1} to {x2} "
                     f"while defined on {x1}")
     return Verdict.passed()
-
-
-def quotient_matches_word_relation(cert: SpecialCertificate) -> bool:
-    """Oracle: the union-find quotient equals the word-generated equivalence,
-    computed independently as the closure of each pair under single moves."""
-    elements = cert.group.elements
-    gindex = {g: i for i, g in enumerate(elements)}
-    letters = _letters(cert.maps, cert.psi)
-
-    def moves(state):
-        y, hi = state
-        return ((pairs[y], gindex[gp.compose(elements[hi])])
-                for pairs, gp in letters if y in pairs)
-    return all(closure([pair], moves) == set(members)
-               for members in cert.class_members for pair in members)

@@ -360,10 +360,8 @@ def _forbidden(r: _Lines) -> tuple[Structure, ...]:
 
 def _build_base(r: _Lines) -> BaseEppaCertificate:
     base, extension = _bounded(r.structure("a")), r.structure("b")
-    embedding = r.ints("embed")
-    phi = ExtensionMap(base.size, extension.size, embedding, r.table("phi"))
-    return BaseEppaCertificate(base=base, extension=extension,
-                               embedding=embedding, phi=phi)
+    phi = ExtensionMap(base.size, extension.size, r.ints("embed"), r.table("phi"))
+    return BaseEppaCertificate(base=base, extension=extension, phi=phi)
 
 
 def _build_faithful(r: _Lines) -> FaithfulCertificate:

@@ -133,7 +133,7 @@ def test_criterion_02_clique_faithful_pipeline(pipeline_certificates):
     single = graph(1, [])
     ident = Permutation.identity(2)
     base_cert = BaseEppaCertificate(
-        base=single, extension=K2, embedding=(0,),
+        base=single, extension=K2,
         phi=ExtensionMap(1, 2, (0,), {"-": ident, "0>0": ident}))
     fixture = clique_faithful_extension(single, base_cert=base_cert)
     assert fixture.structure.size == 2

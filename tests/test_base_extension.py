@@ -11,7 +11,7 @@ from eppa.base_extension import (_extension_candidates, _first_homomorphism, _mo
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import (check_forced_values, verify_coherence, verify_coherent_extension,
                             verify_extension)
-from eppa.errors import BoundExceededError
+from eppa.errors import BoundExceededError, VerificationError
 from eppa.faithful import clique_faithful_extension
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group, colour_refinement,
@@ -96,6 +96,20 @@ class TestBaseEppa:
         monkeypatch.setenv("EPPA_MAX_POINTS", "2")
         with pytest.raises(BoundExceededError):
             base_eppa(graph(3, []))
+
+    def test_a_table_that_fails_verification_raises(self, k2, monkeypatch):
+        """base_eppa verifies the search's first table itself; a table that
+        fails is a realization bug, not a cue to fall back to the scaffold."""
+        def swapped(maps, candidate, embedding):
+            table = coherent_assignment(maps, candidate, embedding)
+            if table is not None:
+                a = next(iter(table))
+                b = next(key for key in table if table[key] != table[a])
+                table[a], table[b] = table[b], table[a]
+            return table
+        monkeypatch.setattr(base_extension, "coherent_assignment", swapped)
+        with pytest.raises(VerificationError):
+            base_eppa(k2)
 
 
 UNARY_BINARY = Signature.make(("U", 1), ("E", 2))

@@ -322,7 +322,7 @@ class TestReaderBounds:
         table = {PartialAutomorphism.identity_on(
                      x for x in range(n) if mask >> x & 1).encode(): ident
                  for mask in range(1 << n)}
-        cert = BaseEppaCertificate(base=a, extension=a, embedding=ident.images,
+        cert = BaseEppaCertificate(base=a, extension=a,
                                    phi=ExtensionMap(n, n, ident.images, table))
         code, _, err = run_verify(emit_certificate(cert))
         assert code == 3

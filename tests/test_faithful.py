@@ -24,7 +24,7 @@ def single_in_k2_cert():
     single = graph(1, [])
     ident = Permutation.identity(2)
     phi = ExtensionMap(1, 2, (0,), {"-": ident, "0>0": ident})
-    return BaseEppaCertificate(base=single, extension=k2, embedding=(0,), phi=phi)
+    return BaseEppaCertificate(base=single, extension=k2, phi=phi)
 
 
 def two_points_in_four_cert(base, extension):
@@ -36,7 +36,7 @@ def two_points_in_four_cert(base, extension):
     table = {key: ident for key in ("-", "0>0", "1>1", "0>0,1>1")}
     table.update({key: swap for key in ("0>1", "1>0", "0>1,1>0")})
     phi = ExtensionMap(2, 4, (0, 1), table)
-    cert = BaseEppaCertificate(base=base, extension=extension, embedding=(0, 1), phi=phi)
+    cert = BaseEppaCertificate(base=base, extension=extension, phi=phi)
     assert verify_base_certificate(cert)
     return cert
 
@@ -154,8 +154,7 @@ class TestBuildValuedExtension:
         # singleton large sets contribute empty value ranges
         two = graph(2, [])
         phi = ExtensionMap(0, 2, (), {"-": Permutation.identity(2)})
-        cert = BaseEppaCertificate(base=graph(0, []), extension=two,
-                                   embedding=(), phi=phi)
+        cert = BaseEppaCertificate(base=graph(0, []), extension=two, phi=phi)
         family = large_sets(two, ())
         expected = 0
         for b in range(2):

@@ -5,8 +5,8 @@ import pytest
 from eppa.base_extension import base_eppa
 from eppa.coherence import ExtensionMap
 from eppa.errors import EppaError, VerificationError
-from eppa.quotient import (SpecialCertificate, quotient_matches_word_relation,
-                           special_extension, verify_special, verify_structural)
+from eppa.quotient import (SpecialCertificate, special_extension, verify_special,
+                           verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
                              enumerate_partial_automorphisms)
 from eppa.textio import emit_certificate, parse_certificate
@@ -167,26 +167,38 @@ class TestVerifier:
         # edge only under words longer than 6 letters; no bound is applied
         assert c20_over_p3.extension.size == 20
         assert verify_special(c20_over_p3)
-        assert quotient_matches_word_relation(c20_over_p3)
 
 
-class TestWordRelationOracle:
-    def test_quotient_equals_word_closure(self, path3):
+class TestWordRelation:
+    def test_path3_partition_is_pinned(self, path3):
         k2, maps, psi = k2_instance()
         cert = special_extension(k2, maps, k2, psi)
-        assert quotient_matches_word_relation(cert)
-
+        # under the letter 1>0 each class's least member, (0, g), is reached
+        # from (1, h) only by the inverse move
+        back = PartialAutomorphism.from_map({1: 0})
+        cert_back = special_extension(k2, (maps[0], back), k2, ExtensionMap(
+            2, 2, (0, 1), {"-": Permutation.identity(2), "1>0": Permutation((1, 0))}))
+        assert cert.class_members == cert_back.class_members == (
+            ((0, 0), (1, 1)), ((0, 1), (1, 0)))
+        # P is the first four maps of Part(P3) and G has 8 elements: the 24
+        # pairs of A x G fall into 8 classes, each with one pair per vertex
         base_cert = base_eppa(path3)
         sub = tuple(enumerate_partial_automorphisms(path3))[:4]
+        assert [p.encode() for p in sub] == ["-", "0>0", "0>1", "0>2"]
         psi2 = ExtensionMap(path3.size, base_cert.extension.size,
                             base_cert.embedding,
                             {p.encode(): base_cert.phi.lookup(p) for p in sub})
         cert2 = special_extension(path3, sub, base_cert.extension, psi2)
-        assert quotient_matches_word_relation(cert2)
-        # the group and classes are derived from the file's contents, so the
-        # oracle runs on a parsed certificate as well
-        for built in (cert, cert2):
-            assert quotient_matches_word_relation(parse_certificate(emit_certificate(built)))
+        assert len(cert2.group) == 8
+        assert cert2.class_members == (
+            ((0, 0), (1, 2), (2, 4)), ((0, 1), (1, 3), (2, 5)),
+            ((0, 2), (1, 0), (2, 3)), ((0, 3), (1, 1), (2, 2)),
+            ((0, 4), (1, 6), (2, 0)), ((0, 5), (1, 7), (2, 1)),
+            ((0, 6), (1, 4), (2, 7)), ((0, 7), (1, 5), (2, 6)))
+        # the group and classes are derived from the file's contents, so a
+        # parsed certificate has the same classes
+        for built in (cert, cert_back, cert2):
+            assert parse_certificate(emit_certificate(built)).class_members == built.class_members
 
     def test_equivariance_holds_pointwise(self):
         k2, maps, psi = k2_instance()
