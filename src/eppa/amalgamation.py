@@ -4,6 +4,7 @@ amalgamation classes."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,34 +79,62 @@ def canonical_form(structure: Structure) -> Structure:
     return Structure(structure.signature, n, best if best is not None else structure.relations)
 
 
+def _subset_ors(bits: Sequence[int]) -> list[int]:
+    """The OR of each subset of `bits`, indexed by the subset's bitmask."""
+    ors = [0]
+    for bit in bits:
+        ors += [o | bit for o in ors]
+    return ors
+
+
 def enumerate_structures(signature: Signature, size: int,
                          universe: Callable[[Structure], bool] | None = None
                          ) -> list[Structure]:
     """Canonical representatives (`canonical_form`) of all structures on
-    `size` points, optionally in `universe`, which must be hereditary and closed
-    under isomorphism: it is evaluated once per class, on the representative.
-    The labelled states, bitmasks over the slots (symbol, tuple), are swept
-    once per S_n-orbit, and only the orbit's least encoding is built.  Two
-    members of an orbit hold equally many slots of each symbol, so the one
-    that holds their lowest differing slot has the lesser encoding."""
+    `size` points, optionally in `universe`, ordered by their class's least
+    labelled state, a bitmask over the slots (symbol, tuple).  Each S_n-orbit
+    reached is closed once, and only its least encoding is built: two members
+    hold equally many slots of each symbol, so the one holding their lowest
+    differing slot has the lesser encoding.  With a universe, the states swept
+    are the members' states one point smaller, each with every set of the new
+    point's slots, and `universe` is called once per class reached, on its
+    representative.  That reaches every class when `universe` is hereditary
+    and closed under isomorphism, as it must be: a member's restriction to its
+    first size - 1 points is then a member.  Other universes can lose classes."""
     if (count := sum(size ** arity for _, arity in signature.symbols)) > 20:
         raise BoundExceededError(f"{count} relation slots; enumeration refused")
+    return _sweep(signature, size, universe)[0]
+
+
+def _sweep(signature: Signature, size: int, universe: Callable[[Structure], bool] | None
+           ) -> tuple[list[Structure], list[int]]:
+    """`enumerate_structures` without its bound, and, with a universe, the
+    labelled states of the classes kept."""
     slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
              for t in itertools.product(range(size), repeat=arity)]
     index = {slot: k for k, slot in enumerate(slots)}
     # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
     gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-    moves = [[[sum(1 << index[i, tuple(g[x] for x in t)]
-                   for j, (i, t) in enumerate(slots[8 * c:8 * c + 8]) if v >> j & 1)
-               for v in range(256)] for c in range(3)] for g in gens]
+    moves = [[_subset_ors(images[c:c + 8]) for c in (0, 8, 16)] for images in
+             ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
+    seen = bytearray(1 << len(slots))
+    candidates = range(len(seen))
+    if universe is not None and size > 0:
+        # the slots without the new point are the slots on size - 1 points, in order
+        lift = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
+        news = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
+        candidates = (lift[p] | new for p in _sweep(signature, size - 1, universe)[1]
+                      for new in news)
 
     def encode(state: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return tuple(tuple(t for k, (j, t) in enumerate(slots) if j == i and state >> k & 1)
                      for i in range(len(signature.symbols)))
 
-    seen = bytearray(1 << len(slots))
-    out: list[Structure] = []
-    for state in (m for m in range(len(seen)) if not seen[m]):
+    found: dict[int, Structure] = {}
+    kept: list[int] = []
+    for state in candidates:
+        if seen[state]:
+            continue
         seen[state] = 1
         orbit, least = [state], state
         for member in orbit:  # close the orbit under the generators
@@ -117,9 +146,12 @@ def enumerate_structures(signature: Signature, size: int,
                     seen[image] = 1
                     orbit.append(image)
         structure = Structure(signature, size, encode(least))
-        if universe is None or universe(structure):
-            out.append(structure)
-    return out
+        if universe is None:
+            found[state] = structure  # the full sweep meets each orbit at its least state
+        elif universe(structure):
+            found[min(orbit)] = structure
+            kept += orbit
+    return [found[k] for k in sorted(found)], kept
 
 
 def _structures_up_to(signature: Signature, max_size: int,
@@ -169,7 +201,10 @@ def check_clique_characterization(member: Callable[[Structure], bool],
                                   universe: Callable[[Structure], bool] | None = None
                                   ) -> CharacterizationReport:
     """Check both sides of the characterization on structures of bounded size
-    and report a witness for whichever side fails."""
+    and report a witness for whichever side fails.  `member`, and `universe`
+    on the amalgams, are called once per distinct structure."""
+    member = functools.cache(member)
+    glued_in_universe = functools.cache(universe or (lambda s: True))
     structures = _structures_up_to(signature, max_size, universe)
     minimal = tuple(s for s in structures if _is_minimal_forbidden(s, member))
     non_clique = next((f for f in minimal if not is_gaifman_clique(f)), None)
@@ -177,7 +212,7 @@ def check_clique_characterization(member: Callable[[Structure], bool],
     closure_witness = next(
         ((left, right, shared, glued)
          for left, right, shared, glued in _free_amalgams(members, max_size)
-         if (universe is None or universe(glued)) and not member(glued)), None)
+         if glued_in_universe(glued) and not member(glued)), None)
 
     return CharacterizationReport(
         cliques_side=non_clique is None,

@@ -46,13 +46,17 @@ def _word_classes(base: Structure, maps: Sequence[PartialAutomorphism],
                   ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Classes of (A x G)/~, each a sorted tuple of (point, group index)
     pairs: the closures under the single moves (x, g) -> (p(x), psi(p) o g),
-    one per letter of `_letters` (each p and its inverse), of the states in
-    product order, so the classes come ordered by least member.  Each
-    letter's move on group indices is tabled once."""
+    one per p in `maps` and one per inverse, of the states in product order,
+    so the classes come ordered by least member.  Each p's move on group
+    indices is tabled once, and its inverse's move is that table inverted."""
     elements = group.elements
     gindex = {g: i for i, g in enumerate(elements)}
-    moves = [(pairs, [gindex[gp.compose(g)] for g in elements])
-             for pairs, gp in _letters(maps, psi)]
+    moves = []
+    for p in maps:
+        gp = psi.lookup(p)
+        moved = [gindex[gp.compose(g)] for g in elements]
+        back = sorted(range(len(moved)), key=moved.__getitem__)
+        moves += [(dict(p.pairs), moved), (dict(p.inverse().pairs), back)]
     classes, seen = [], set()
     for state in itertools.product(range(base.size), range(len(elements))):
         if state not in seen:

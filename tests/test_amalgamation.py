@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from eppa.amalgamation import (AmalgamInstance, canonical_form,
+from eppa import amalgamation
+from eppa.amalgamation import (AmalgamInstance, _structures_up_to, canonical_form,
                                check_clique_characterization, enumerate_structures,
                                exists_embedding, forb_e_member, free_amalgam,
                                is_graph_universe, minimal_forbidden)
-from eppa.errors import EppaError
+from eppa.errors import BoundExceededError, EppaError
 from eppa.structures import (GRAPH_SIGNATURE, Signature, Structure,
                              automorphism_group, graph, induced_substructure,
                              is_embedding, is_gaifman_clique)
@@ -86,16 +87,77 @@ UNARY_BINARY = Signature.make(("U", 1), ("E", 2))
 TERNARY = Signature.make(("H", 3))
 
 
+def loopless(structure: Structure) -> bool:
+    return all(a != b for a, b in structure.tuples("E"))
+
+
+def symmetric(structure: Structure) -> bool:
+    edges = structure.tuple_set("E")
+    return all((b, a) in edges for a, b in edges)
+
+
+def no_unary(structure: Structure) -> bool:
+    return not structure.tuples("U")
+
+
+def distinct_points(structure: Structure) -> bool:
+    return all(len(set(t)) == len(t) for t in structure.tuples("H"))
+
+
+def counting(universe):
+    """`universe`, with the list of structures it was called on."""
+    calls = []
+
+    def counted(structure):
+        calls.append(structure)
+        return universe(structure)
+    return counted, calls
+
+
 class TestEnumerateStructures:
     @pytest.mark.parametrize("signature, size, universe", [
         *(pytest.param(GRAPH_SIGNATURE, n, None, id=f"E2-{n}") for n in range(4)),
         pytest.param(GRAPH_SIGNATURE, 4, is_graph_universe, id="graphs-4"),
+        *(pytest.param(GRAPH_SIGNATURE, n, u, id=f"E2-{u.__name__}-{n}")
+          for u in (loopless, symmetric) for n in range(4)),
         *(pytest.param(UNARY_BINARY, n, None, id=f"U1E2-{n}") for n in range(4)),
+        *(pytest.param(UNARY_BINARY, n, no_unary, id=f"U1E2-no_unary-{n}") for n in range(4)),
         *(pytest.param(TERNARY, n, None, id=f"H3-{n}") for n in range(3)),
+        *(pytest.param(TERNARY, n, distinct_points, id=f"H3-distinct_points-{n}")
+          for n in range(3)),
     ])
     def test_matches_the_labelled_sweep_in_order(self, signature, size, universe):
         assert (enumerate_structures(signature, size, universe)
                 == sweep_all_labelled(signature, size, universe))
+
+    def test_universe_prunes_the_sweep(self):
+        # the members on 3 points are extended, so only a few hundred of the
+        # 3,044 classes of binary relations on 4 points are reached
+        universe, calls = counting(is_graph_universe)
+        assert len(enumerate_structures(GRAPH_SIGNATURE, 4, universe)) == 11
+        assert len(calls) < 300
+
+    def test_slot_bound_refuses_before_any_universe_call(self):
+        universe, calls = counting(is_graph_universe)
+        with pytest.raises(BoundExceededError, match="25 relation slots"):
+            _structures_up_to(GRAPH_SIGNATURE, 5, universe)
+        assert calls == []
+
+    @pytest.mark.parametrize("search", [
+        lambda: minimal_forbidden(triangle_free_graph, 4, GRAPH_SIGNATURE),
+        lambda: check_clique_characterization(triangle_free_graph, 4, GRAPH_SIGNATURE,
+                                              is_graph_universe),
+    ], ids=["minimal_forbidden", "characterization"])
+    def test_each_size_is_one_call(self, search, monkeypatch):
+        # the benchmark times the enumeration by wrapping this module attribute
+        sizes = []
+
+        def counted(signature, size, universe=None):
+            sizes.append(size)
+            return enumerate_structures(signature, size, universe)
+        monkeypatch.setattr(amalgamation, "enumerate_structures", counted)
+        search()
+        assert sizes == [4, 3, 2, 1, 0]
 
     def test_binary_relations_on_four_points(self):
         # OEIS A000595: 3,044 binary relations on 4 unlabelled points
@@ -275,6 +337,11 @@ class TestCharacterization:
         report = check_clique_characterization(
             triangle_free_graph, 4, GRAPH_SIGNATURE, is_graph_universe)
         assert report.cliques_side and report.closure_side and report.agree()
+
+    def test_member_decides_each_structure_once(self):
+        member, calls = counting(triangle_free_graph)
+        check_clique_characterization(member, 4, GRAPH_SIGNATURE, is_graph_universe)
+        assert len(set(calls)) == len(calls)
 
     def test_max_degree_one_both_sides_fail(self, path3):
         report = check_clique_characterization(
