@@ -15,7 +15,7 @@ from .quotient import (SpecialCertificate, special_extension, verify_special)
 from .faithful import (FaithfulCertificate, LargeSetFamily, ValuedPoint,
                        build_valued_extension, clique_faithful_extension,
                        enumerate_cliques, forb_e_eppa, hat_extend, is_generic,
-                       large_sets, theta, verify_faithful_view)
+                       large_sets, verify_faithful_view)
 from .amalgamation import (AmalgamInstance, check_clique_characterization,
                            exists_embedding, forb_e_member, free_amalgam,
                            minimal_forbidden)

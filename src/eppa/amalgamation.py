@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BoundExceededError, EppaError
 from .structures import (Signature, Structure, embeddings, induced_substructure,
@@ -90,78 +90,72 @@ def _subset_ors(bits: Sequence[int]) -> list[int]:
 def enumerate_structures(signature: Signature, size: int,
                          universe: Callable[[Structure], bool] | None = None
                          ) -> list[Structure]:
-    """Canonical representatives (`canonical_form`) of all structures on
-    `size` points, optionally in `universe`, ordered by their class's least
-    labelled state, a bitmask over the slots (symbol, tuple).  Each S_n-orbit
-    reached is closed once, and only its least encoding is built: two members
-    hold equally many slots of each symbol, so the one holding their lowest
-    differing slot has the lesser encoding.  With a universe, the states swept
-    are the members' states one point smaller, each with every set of the new
-    point's slots, and `universe` is called once per class reached, on its
-    representative.  That reaches every class when `universe` is hereditary
-    and closed under isomorphism, as it must be: a member's restriction to its
-    first size - 1 points is then a member.  Other universes can lose classes."""
-    if (count := sum(size ** arity for _, arity in signature.symbols)) > 20:
-        raise BoundExceededError(f"{count} relation slots; enumeration refused")
-    return _sweep(signature, size, universe)[0]
+    """The canonical structures on `size` points (in `universe`), ordered as in `_classes`."""
+    return [s for s in _classes(signature, size, universe) if s.size == size]
 
 
-def _sweep(signature: Signature, size: int, universe: Callable[[Structure], bool] | None
-           ) -> tuple[list[Structure], list[int]]:
-    """`enumerate_structures` without its bound, and, with a universe, the
-    labelled states of the classes kept."""
-    slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
-             for t in itertools.product(range(size), repeat=arity)]
-    index = {slot: k for k, slot in enumerate(slots)}
-    # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
-    gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-    moves = [[_subset_ors(images[c:c + 8]) for c in (0, 8, 16)] for images in
-             ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
-    seen = bytearray(1 << len(slots))
-    candidates = range(len(seen))
-    if universe is not None and size > 0:
-        # the slots without the new point are the slots on size - 1 points, in order
-        lift = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
-        news = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
-        candidates = (lift[p] | new for p in _sweep(signature, size - 1, universe)[1]
-                      for new in news)
-
-    def encode(state: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(t for k, (j, t) in enumerate(slots) if j == i and state >> k & 1)
-                     for i in range(len(signature.symbols)))
-
-    found: dict[int, Structure] = {}
-    kept: list[int] = []
-    for state in candidates:
-        if seen[state]:
-            continue
-        seen[state] = 1
-        orbit, least = [state], state
-        for member in orbit:  # close the orbit under the generators
-            if (diff := member ^ least) & -diff & member:
-                least = member
-            for low, mid, high in moves:
-                image = low[member & 255] | mid[member >> 8 & 255] | high[member >> 16]
-                if not seen[image]:
-                    seen[image] = 1
-                    orbit.append(image)
-        structure = Structure(signature, size, encode(least))
-        if universe is None:
-            found[state] = structure  # the full sweep meets each orbit at its least state
-        elif universe(structure):
-            found[min(orbit)] = structure
-            kept += orbit
-    return [found[k] for k in sorted(found)], kept
-
-
-def _structures_up_to(signature: Signature, max_size: int,
-                      universe: Callable[[Structure], bool] | None) -> list[Structure]:
-    """enumerate_structures for every size from 0 to max_size, in order."""
+def _classes(signature: Signature, max_size: int,
+             universe: Callable[[Structure], bool] | None) -> Iterator[Structure]:
+    """Canonical representatives (`canonical_form`) of all structures on at
+    most `max_size` points, optionally in `universe`, by size and then by
+    their class's least labelled state, a bitmask over the slots (symbol,
+    tuple).  Each size is swept once.  The states swept on n points are the
+    states of the classes kept on n - 1 points, each with every set of the
+    new point's slots; without a universe that is every state, swept as a
+    range.  Each S_n-orbit reached is closed once, and until it is yielded a
+    class is two ints: its least state and its state of least encoding (two
+    members hold equally many slots of each symbol, so the one holding their
+    lowest differing slot has the lesser encoding).
+    `universe` is called once per class reached, on its representative.
+    That reaches every class when `universe` is hereditary and closed under
+    isomorphism, as it must be: a member's restriction to its first n - 1
+    points is then a member.  Other universes can lose classes."""
     if max_size < 0:
-        raise EppaError(f"size bound must be >= 0, got {max_size}")
-    # largest first, so that an oversized bound is refused before any work
-    batches = [enumerate_structures(signature, n, universe) for n in range(max_size, -1, -1)]
-    return [s for batch in batches[::-1] for s in batch]
+        raise EppaError(f"size must be >= 0, got size bound {max_size}")
+    if (count := sum(max_size ** arity for _, arity in signature.symbols)) > 20:
+        raise BoundExceededError(f"{count} relation slots; enumeration refused")
+    parents = [0]  # the one state with no slots
+    for size in range(max_size + 1):
+        slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
+                 for t in itertools.product(range(size), repeat=arity)]
+        index = {slot: k for k, slot in enumerate(slots)}
+        # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
+        gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
+        moves = [[_subset_ors(images[c:c + 8]) for c in (0, 8, 16)] for images in
+                 ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
+        seen = bytearray(1 << len(slots))
+        if universe is None:
+            candidates = range(len(seen))
+        else:  # the slots without the new point are the slots on size - 1 points, in order
+            lift = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
+            news = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
+            candidates = (lift[p] | new for p in parents for new in news)
+
+        def encode(state: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+            return tuple(tuple(t for k, (j, t) in enumerate(slots) if j == i and state >> k & 1)
+                         for i in range(len(signature.symbols)))
+
+        found, kept = [], []
+        for state in candidates:
+            if seen[state]:
+                continue
+            seen[state] = 1
+            orbit, least = [state], state
+            for member in orbit:  # close the orbit under the generators
+                if (diff := member ^ least) & -diff & member:
+                    least = member
+                for low, mid, high in moves:
+                    image = low[member & 255] | mid[member >> 8 & 255] | high[member >> 16]
+                    if not seen[image]:
+                        seen[image] = 1
+                        orbit.append(image)
+            if universe is None or universe(Structure(signature, size, encode(least))):
+                found.append((min(orbit), least))
+                if size < max_size:  # the parents of the next size
+                    kept += orbit
+        parents = kept
+        for _, least in sorted(found):
+            yield Structure(signature, size, encode(least))
 
 
 def _is_minimal_forbidden(s: Structure, member: Callable[[Structure], bool]) -> bool:
@@ -176,8 +170,8 @@ def minimal_forbidden(member: Callable[[Structure], bool], max_size: int,
                       universe: Callable[[Structure], bool] | None = None
                       ) -> list[Structure]:
     """Non-members all of whose one-point deletions are members, up to
-    isomorphism, for sizes <= max_size."""
-    return [s for s in _structures_up_to(signature, max_size, universe)
+    isomorphism, for sizes <= max_size, each tested as it is enumerated."""
+    return [s for s in _classes(signature, max_size, universe)
             if _is_minimal_forbidden(s, member)]
 
 
@@ -201,25 +195,30 @@ def check_clique_characterization(member: Callable[[Structure], bool],
                                   universe: Callable[[Structure], bool] | None = None
                                   ) -> CharacterizationReport:
     """Check both sides of the characterization on structures of bounded size
-    and report a witness for whichever side fails.  `member`, and `universe`
-    on the amalgams, are called once per distinct structure."""
+    and report a witness for whichever side fails, testing each structure as
+    it is enumerated.  `member` and `universe`, on the enumerated structures
+    and the amalgams alike, are each called once per distinct structure."""
     member = functools.cache(member)
-    glued_in_universe = functools.cache(universe or (lambda s: True))
-    structures = _structures_up_to(signature, max_size, universe)
-    minimal = tuple(s for s in structures if _is_minimal_forbidden(s, member))
+    if universe is not None:
+        universe = functools.cache(universe)
+    minimal, members = [], []
+    for s in _classes(signature, max_size, universe):
+        if member(s):
+            members.append(s)
+        elif _is_minimal_forbidden(s, member):
+            minimal.append(s)
     non_clique = next((f for f in minimal if not is_gaifman_clique(f)), None)
-    members = [s for s in structures if member(s)]
     closure_witness = next(
         ((left, right, shared, glued)
          for left, right, shared, glued in _free_amalgams(members, max_size)
-         if glued_in_universe(glued) and not member(glued)), None)
+         if (universe is None or universe(glued)) and not member(glued)), None)
 
     return CharacterizationReport(
         cliques_side=non_clique is None,
         closure_side=closure_witness is None,
         non_clique_witness=non_clique,
         closure_witness=closure_witness,
-        minimal=minimal)
+        minimal=tuple(minimal))
 
 
 def _free_amalgams(members: Sequence[Structure], max_size: int):

@@ -141,35 +141,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", help="comma-separated forbidden structure files")
     p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--out", required=True, help="certificate output path")
-    p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("verify", help="re-run all verifiers on a certificate file")
     p.add_argument("certificate")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cliques", help="list Gaifman cliques of a structure")
     p.add_argument("input")
     p.add_argument("--max", type=int, default=None)
-    p.set_defaults(func=_cmd_cliques)
 
     p = sub.add_parser("amalgam", help="free amalgam of two structures over a shared one")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--over", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_amalgam)
 
     p = sub.add_parser("dlf", help="build a dense-locally-finite chain certificate")
     p.add_argument("--class", dest="forbid", help="comma-separated forbidden structures")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--seed", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dlf)
 
     p = sub.add_parser("minforb", help="minimal forbidden structures of a class")
     p.add_argument("--class-forbid", dest="forbid", required=True)
     p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=_cmd_minforb)
     return parser
 
 
@@ -178,8 +172,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed check here
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    try:
-        return args.func(args)
+    try:  # looked up on each call, so a rebound handler is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except BoundExceededError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -196,15 +196,6 @@ def value_permutation(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     return PartialAutomorphism.from_map(forward).order_completion(family.set_size(idx))
 
 
-def theta(p: PartialAutomorphism, g: Permutation, idx: int,
-          extension: ValuedExtension) -> Permutation:
-    """Value permutation of the set at `idx` induced by a partial automorphism
-    of A (through the canonical embedding) and an extension g of it on B."""
-    pairs = [(extension.points[extension.nu[x]], extension.points[extension.nu[y]])
-             for x, y in p.pairs]
-    return value_permutation(pairs, g, extension.family, idx)
-
-
 def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
                g: Permutation, extension: ValuedExtension) -> Permutation:
     """Total extension on C of a compatible valued partial map: owners move

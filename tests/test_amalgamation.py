@@ -1,9 +1,9 @@
 import itertools
+import weakref
 
 import pytest
 
-from eppa import amalgamation
-from eppa.amalgamation import (AmalgamInstance, _structures_up_to, canonical_form,
+from eppa.amalgamation import (AmalgamInstance, canonical_form,
                                check_clique_characterization, enumerate_structures,
                                exists_embedding, forb_e_member, free_amalgam,
                                is_graph_universe, minimal_forbidden)
@@ -140,24 +140,17 @@ class TestEnumerateStructures:
     def test_slot_bound_refuses_before_any_universe_call(self):
         universe, calls = counting(is_graph_universe)
         with pytest.raises(BoundExceededError, match="25 relation slots"):
-            _structures_up_to(GRAPH_SIGNATURE, 5, universe)
+            minimal_forbidden(triangle_free_graph, 5, GRAPH_SIGNATURE, universe)
         assert calls == []
 
-    @pytest.mark.parametrize("search", [
-        lambda: minimal_forbidden(triangle_free_graph, 4, GRAPH_SIGNATURE),
-        lambda: check_clique_characterization(triangle_free_graph, 4, GRAPH_SIGNATURE,
-                                              is_graph_universe),
-    ], ids=["minimal_forbidden", "characterization"])
-    def test_each_size_is_one_call(self, search, monkeypatch):
-        # the benchmark times the enumeration by wrapping this module attribute
-        sizes = []
-
-        def counted(signature, size, universe=None):
-            sizes.append(size)
-            return enumerate_structures(signature, size, universe)
-        monkeypatch.setattr(amalgamation, "enumerate_structures", counted)
-        search()
-        assert sizes == [4, 3, 2, 1, 0]
+    @pytest.mark.parametrize("search", [minimal_forbidden, check_clique_characterization],
+                             ids=["minimal_forbidden", "characterization"])
+    def test_each_universe_call_is_on_a_distinct_structure(self, search):
+        # every size is swept once, and the characterization's amalgams
+        # share the sweep's universe verdicts
+        universe, calls = counting(is_graph_universe)
+        search(triangle_free_graph, 4, GRAPH_SIGNATURE, universe)
+        assert calls and len(set(calls)) == len(calls)
 
     def test_binary_relations_on_four_points(self):
         # OEIS A000595: 3,044 binary relations on 4 unlabelled points
@@ -301,7 +294,36 @@ class TestForbMembership:
             assert forb_e_member(sub, [k3])
 
 
+def is_minimal_non_member(member, structure):
+    return not member(structure) and all(
+        member(induced_substructure(structure, [x for x in range(structure.size) if x != v])[0])
+        for v in range(structure.size))
+
+
 class TestMinimalForbidden:
+    @pytest.mark.parametrize("universe", [None, is_graph_universe],
+                             ids=["no-universe", "graphs"])
+    def test_order_across_sizes_matches_the_labelled_sweep(self, universe):
+        expected = [s for n in range(4) for s in sweep_all_labelled(GRAPH_SIGNATURE, n, universe)
+                    if is_minimal_non_member(max_degree_at_most_one, s)]
+        assert minimal_forbidden(max_degree_at_most_one, 3, GRAPH_SIGNATURE, universe) == expected
+        report = check_clique_characterization(max_degree_at_most_one, 3, GRAPH_SIGNATURE,
+                                               universe)
+        assert list(report.minimal) == expected
+
+    def test_tested_classes_are_not_held(self):
+        # each class is tested as it is enumerated and then let go: while
+        # member runs on a structure on 4 points, none of the 50 before it lives
+        refs, alive = [], []
+
+        def member(structure):
+            if structure.size == 4:
+                refs.append(weakref.ref(structure))
+                alive.append(sum(ref() is not None for ref in refs[-51:-1]))
+            return triangle_free_graph(structure)
+        assert len(minimal_forbidden(member, 4, GRAPH_SIGNATURE)) == 3
+        assert len(alive) == 3044 and max(alive) == 0
+
     def test_triangle_free_graphs_give_k3(self, k3):
         found = minimal_forbidden(triangle_free_graph, 4, GRAPH_SIGNATURE,
                                   is_graph_universe)

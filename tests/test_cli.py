@@ -249,6 +249,17 @@ class TestOtherVerbs:
         assert codes == [0, 1, 0, 0]
         assert build_parser() is build_parser()
 
+    def test_verb_handler_is_looked_up_on_each_call(self, monkeypatch, capsys):
+        """A handler rebound after the parser was built is the one that runs,
+        as when a tracer wraps the module's functions."""
+        cert = str(STORED / "base4-n2-01.cert")
+        assert main(["verify", cert]) == 0
+        seen = []
+        monkeypatch.setattr(eppa.cli, "_cmd_verify", lambda args: seen.append(args) or 0)
+        assert main(["verify", cert]) == 0
+        assert [args.certificate for args in seen] == [cert]
+        assert capsys.readouterr().out == "ok\n"
+
 
 def run_fresh(argv):
     """`python -m eppa.cli` on `argv` in a fresh process that imports the

@@ -10,7 +10,7 @@ from eppa.errors import EppaError
 from eppa.faithful import (ValuedPoint, build_valued_extension,
                            clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
-                           large_sets, projection_is_small, theta,
+                           large_sets, projection_is_small,
                            value_permutation, verify_faithful_view)
 from eppa.structures import (PartialAutomorphism, Permutation, Signature, Structure,
                              graph, enumerate_partial_automorphisms, is_embedding,
@@ -172,6 +172,14 @@ class TestBuildValuedExtension:
         ext = fc.extension
         assert is_embedding(ext.nu, path3, ext.structure)
         assert is_generic([ext.points[i] for i in ext.nu], ext.family)
+
+
+def theta(p, g, idx, extension):
+    """Value permutation of the set at `idx` induced by a partial automorphism
+    of A (through the canonical embedding) and an extension g of it on B."""
+    pairs = [(extension.points[extension.nu[x]], extension.points[extension.nu[y]])
+             for x, y in p.pairs]
+    return value_permutation(pairs, g, extension.family, idx)
 
 
 class TestTheta:
