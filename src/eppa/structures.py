@@ -7,6 +7,7 @@ used elsewhere in the package derives from this numbering.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, lt
@@ -295,6 +296,14 @@ class PartialAutomorphism:
         """Canonical key: comma-joined "x>y" pairs, "-" for the empty map."""
         return self._key
 
+    def __hash__(self) -> int:
+        """The dataclass hash, computed on a map's first lookup and kept
+        beside its key (a cached_property costs more on a first lookup)."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.pairs,))
+        return h
+
     @cached_property
     def _key(self) -> str:  # built once per map, however often it is looked up
         if not self.pairs:
@@ -346,26 +355,20 @@ def is_homomorphism(h: Sequence[int], a: Structure, b: Structure) -> bool:
 
 
 def is_embedding(h: Sequence[int], a: Structure, b: Structure) -> bool:
-    """Injective homomorphism whose image reflects every relation of b.
-
-    Read point by point from the `Structure.tails` of both sides: for each
-    point x of a, h maps the tails at x onto the tails at h(x) whose points
-    all lie in the image of h.  Every tuple of b inside the image starts at
-    an image point, so only those points' tails are read, never all of b."""
+    """Injective homomorphism whose image reflects every relation of b: h
+    maps each relation of a onto the tuples of b inside the image.  Those
+    all start at an image point, so b is read only there, each point's
+    tuples found by bisection in b's sorted relation."""
     _check_map(h, a, b)
     image = frozenset(h)
     if len(image) != a.size:
         return False
     at = h.__getitem__
-    for ((_, arity), (own_sets, _), (target_sets, _)) in zip(a.signature.symbols,
-                                                             a.tails, b.tails):
-        for own, target in zip(own_sets, map(target_sets.__getitem__, h)):
-            if arity == 2:
-                if set(map(at, own)) != target & image:
-                    return False
-            elif ({tuple(map(at, t)) for t in own}
-                  != {t for t in target if image.issuperset(t)}):
-                return False
+    for own, target in zip(a.relations, b.relations):
+        runs = (target[bisect_left(target, (v,)):bisect_left(target, (v + 1,))] for v in h)
+        inside = {t for t in itertools.chain.from_iterable(runs) if image.issuperset(t)}
+        if {tuple(map(at, t)) for t in own} != inside:
+            return False
     return True
 
 

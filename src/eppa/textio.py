@@ -11,8 +11,9 @@ accepts the file only if emitting that certificate gives back its bytes.
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
-from operator import eq
+import json
+import re
+from itertools import chain, islice
 from typing import Hashable, Sequence
 
 from . import config
@@ -63,14 +64,22 @@ def _pmap(word: str, line: int) -> PartialAutomorphism:
 # structure files
 
 def emit_structure(structure: Structure, name: str = "s") -> str:
+    """The structure block, newline terminated.  Each relation is written by
+    one %-format over its flattened tuples (see _structure_text)."""
+    return _structure_text(structure, name) + "\n"
+
+
+def _structure_text(structure: Structure, name: str) -> str:
     lines = [f"structure {name}"]
     for sym, arity in structure.signature.symbols:
         lines.append(f"rel {sym} {arity}")
     lines.append(f"size {structure.size}")
-    for sym, _ in structure.signature.symbols:
-        lines += [f"{sym} {' '.join(map(str, t))}" for t in structure.tuples(sym)]
+    for (sym, arity), ts in zip(structure.signature.symbols, structure.relations):
+        if ts:  # a symbol name may hold '%', which the format must write as is
+            line = sym.replace("%", "%%") + " %d" * arity
+            lines.append("\n".join([line] * len(ts)) % tuple(chain.from_iterable(ts)))
     lines.append("end")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def parse_structure_named(text: str) -> tuple[str, Structure]:
@@ -91,14 +100,15 @@ def _clean(line: str) -> str:
 
 
 def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Structure, int]:
-    """Parse one structure block beginning at or after `start`; returns
-    (name, structure, index just past 'end').
+    """Parse one structure block beginning at or after `start` in `lines`
+    (as str.splitlines gives them); returns (name, structure, index just
+    past 'end').
 
-    A tuple line of plain decimals is read in one step (see _ints), then
-    checked against the size by its greatest point.  Each relation is
-    sorted once, and a duplicate shows as two equal neighbours.  Errors are those of a line-by-line
-    reading: the first bad line in the file is named, a repeated tuple at
-    its second copy."""
+    A block as emit_structure writes it is read a whole relation at a time
+    (see _canonical_relations).  Any other block, with comments, blank
+    lines, unsorted tuples or an error, is read line by line (see
+    _read_tuple_lines), so errors name the first bad line in the file, a
+    repeated tuple at its second copy."""
     i = start
     while i < len(lines) and not _clean(lines[i]):
         i += 1
@@ -129,70 +139,94 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     if len(parts) != 2 or parts[0] != "size":
         raise StructureSyntaxError(f"expected 'size <n>', got {lines[i]!r}", i + 1)
     size = _int(parts[1], i + 1)
-    i += 1
     signature = Signature(tuple(symbols))
-    arities = dict(symbols)
-    rels: dict[str, list[tuple[int, ...]]] = {sym: [] for sym, _ in symbols}
-    first = i
+    canonical = _canonical_relations(lines, i + 1, symbols)
+    if canonical is not None:
+        try:  # Structure checks in bulk that each relation is sorted and in range
+            return name, Structure(signature, size, canonical[0]), canonical[1]
+        except EppaError:
+            pass
+    relations, i = _read_tuple_lines(lines, i + 1, symbols, size)
+    return name, Structure(signature, size, relations), i
+
+
+def _canonical_relations(lines: Sequence[str], start: int,
+                         symbols: list[tuple[str, int]]) -> tuple[tuple, int] | None:
+    """The relations of the tuple lines from `start` to the first 'end'
+    line, with the index past it, if emit_structure could have written
+    them; else None.  Per symbol, in signature order, one regular-expression
+    search finds where its run of lines `<sym> <x1> ... <xk>` ends (k the
+    arity, single spaces, ASCII digits), and json reads the run's points.
+    Order and range are left to the bulk checks of Structure."""
     try:
-        while True:
-            if i >= len(lines):
-                raise StructureSyntaxError("missing 'end'", i)
-            parts = lines[i].split("#", 1)[0].split()  # as _clean(...).split()
-            if not parts:
-                i += 1
-                continue
-            sym, words = parts[0], parts[1:]
-            if sym == "end":
-                if words:
-                    raise StructureSyntaxError("malformed 'end'", i + 1)
-                i += 1
-                break
-            if sym not in arities:
-                raise StructureSyntaxError(f"unknown symbol {sym!r}", i + 1)
-            if len(words) != arities[sym]:
-                raise StructureSyntaxError(
-                    f"{sym} expects {arities[sym]} points, got {len(words)}", i + 1)
-            t = _ints(words, i + 1)
-            if max(t) >= size:
-                x = next(x for x in t if x >= size)
-                raise StructureSyntaxError(f"point {x} out of range for size {size}", i + 1)
-            rels[sym].append(t)
+        stop = lines.index("end", start)
+    except ValueError:
+        return None
+    text = "\n".join(["", *islice(lines, start, stop), ""])  # its last newline ends each run
+    pos, relations = 0, []
+    for sym, arity in symbols:
+        if arity > len(text):  # no line holds that many points
+            return None
+        prefix = "\n" + sym + " "
+        other = re.compile(f"\\n(?!{re.escape(sym)}(?: [0-9]+){{{arity}}}(?![^\\n]))")
+        end = other.search(text, pos).start()
+        run, pos = text[pos:end], end
+        if run and sym == "end":  # read line by line as a malformed 'end'
+            return None
+        try:  # json refuses a leading zero, which the line reader accepts
+            points = json.loads(f"[{run.replace(prefix, ',')[1:].replace(' ', ',')}]")
+        except ValueError:
+            return None
+        relations.append(tuple(zip(*[iter(points)] * arity)))
+    return (tuple(relations), stop + 1) if pos == len(text) - 1 else None
+
+
+def _read_tuple_lines(lines: Sequence[str], start: int, symbols: list[tuple[str, int]],
+                      size: int) -> tuple[tuple, int]:
+    """The relations of the tuple lines from `start`, read one line at a
+    time, with the index past 'end'.  A line of plain decimals is read in one
+    step (see _ints) and range-checked by its greatest point."""
+    # per symbol: its arity, and the line index of each tuple read so far
+    rels = {sym: (arity, {}) for sym, arity in symbols}
+    i = start
+    while True:
+        if i >= len(lines):
+            raise StructureSyntaxError("missing 'end'", i)
+        parts = lines[i].split("#", 1)[0].split()  # as _clean(...).split()
+        if not parts:
             i += 1
-    except StructureSyntaxError as exc:
-        raise _first_duplicate(lines, first, i) or exc from None
-    for ts in rels.values():
-        ts.sort()
-        if any(map(eq, ts, islice(ts, 1, None))):
-            raise _first_duplicate(lines, first, i)
-    return name, Structure(signature, size, tuple(tuple(rels[sym]) for sym, _ in symbols)), i
-
-
-def _first_duplicate(lines: Sequence[str], start: int,
-                     stop: int) -> StructureSyntaxError | None:
-    """The error for the first tuple line in lines[start:stop] that repeats
-    an earlier one, or None; every tuple line there is known to be valid."""
-    seen = set()
-    for i in range(start, stop):
-        parts = _clean(lines[i]).split()
-        if not parts or parts[0] == "end":
             continue
-        t = tuple(map(int, parts[1:]))
-        if (parts[0], t) in seen:
-            return StructureSyntaxError(f"duplicate tuple {parts[0]} {t}", i + 1)
-        seen.add((parts[0], t))
-    return None
+        sym, words = parts[0], parts[1:]
+        if sym == "end":
+            if words:
+                raise StructureSyntaxError("malformed 'end'", i + 1)
+            return tuple(tuple(sorted(rels[name][1])) for name, _ in symbols), i + 1
+        if sym not in rels:
+            raise StructureSyntaxError(f"unknown symbol {sym!r}", i + 1)
+        arity, seen = rels[sym]
+        if len(words) != arity:
+            raise StructureSyntaxError(f"{sym} expects {arity} points, got {len(words)}", i + 1)
+        t = _ints(words, i + 1)
+        if max(t) >= size:
+            x = next(x for x in t if x >= size)
+            raise StructureSyntaxError(f"point {x} out of range for size {size}", i + 1)
+        if seen.setdefault(t, i) != i:
+            raise StructureSyntaxError(f"duplicate tuple {sym} {t}", i + 1)
+        i += 1
 
 
 # ---------------------------------------------------------------------------
 # certificate files
 
-def _digest(lines: list[str]) -> str:
-    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+def _digest(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def _finish(lines: list[str]) -> str:
-    return "\n".join(lines + [f"digest {_digest(lines)}"]) + "\n"
+    """The certificate text: its lines, some of them whole structure blocks,
+    joined once, then the digest of that body."""
+    body = "\n".join(lines) + "\n"
+    return f"{body}digest {_digest(body)}\n"
 
 
 def _perm_text(perm: Permutation) -> str:
@@ -207,14 +241,10 @@ def _embed_line(tag: str, images: Sequence[int]) -> str:
     return (tag + " " + " ".join(map(str, images))).rstrip()
 
 
-def _structure_lines(structure: Structure, name: str) -> list[str]:
-    return emit_structure(structure, name).rstrip("\n").split("\n")
-
-
 def emit_base_certificate(cert: BaseEppaCertificate) -> str:
     lines = ["certificate base-eppa", "format 1"]
-    lines += _structure_lines(cert.base, "a")
-    lines += _structure_lines(cert.extension, "b")
+    lines.append(_structure_text(cert.base, "a"))
+    lines.append(_structure_text(cert.extension, "b"))
     lines.append(_embed_line("embed", cert.embedding))
     for key in sorted(cert.phi.table):
         lines.append(_map_line("phi", key, cert.phi.table[key]))
@@ -227,10 +257,10 @@ def emit_faithful_certificate(cert: FaithfulCertificate) -> str:
     lines.append(f"param size-cap {cap}")
     lines.append(f"forbid {len(cert.forbidden)}")
     for i, q in enumerate(cert.forbidden):
-        lines += _structure_lines(q, f"f{i}")
-    lines += _structure_lines(cert.base, "a")
-    lines += _structure_lines(cert.base_extension, "b")
-    lines += _structure_lines(cert.structure, "c")
+        lines.append(_structure_text(q, f"f{i}"))
+    lines.append(_structure_text(cert.base, "a"))
+    lines.append(_structure_text(cert.base_extension, "b"))
+    lines.append(_structure_text(cert.structure, "c"))
     lines.append(_embed_line("embed-base", cert.base_embedding))
     lines.append(_embed_line("embed", cert.phi.embedding))
     for key in sorted(cert.phi.table):
@@ -243,9 +273,9 @@ def emit_faithful_certificate(cert: FaithfulCertificate) -> str:
 
 def emit_special_certificate(cert: SpecialCertificate) -> str:
     lines = ["certificate special", "format 1"]
-    lines += _structure_lines(cert.base, "a")
-    lines += _structure_lines(cert.extension, "b")
-    lines += _structure_lines(cert.codomain, "base")
+    lines.append(_structure_text(cert.base, "a"))
+    lines.append(_structure_text(cert.extension, "b"))
+    lines.append(_structure_text(cert.codomain, "base"))
     lines.append(_embed_line("embed", cert.phi.embedding))
     lines.append(_embed_line("embed-base", cert.psi.embedding))
     for p in sorted(cert.maps, key=lambda p: p.encode()):
@@ -263,9 +293,9 @@ def emit_chain_certificate(cert: ChainCertificate) -> str:
     lines.append(f"param stages {len(cert.stages) - 1}")
     lines.append(f"forbid {len(cert.forbidden)}")
     for i, q in enumerate(cert.forbidden):
-        lines += _structure_lines(q, f"f{i}")
+        lines.append(_structure_text(q, f"f{i}"))
     for i, stage in enumerate(cert.stages):
-        lines += _structure_lines(stage.structure, f"s{i}")
+        lines.append(_structure_text(stage.structure, f"s{i}"))
     for i, stage in enumerate(cert.stages):
         if stage.inclusion is not None:
             lines.append(_embed_line(f"include {i} :", stage.inclusion))
@@ -438,7 +468,7 @@ def parse_certificate(text: str):
         lines.pop()
     if not lines or len(lines[-1].split()) != 2 or lines[-1].split()[0] != "digest":
         raise StructureSyntaxError("missing digest line")
-    if _digest(lines[:-1]) != lines[-1].split()[1]:
+    if _digest("\n".join(lines[:-1]) + "\n") != lines[-1].split()[1]:
         raise StructureSyntaxError("digest mismatch: file was modified or truncated")
     reader = _Lines(lines[:-1])
     line, kind = reader.value("certificate")

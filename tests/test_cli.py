@@ -317,6 +317,29 @@ class TestTableKeySet:
 
 
 class TestReaderBounds:
+    @pytest.mark.parametrize("name, block, points, tuples, drop, verdict", [
+        ("faithful-n1-empty.cert", "b", 4_000_000, True, (), (0, "ok")),
+        ("base4-n1-empty.cert", "b", 2_000_000, True, ("phi ",), (2, "fail table")),
+        ("special-K2.cert", "b", 2_000_000, False, ("phi ",), (2, "fail iota-embedding")),
+        ("faithful-n1-empty.cert", "c", 2_000_000, True, ("phi ", "witness "),
+         (2, "fail table")),
+    ])
+    def test_large_sparse_block_is_read_at_the_image(self, name, block, points, tuples, drop,
+                                                     verdict, stamp, run_verify):
+        """A block of millions of points and a few tuples, checked only as
+        the codomain of an embedding: its size costs nothing."""
+        body = (STORED / name).read_text(encoding="utf-8").rstrip("\n").split("\n")[:-1]
+        head = body.index(f"structure {block}")
+        at = next(i for i in range(head, len(body)) if body[i].startswith("size "))
+        body[at] = f"size {points}"
+        if not tuples:
+            del body[at + 1:body.index("end", at)]
+        text = stamp([line for line in body if not line.startswith(drop)])
+        assert len(text) < 1000
+        began = time.perf_counter()
+        assert run_verify(text)[:2] == verdict
+        assert time.perf_counter() - began < 1
+
     def test_empty_chain_is_refused(self, stamp, run_verify):
         code, _, err = run_verify(stamp(["certificate chain", "format 1", "param stages -1",
                                          "forbid 0"]))

@@ -165,6 +165,14 @@ class TestPartialAutomorphisms:
             assert (fresh, hash(fresh)) == (p, hash(p))
             assert {p: 1}[fresh] == 1 and fresh.encode() == p.encode()
 
+    def test_hash_is_cached_and_matches_a_fresh_map(self, path3):
+        for p in enumerate_partial_automorphisms(path3):
+            {p: 1}
+            assert "_hash" in vars(p)  # the lookup above cached it
+            fresh = PartialAutomorphism(p.pairs)
+            assert "_hash" not in vars(fresh)
+            assert (fresh, hash(fresh)) == (p, hash(p)) == (fresh, hash((p.pairs,)))
+
     @pytest.mark.parametrize("key", ["", "-1", "0", "0>", "0>x", "0>-1", "0>1>2",
                                      "+0>1", "1_0>1", "\u0661>1", "0>1,", "0>1,0>2"])
     def test_decode_refuses_malformed_keys(self, key):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from eppa import textio
 from eppa.base_extension import base_eppa
 from eppa.chains import build_dlf_chain
 from eppa.coherence import ExtensionMap
@@ -350,6 +351,20 @@ class TestBlockReaderOracle:
         ["# lead", "", "E 3 2 # arc", "  H 2 1 0  ", "E 0 1", "U 3", "U 0", "",
          "E 2 3", "H 0 1 2", "end", "# tail"],
         ["end"],
+        # the bulk reader's boundaries: canonical runs of mixed arities, an
+        # empty relation between two others, and near misses of each kind
+        ["U 0", "U 3", "E 0 1", "E 1 0", "E 3 3", "H 0 1 2", "H 3 2 1", "end"],
+        ["U 1", "H 0 1 2", "end"],
+        ["E 0 1", "U 1", "end"],
+        ["U 1", "E 0 1 ", "end"],
+        ["U 1", "E 0  1", "end"],
+        ["U 1", "E 0\t1", "end"],
+        ["U 1", "E 0 01", "E 1 0", "end"],
+        ["E 0 1", "E 1 1", "E 1 2", "end"],
+        ["E 0 1", "E 0 1", "end"],
+        ["U 0", "E 0 1", "H 0 1 4", "end"],
+        ["U 1", "E 0 1", "end # c"],
+        ["U 0", "E 0 1", "H 0 1 2"],
     ])
     def test_small_blocks(self, body):
         lines = HEAD + body
@@ -365,6 +380,13 @@ class TestBlockReaderOracle:
         ["structure t", "rel E 2", "end"],
         ["structure", "rel E 2", "size 2", "end"],
         [""],
+        # symbol names and arities that the bulk reader must not misread
+        ["structure t", "rel 1 2", "size 2", "1 1", "1 1 1 1", "end"],
+        ["structure t", "rel 1 2", "size 2", "1 0 1", "1 1 0", "end"],
+        ["structure t", "rel end 2", "size 2", "end 0 1", "end"],
+        ["structure t", "rel R 3000000", "size 2", "R 0", "end"],
+        ["structure t", "rel R 10000000000000", "size 2", "R 0", "end"],
+        ["structure t", "rel R 10000000000000", "size 2", "end"],
     ])
     def test_headers(self, lines):
         assert (block_outcome(_parse_structure_block, lines)
@@ -408,3 +430,37 @@ class TestBlockReaderOracle:
             assert block_outcome(_parse_structure_block, lines) == expected, (trial, at)
             errors += isinstance(expected[0], type)
         assert 0 < errors < 16
+
+
+def word_join_emit(structure, name):
+    """emit_structure as it was written first: one word join per tuple."""
+    lines = [f"structure {name}"]
+    lines += [f"rel {sym} {arity}" for sym, arity in structure.signature.symbols]
+    lines.append(f"size {structure.size}")
+    for sym, _ in structure.signature.symbols:
+        lines += [f"{sym} {' '.join(map(str, t))}" for t in structure.tuples(sym)]
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkPaths:
+    def test_paw_certificate_is_read_in_bulk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a canonical block was read line by line")
+        monkeypatch.setattr(textio, "_read_tuple_lines", refuse)
+        text = PAW.read_text(encoding="utf-8")
+        cert = parse_certificate(text)
+        assert cert.extension.size == 256 and emit_certificate(cert) == text
+
+    def test_emitter_matches_word_join(self):
+        # '%d' as a symbol name: the one-format emitter must write it as is
+        sig = Signature.make(("U", 1), ("E", 2), ("H", 3), ("%d", 2))
+        rng = random.Random(23)
+        for size in (0, 1, 2, 5, 9):
+            for empty in ((), ("E",), ("U", "H"), sig.names()):
+                rels = {sym: {tuple(rng.randrange(size) for _ in range(arity))
+                              for _ in range(rng.randrange(12))}
+                        for sym, arity in sig.symbols if size and sym not in empty}
+                structure = Structure.make(sig, size, rels)
+                assert emit_structure(structure, "w") == word_join_emit(structure, "w")
+                assert parse_structure_named(emit_structure(structure, "w")) == ("w", structure)
