@@ -79,12 +79,14 @@ def canonical_form(structure: Structure) -> Structure:
     return Structure(structure.signature, n, best if best is not None else structure.relations)
 
 
-def _subset_ors(bits: Sequence[int]) -> list[int]:
-    """The OR of each subset of `bits`, indexed by the subset's bitmask."""
-    ors = [0]
-    for bit in bits:
-        ors += [o | bit for o in ors]
-    return ors
+def _subset_sums(items: Sequence, zero=0) -> list:
+    """The sum of each subset of `items`, indexed by the subset's bitmask
+    and added in their order: the OR of distinct bits, or the concatenation
+    of tuples from zero = ()."""
+    sums = [zero]
+    for item in items:
+        sums += [s + item for s in sums]
+    return sums
 
 
 def enumerate_structures(signature: Signature, size: int,
@@ -121,19 +123,25 @@ def _classes(signature: Signature, max_size: int,
         index = {slot: k for k, slot in enumerate(slots)}
         # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
         gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-        moves = [[_subset_ors(images[c:c + 8]) for c in (0, 8, 16)] for images in
+        moves = [[_subset_sums(images[c:c + 8]) for c in (0, 8, 16)] for images in
                  ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
         seen = bytearray(1 << len(slots))
         if universe is None:
             candidates = range(len(seen))
         else:  # the slots without the new point are the slots on size - 1 points, in order
-            lift = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
-            news = _subset_ors([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
+            lift = _subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
+            news = _subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
             candidates = (lift[p] | new for p in parents for new in news)
 
+        # per symbol, (shift, table) for each byte holding its slots: table[b]
+        # lists in order the symbol's tuples whose slots are set in byte value b
+        decoders = [[(c, _subset_sums([(t,) if j == i else () for j, t in slots[c:c + 8]], ()))
+                     for c in range(0, len(slots), 8) if any(j == i for j, _ in slots[c:c + 8])]
+                    for i in range(len(signature.symbols))]
+
         def encode(state: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-            return tuple(tuple(t for k, (j, t) in enumerate(slots) if j == i and state >> k & 1)
-                         for i in range(len(signature.symbols)))
+            return tuple(tuple(itertools.chain.from_iterable(
+                table[state >> c & 255] for c, table in tables)) for tables in decoders)
 
         found, kept = [], []
         for state in candidates:

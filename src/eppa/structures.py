@@ -145,6 +145,51 @@ class Structure:
                 out.append(None)
         return tuple(out)
 
+    @cached_property
+    def pattern_index(self) -> tuple:
+        """This structure's side of `embeddings` as the pattern, built once:
+        (units, rows, symmetric_rows, closing, hyper).  Each test is a flip,
+        0 where this structure holds the tuple tested and -1 where it does
+        not, so a target mask XORed with it (x ^ -1 is ~x) keeps the target
+        points that agree with the pattern.
+
+        units: per unary or binary symbol i, (i, loop, flips), flips[k]
+        testing point k on the target's mask of i, or of its loops when
+        loop is true.  rows[k]: (i, d, j, flip) per binary symbol i,
+        direction d and earlier point j, testing (j, k) on out[h(j)] when d
+        is 0 and (k, j) on into[h(j)] when d is 1.  symmetric_rows: rows
+        without d = 1, or None unless every binary relation here is
+        symmetric; with a target whose binary relations are symmetric too
+        the two tests of a pair are one.  closing[k]: (i, t) per tuple t of
+        arity >= 3 whose largest point is k; hyper: (i, tuples as a set) per
+        symbol of arity >= 3."""
+        m = self.size
+        units, rows, hyper, symmetric = [], [[] for _ in range(m)], [], True
+        for i, ((_, arity), own, tuples) in enumerate(
+                zip(self.signature.symbols, self.masks, self.relations)):
+            if arity == 1:
+                units.append((i, False, tuple([(own >> k & 1) - 1 for k in range(m)])))
+            elif arity == 2:
+                out, into, loops = own
+                symmetric = symmetric and into is out
+                units.append((i, True, tuple([(loops >> k & 1) - 1 for k in range(m)])))
+                # (j, k) is a tuple iff j is in into[k], and (k, j) iff j is in
+                # out[k]; the two tests of each j are adjacent in rows[k]
+                for k in range(1, m):
+                    row, into_k, out_k = rows[k], into[k], out[k]
+                    for j in range(k):
+                        row.append((i, 0, j, (into_k >> j & 1) - 1))
+                        row.append((i, 1, j, (out_k >> j & 1) - 1))
+            else:
+                hyper.append((i, frozenset(tuples)))
+        closing = [[] for _ in range(m)] if hyper else []
+        for i, _ in hyper:
+            for t in self.relations[i]:
+                closing[max(t)].append((i, t))
+        return (tuple(units), tuple(map(tuple, rows)),
+                tuple([row[::2] for row in rows]) if symmetric else None,
+                tuple(map(tuple, closing)), tuple(hyper))
+
     def is_graphlike(self) -> bool:
         """All symbols binary with symmetric irreflexive interpretation."""
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
@@ -431,14 +476,19 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
 
     Backtracking over the pattern's points in order, with the candidates
     for each point as one bitmask over the target's points (Ullmann 1976;
-    McCreesh and Prosser 2015), read from the `Structure.masks` of both
-    sides.  Point k may go to a free point that holds the unary symbols and
-    loops that k holds, and no others, and that lies in out[h(j)] exactly
-    when (j, k) is a pattern tuple and in into[h(j)] exactly when (k, j) is,
-    for every earlier point j and binary symbol.  The candidates are tried
-    lowest point first.  Only a symbol of arity >= 3 is checked a tuple at a
-    time: assigning k to v checks the pattern tuples whose largest point is
-    k and the target tuples through v whose points are all assigned.  The
+    McCreesh and Prosser 2015).  Point k may go to a free point that holds
+    the unary symbols and loops that k holds, and no others, and that lies
+    in out[h(j)] exactly when (j, k) is a pattern tuple and in into[h(j)]
+    exactly when (k, j) is, for every earlier point j and binary symbol.
+    Each of these tests is built once per pattern (`Structure.pattern_index`)
+    as a flip, and applied to the target's `Structure.masks` by XOR: mask ^ 0
+    keeps the points that hold the tuple, mask ^ -1 those that do not.  When
+    every binary relation of both sides is symmetric, the into tests repeat
+    the out tests and are skipped.  The candidates are tried lowest point
+    first.  Only a symbol of arity >= 3 is checked a tuple at a time:
+    assigning k to v checks the pattern tuples whose largest point is k and
+    the target tuples through v whose points are all assigned, which are
+    listed only when the signature has such a symbol.  The
     remaining candidates of each assigned point wait on an explicit stack,
     so the depth of the search is not bounded by Python's recursion limit.
     """
@@ -450,44 +500,29 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
     if m == 0:
         yield ()
         return
-    # h(k) must lie in fixed[k], and in table[h(j)] for the j-th table of
-    # each row of rows[k], j < k
+    # h(k) must lie in fixed[k] and pass every row of rows[k]
+    units, rows, symmetric_rows, closing, hyper = pattern.pattern_index
+    masks = target.masks
     fixed = [(1 << n) - 1] * m
-    rows: list[list[list[Sequence[int]]]] = [[] for _ in range(m)]
-    closing: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(m)]
-    through: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
-    for (_, arity), own, their, pattern_tuples, target_tuples in zip(
-            pattern.signature.symbols, pattern.masks, target.masks,
-            pattern.relations, target.relations):
-        if arity == 1:
-            for k in range(m):
-                fixed[k] &= their if own >> k & 1 else ~their
-        elif arity == 2:
-            (own_out, own_into, own_loops), (out, into, loops) = own, their
-            not_out = tuple(~x for x in out)
-            not_into = not_out if into is out else tuple(~x for x in into)
-            for k in range(m):
-                fixed[k] &= loops if own_loops >> k & 1 else ~loops
-            # (j, k) in the pattern iff j in own_into[k]; (k, j) iff j in
-            # own_out[k]; the second test is the first when both relations
-            # are symmetric
-            directions = [(out, not_out, own_into)]
-            if into is not out or own_into is not own_out:
-                directions.append((into, not_into, own_out))
-            for k in range(1, m):
-                rows[k] += ([tables if related[k] >> j & 1 else complements for j in range(k)]
-                            for tables, complements, related in directions)
-        else:
-            target_set = frozenset(target_tuples)
-            pattern_set = frozenset(pattern_tuples)
-            for t in pattern_tuples:
-                closing[max(t)].append((t, target_set))
-            for u in target_tuples:
+    for i, loop, flips in units:
+        mask = masks[i]
+        if loop:
+            if mask[0] is not mask[1]:
+                symmetric_rows = None
+            mask = mask[2]
+        fixed = [f & (mask ^ flip) for f, flip in zip(fixed, flips)]
+    if symmetric_rows is not None:
+        rows = symmetric_rows
+    if hyper:
+        target_sets = {i: frozenset(target.relations[i]) for i, _ in hyper}
+        through: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n)]
+        for i, pattern_set in hyper:
+            for u in target.relations[i]:
                 for v in set(u):
                     through[v].append((u, pattern_set))
-    hyper = any(closing) or any(through)
+        back = [0] * n  # back[v] is read only while v is assigned
+        hyper = any(closing) or any(through)
     image = [0] * m
-    back = [0] * n  # back[v] is read only while v is assigned
     taken = [0] * m  # taken[k]: the mask of h(0), ..., h(k - 1)
     stack = [fixed[0]]  # stack[k]: the candidates for k not yet tried
     while stack:
@@ -502,8 +537,8 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
         if hyper:
             back[v] = k
             assigned = taken[k] | low
-            if (any(tuple(map(image.__getitem__, t)) not in target_set
-                    for t, target_set in closing[k])
+            if (any(tuple(map(image.__getitem__, t)) not in target_sets[i]
+                    for i, t in closing[k])
                     or any(tuple(map(back.__getitem__, u)) not in pattern_set
                            for u, pattern_set in through[v]
                            if all(assigned >> x & 1 for x in u))):
@@ -514,9 +549,8 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
         k += 1
         taken[k] = taken[k - 1] | low
         candidates = fixed[k] & ~taken[k]
-        for row in rows[k]:
-            for table, w in zip(row, image):
-                candidates &= table[w]
+        for i, d, j, flip in rows[k]:
+            candidates &= masks[i][d][image[j]] ^ flip
         if candidates:
             stack.append(candidates)
 

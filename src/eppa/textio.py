@@ -10,6 +10,7 @@ accepts the file only if emitting that certificate gives back its bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -230,7 +231,13 @@ def _finish(lines: list[str]) -> str:
 
 
 def _perm_text(perm: Permutation) -> str:
-    return " ".join(map(str, perm.images))
+    """The images, space-separated, by one %-format per degree."""
+    return _perm_format(len(perm.images)) % perm.images
+
+
+@functools.lru_cache(maxsize=8)  # a certificate holds permutations of few degrees
+def _perm_format(degree: int) -> str:
+    return " ".join(["%d"] * degree)
 
 
 def _map_line(prefix: str, key: str, perm: Permutation) -> str:

@@ -85,6 +85,9 @@ def sweep_all_labelled(signature, size, universe=None):
 
 UNARY_BINARY = Signature.make(("U", 1), ("E", 2))
 TERNARY = Signature.make(("H", 3))
+# symbols whose slots start mid-byte: U at bit 9 on 3 points, H at bit 2 on 2
+BINARY_UNARY = Signature.make(("E", 2), ("U", 1))
+UNARY_TERNARY = Signature.make(("U", 1), ("H", 3))
 
 
 def loopless(structure: Structure) -> bool:
@@ -125,6 +128,10 @@ class TestEnumerateStructures:
         *(pytest.param(TERNARY, n, None, id=f"H3-{n}") for n in range(3)),
         *(pytest.param(TERNARY, n, distinct_points, id=f"H3-distinct_points-{n}")
           for n in range(3)),
+        *(pytest.param(BINARY_UNARY, n, u, id=f"E2U1-{u and u.__name__}-{n}")
+          for u in (None, no_unary) for n in range(4)),
+        *(pytest.param(UNARY_TERNARY, n, u, id=f"U1H3-{u and u.__name__}-{n}")
+          for u in (None, no_unary) for n in range(3)),
     ])
     def test_matches_the_labelled_sweep_in_order(self, signature, size, universe):
         assert (enumerate_structures(signature, size, universe)

@@ -559,6 +559,51 @@ class TestEmbeddingsOracle:
         with pytest.raises(EppaError):
             list(embeddings(k2, other))
 
+    def test_pattern_index_holds_nothing_from_a_target(self):
+        """One pattern object, its `Structure.pattern_index` built on its
+        first search, gives the reference stream against each target of a
+        sequence taken forward and then in reverse; a structure searched as
+        a target and then as a pattern does too, and the reverse; and the
+        index leaves the pattern's equality and hash as they were."""
+        def fresh(s):
+            return Structure(s.signature, s.size, s.relations)
+
+        def check(pattern, target):
+            expected = list(reference_embeddings(pattern, target))
+            assert list(embeddings(pattern, target)) == expected, (pattern, target)
+            return bool(expected)
+
+        e2 = Signature.make(("E", 2))
+        arcs = [Structure.make(e2, n, {"E": e}) for n, e in [
+            (3, [(0, 1), (1, 0), (1, 2), (2, 1)]),  # a symmetric path
+            (3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]),  # K3
+            (4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]),  # C4
+            (3, [(0, 1), (1, 2)]),  # one-way arcs
+            (4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]),  # one-way and two-way
+            (3, [(0, 0), (0, 1), (1, 0), (2, 2)]),  # loops
+            (2, [(1, 1), (0, 1)])]]
+        rng = random.Random("pattern index")
+        families = [arcs] + [[random_structure(rng, signature, n, density)
+                              for n in (2, 3) for density in (0.3, 0.5) for _ in range(3)]
+                             for signature in (Signature.make(("U", 1), ("E", 2)),
+                                               Signature.make(("E", 2), ("H", 3)))]
+        searches = hits = 0
+        for family in families:
+            for pattern in map(fresh, family):
+                before = hash(pattern)
+                for target in family + family[::-1]:
+                    hits += check(pattern, target)
+                    searches += 1
+                assert "pattern_index" in pattern.__dict__
+                assert pattern == fresh(pattern) and hash(pattern) == before == hash(fresh(pattern))
+            for a, b in itertools.product(family, repeat=2):
+                as_target_first, as_pattern_first = fresh(a), fresh(a)
+                for pattern, target in [(b, as_target_first), (as_target_first, b),
+                                        (as_pattern_first, b), (b, as_pattern_first)]:
+                    hits += check(pattern, target)
+                    searches += 1
+        assert 0 < hits < searches
+
 
 class TestColourRefinement:
     def test_path_colours_leaves_apart_from_centre(self, path3):
