@@ -38,20 +38,15 @@ def free_amalgam(instance: AmalgamInstance) -> tuple[Structure, tuple[int, ...],
     left_map = tuple(range(left.size))
     shared_image = {instance.into_right[a]: instance.into_left[a]
                     for a in range(instance.shared.size)}
-    right_map = []
-    fresh = left.size
-    for b in range(right.size):
-        if b in shared_image:
-            right_map.append(shared_image[b])
-        else:
-            right_map.append(fresh)
-            fresh += 1
+    fresh = itertools.count(left.size)
+    right_map = tuple(shared_image[b] if b in shared_image else next(fresh)
+                      for b in range(right.size))
     rels: dict[str, set[tuple[int, ...]]] = {}
     for name, _ in left.signature.symbols:
         rels[name] = {tuple(left_map[x] for x in t) for t in left.tuples(name)}
         rels[name] |= {tuple(right_map[x] for x in t) for t in right.tuples(name)}
-    glued = Structure.make(left.signature, fresh, rels)
-    return glued, left_map, tuple(right_map)
+    glued = Structure.make(left.signature, next(fresh), rels)  # size: the next fresh point
+    return glued, left_map, right_map
 
 
 def exists_embedding(pattern: Structure, target: Structure) -> tuple[int, ...] | None:
@@ -69,14 +64,10 @@ def canonical_form(structure: Structure) -> Structure:
     """Minimum relation encoding over all permutations of the universe;
     brute force, intended for sizes <= 5."""
     n = structure.size
-    best = None
-    for perm in itertools.permutations(range(n)):
-        rels = tuple(
-            tuple(sorted(tuple(perm[x] for x in t) for t in tuples))
-            for tuples in structure.relations)
-        if best is None or rels < best:
-            best = rels
-    return Structure(structure.signature, n, best if best is not None else structure.relations)
+    best = min(tuple(tuple(sorted(tuple(perm[x] for x in t) for t in tuples))
+                     for tuples in structure.relations)
+               for perm in itertools.permutations(range(n)))
+    return Structure(structure.signature, n, best)
 
 
 def _subset_sums(items: Sequence, zero=0) -> list:

@@ -94,6 +94,8 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     extends p because each factor extends its own map.  So extenders are
     listed only for the vertex group, and only the first for each tree map:
     every p = tree(t) g(p) tree(s)^-1 then has one, with no check of its own.
+    Each g(p) and each vertex-group product is looked up among the listed
+    maps by its pairs (_root_elements, _product_levels), not built.
 
     Before Aut(candidate) is built, colour refinement rejects the candidate
     when, after some round, a p in `maps` sends x to y with emb(x) and
@@ -121,21 +123,44 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
         lift = {t: next(extenders(tree_t), None) for t, tree_t in tree.items()}
         if hom is None or None in lift.values():
             return None
-        for s in tree:
-            for p in arrows[s]:
-                t = p.image()
-                g = tree[t].inverse().compose(p).compose(tree[s])
-                phi[p.encode()] = lift[t].compose(hom[g]).compose(lift[s].inverse())
+        hom_at = {g.pairs: h for g, h in hom.items()}
+        for s, t, p, g in _root_elements(tree, arrows):
+            phi[p.encode()] = lift[t].compose(hom_at[g]).compose(lift[s].inverse())
     return phi
+
+
+def _root_elements(tree: dict, arrows: dict) -> Iterator[tuple]:
+    """(s, t, p, pairs of g(p) = tree(t)^-1 p tree(s)) for each arrow p: s -> t
+    of the component that `tree` spans (spanning_trees), in tree, then arrow order."""
+    back = {t: {y: x for x, y in tree_t.pairs} for t, tree_t in tree.items()}
+    for s, tree_s in tree.items():
+        for p in arrows[s]:
+            t, m = p.image(), p.as_dict()
+            yield s, t, p, tuple([(x, back[t][m[y]]) for x, y in tree_s.pairs])
+
+
+def _product_levels(group: list[PartialAutomorphism]) -> list[list[tuple[int, int, int]]]:
+    """Per level i, the products group[a] group[b] = group[c] with max(a, b,
+    c) = i, as (a, b, c): each product once, at the first level that has
+    chosen all three values.  group[c] is found by its pairs."""
+    index = {g.pairs: i for i, g in enumerate(group)}
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in group]
+    for a, g in enumerate(group):
+        m = g.as_dict()
+        for b, h in enumerate(group):
+            c = index[tuple([(x, m[y]) for x, y in h.pairs])]
+            levels[max(a, b, c)].append((a, b, c))
+    return levels
 
 
 def _first_homomorphism(group: list[PartialAutomorphism],
                         extenders: dict[PartialAutomorphism, list[Permutation]]
                         ) -> dict[PartialAutomorphism, Permutation] | None:
     """The first h, backtracking over each element's extenders in order, with
-    h(a) h(b) = h(ab) on the vertex group `group`; None when there is none."""
-    index = {g: i for i, g in enumerate(group)}
-    product = [[index[a.compose(b)] for b in group] for a in group]
+    h(a) h(b) = h(ab) on the vertex group `group`; None when there is none.
+    Level i checks only _product_levels(group)[i]: the other products of
+    chosen values passed at shallower levels, so h is the all-pairs search's."""
+    levels = _product_levels(group)
     values: list[Permutation] = []
 
     def search(i: int) -> bool:
@@ -144,8 +169,7 @@ def _first_homomorphism(group: list[PartialAutomorphism],
         for h in extenders[group[i]]:
             values.append(h)
             if all(values[a].compose(values[b]) == values[c]
-                   for a in range(i + 1) for b in range(i + 1)
-                   if (c := product[a][b]) <= i) and search(i + 1):
+                   for a, b, c in levels[i]) and search(i + 1):
                 return True
             values.pop()
         return False
@@ -352,19 +376,18 @@ def scaffold_certificate(base: Structure,
 
 # ---------------------------------------------------------------------------
 
-def base_eppa(base: Structure) -> BaseEppaCertificate:
+def base_eppa(base: Structure, *,
+              maps: Sequence[PartialAutomorphism] | None = None) -> BaseEppaCertificate:
     """Coherent EPPA extension of an arbitrary finite structure.
 
     Tries the minimal realizations first (the structure itself, then small
     point-extensions) and falls back to the generic scaffold; whichever
     realization answers is verified in full, once, and a failure raises
-    VerificationError.
+    VerificationError.  `maps` is Part(A) as _bounded_part lists it, when
+    the caller has already listed it; otherwise it is listed here.
     """
-    bound = config.max_points()
-    if base.size > bound:
-        raise BoundExceededError(
-            f"input has {base.size} points, bound is {bound}")
-    maps = enumerate_partial_automorphisms(base)
+    if maps is None:
+        maps = _bounded_part(base)
     cert = None
     if base.size <= config.SEARCH_MAX_SIZE and len(maps) <= config.SEARCH_MAX_PART:
         budget = max(0, config.SEARCH_TARGET_SIZE - base.size)
@@ -375,3 +398,11 @@ def base_eppa(base: Structure) -> BaseEppaCertificate:
     if not verdict:
         raise VerificationError(f"internal realization failure: {verdict.message()}")
     return cert
+
+
+def _bounded_part(base: Structure) -> list[PartialAutomorphism]:
+    """Part(A), listed only when A is within the input bound."""
+    bound = config.max_points()
+    if base.size > bound:
+        raise BoundExceededError(f"input has {base.size} points, bound is {bound}")
+    return enumerate_partial_automorphisms(base)

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import config
-from .base_extension import BaseEppaCertificate, base_eppa, verify_base_certificate
+from .base_extension import BaseEppaCertificate, _bounded_part, base_eppa, verify_base_certificate
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, mask_points,
                         verify_coherent_extension)
 from .errors import BoundExceededError, EppaError, VerificationError
@@ -85,17 +85,14 @@ class ValuedPoint:
 def is_generic(points: Sequence[ValuedPoint], family: LargeSetFamily) -> bool:
     """Distinct owners, and on every listed set containing two owners their
     values differ."""
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            a, b = pts[i], pts[j]
-            if a == b:
-                continue
-            if a.owner == b.owner:
+    for a, b in itertools.combinations(points, 2):
+        if a == b:
+            continue
+        if a.owner == b.owner:
+            return False
+        for idx, u in enumerate(family.sets):
+            if u >> a.owner & 1 and u >> b.owner & 1 and a.values[idx] == b.values[idx]:
                 return False
-            for idx, u in enumerate(family.sets):
-                if u >> a.owner & 1 and u >> b.owner & 1 and a.values[idx] == b.values[idx]:
-                    return False
     return True
 
 
@@ -279,18 +276,18 @@ def clique_faithful_extension(base: Structure,
     |S| points take distinct values in [1, |S|)."""
     if size_cap is not None and size_cap < 0:
         raise EppaError(f"size cap must be >= 0, got {size_cap}")
+    maps = _bounded_part(base)  # Part(A), listed once per call
     if base_cert is None:
-        base_cert = base_eppa(base)
+        base_cert = base_eppa(base, maps=maps)
     else:
-        verdict = verify_base_certificate(base_cert)
-        if not verdict:
-            raise VerificationError(f"supplied base certificate invalid: {verdict.message()}")
         if base_cert.base != base:
             raise EppaError("base certificate is for a different structure")
+        verdict = verify_base_certificate(base_cert, maps=maps)
+        if not verdict:
+            raise VerificationError(f"supplied base certificate invalid: {verdict.message()}")
     family = large_sets(base_cert.extension, base_cert.embedding, size_cap)
     extension = build_valued_extension(base_cert.extension, base_cert.embedding, family)
 
-    maps = enumerate_partial_automorphisms(base)
     table: dict[str, Permutation] = {}
     for p in maps:
         g = base_cert.phi.lookup(p)
@@ -315,25 +312,28 @@ def clique_faithful_extension(base: Structure,
                                base_embedding=base_cert.embedding, phi=phi,
                                clique_witnesses=witnesses, size_cap=size_cap,
                                forbidden=tuple(forbidden))
-    verdict = verify_faithful_view(cert)
+    verdict = verify_faithful_view(cert, maps=maps)
     if not verdict:
         raise VerificationError(f"pipeline produced invalid certificate: {verdict.message()}")
     return cert
 
 
-def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
+def verify_faithful_view(cert: FaithfulCertificate, *,
+                         maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
     embeddings, the table over Part(A) (automorphisms, extension, and
     coherence on a spanning set of coherent triples, which also forces
     phi(id_D) = id and phi(p^-1) = phi(p)^-1), a witness for every clique,
     and freeness from the forbidden family.  Each distinct witness
-    permutation is checked to be an automorphism once, at its first clique."""
+    permutation is checked to be an automorphism once, at its first clique.
+    `maps` is Part(A), listed here unless the caller has listed it."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi
     if not is_embedding(cert.base_embedding, base, cert.base_extension):
         return Verdict.failed("embedding", "A is not induced in the base extension")
     if not is_embedding(phi.embedding, base, c_structure):
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
-    maps = enumerate_partial_automorphisms(base)
+    if maps is None:
+        maps = enumerate_partial_automorphisms(base)
     v = verify_coherent_extension(phi, maps, c_structure)
     if not v:
         return v

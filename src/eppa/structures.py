@@ -613,11 +613,8 @@ def colour_refinement(structure: Structure) -> Iterator[list[int]]:
 
 def gaifman_graph(structure: Structure) -> Structure:
     """Co-occurrence graph: distinct points adjacent iff they share a satisfied tuple."""
-    edges = set()
-    for name, _ in structure.signature.symbols:
-        for t in structure.tuples(name):
-            for u, v in itertools.combinations(sorted(set(t)), 2):
-                edges.add((u, v))
+    edges = {pair for t in itertools.chain.from_iterable(structure.relations)
+             for pair in itertools.combinations(sorted(set(t)), 2)}
     return graph(structure.size, edges)
 
 
@@ -627,6 +624,5 @@ def is_gaifman_clique(structure: Structure, points: Iterable[int] | None = None)
     for x in pts:
         if not 0 <= x < structure.size:
             raise EppaError(f"point {x} outside universe")
-    gaif = gaifman_graph(structure)
-    edges = gaif.tuple_set("E")
+    edges = gaifman_graph(structure).tuple_set("E")
     return all((u, v) in edges for u, v in itertools.combinations(pts, 2))

@@ -105,11 +105,11 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     (as str.splitlines gives them); returns (name, structure, index just
     past 'end').
 
-    A block as emit_structure writes it is read a whole relation at a time
-    (see _canonical_relations).  Any other block, with comments, blank
-    lines, unsorted tuples or an error, is read line by line (see
-    _read_tuple_lines), so errors name the first bad line in the file, a
-    repeated tuple at its second copy."""
+    A block as emit_structure writes it, or one whose tuples are only out
+    of order, is read a whole relation at a time (see _canonical_relations).
+    Any other block, with comments, blank lines or an error, is read line by
+    line (see _read_tuple_lines), so errors name the first bad line in the
+    file, a repeated tuple at its second copy."""
     i = start
     while i < len(lines) and not _clean(lines[i]):
         i += 1
@@ -143,10 +143,12 @@ def _parse_structure_block(lines: Sequence[str], start: int) -> tuple[str, Struc
     signature = Signature(tuple(symbols))
     canonical = _canonical_relations(lines, i + 1, symbols)
     if canonical is not None:
-        try:  # Structure checks in bulk that each relation is sorted and in range
-            return name, Structure(signature, size, canonical[0]), canonical[1]
-        except EppaError:
-            pass
+        relations, stop = canonical
+        for _ in range(2):  # as read, then sorted: a repeated tuple still fails
+            try:  # Structure checks in bulk that each relation is sorted and in range
+                return name, Structure(signature, size, relations), stop
+            except EppaError:
+                relations = tuple(tuple(sorted(r)) for r in relations)
     relations, i = _read_tuple_lines(lines, i + 1, symbols, size)
     return name, Structure(signature, size, relations), i
 

@@ -7,10 +7,11 @@ import pytest
 
 from eppa import base_extension
 from eppa.base_extension import (_extension_candidates, _first_homomorphism, _moved_pairs,
-                                 _search_certificate, base_eppa, coherent_assignment,
-                                 scaffold_certificate, verify_base_certificate)
-from eppa.coherence import (check_forced_values, verify_coherence, verify_coherent_extension,
-                            verify_extension)
+                                 _product_levels, _root_elements, _search_certificate,
+                                 base_eppa, coherent_assignment, scaffold_certificate,
+                                 verify_base_certificate)
+from eppa.coherence import (check_forced_values, spanning_trees, verify_coherence,
+                            verify_coherent_extension, verify_extension)
 from eppa.errors import BoundExceededError, VerificationError
 from eppa.faithful import clique_faithful_extension
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
@@ -402,9 +403,33 @@ class TestCoherentAssignment:
         assert _first_homomorphism([ident, swap], {**extenders, swap: [first]}) is None
 
 
+def all_pairs_homomorphism(group, extenders):
+    """Reference for _first_homomorphism: the same backtracking over each
+    element's extenders in order, with the product table built by compose
+    and every product of the chosen values re-checked at every level."""
+    index = {g: i for i, g in enumerate(group)}
+    product = [[index[a.compose(b)] for b in group] for a in group]
+    values = []
+
+    def search(i):
+        if i == len(group):
+            return True
+        for h in extenders[group[i]]:
+            values.append(h)
+            if all(values[a].compose(values[b]) == values[c]
+                   for a in range(i + 1) for b in range(i + 1)
+                   if (c := product[a][b]) <= i) and search(i + 1):
+                return True
+            values.pop()
+        return False
+
+    return dict(zip(group, values)) if search(0) else None
+
+
 def aut_first_assignment(maps, candidate, embedding):
     """Reference: coherent_assignment as it was before the colour check,
-    building Aut(candidate) for every candidate."""
+    building Aut(candidate) for every candidate, with each g(p) built by
+    compose and the all-pairs homomorphism search."""
     aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
     emb = tuple(embedding)
     extenders = {}
@@ -429,8 +454,8 @@ def aut_first_assignment(maps, candidate, embedding):
                 if p.image() not in tree:
                     tree[p.image()] = p.compose(tree[s])
                     order.append(p.image())
-        hom = _first_homomorphism([p for _, p in arrows[root] if p.image() == root],
-                                  extenders)
+        hom = all_pairs_homomorphism([p for _, p in arrows[root] if p.image() == root],
+                                     extenders)
         if hom is None:
             return None
         lift = {t: extenders[tree[t]][0] for t in order}
@@ -442,12 +467,14 @@ def aut_first_assignment(maps, candidate, embedding):
     return phi
 
 
+MIXED = Structure.make(UNARY_BINARY, 2, {"U": [(0,)], "E": [(0, 1)]})
+
+
 def searched_candidates(graphs_up_to_3):
     """(A, Part(A), candidate) for every candidate the search proposes for the
     graphs with at most 3 vertices at up to 2 extra points, and for U {0},
     E {01} on 2 points at 1 extra point."""
-    mixed = Structure.make(UNARY_BINARY, 2, {"U": [(0,)], "E": [(0, 1)]})
-    runs = [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(mixed, 1)]
+    runs = [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(MIXED, 1)]
     for base, extra in runs:
         maps = part(base)
         for candidate in _extension_candidates(base, extra, ()):
@@ -488,3 +515,70 @@ class TestColourRejection:
             base_eppa(structure)
         # 2,465 with Aut(candidate) built for every candidate
         assert len(calls) <= 20
+
+
+class TestHomomorphismSchedule:
+    """_first_homomorphism checks each vertex-group product once, found by
+    lookup; coherent_assignment finds each g(p) by lookup."""
+
+    @staticmethod
+    def vertex_groups(bases):
+        """(maps, arrows, tree, vertex group) per groupoid component of Part(A)."""
+        for base in bases:
+            maps = part(base)
+            arrows, trees = spanning_trees(maps)
+            for tree in trees:
+                root = next(iter(tree))
+                yield maps, arrows, tree, [p for p in arrows[root] if p.image() == root]
+
+    def test_same_homomorphism_as_all_pairs_search(self, graphs_up_to_3, graphs_up_to_4,
+                                                   monkeypatch):
+        met = []
+
+        def recorded(group, extenders):
+            met.append((group, extenders))
+            return _first_homomorphism(group, extenders)
+        monkeypatch.setattr(base_extension, "_first_homomorphism", recorded)
+        for base, maps, candidate in searched_candidates(graphs_up_to_3):
+            coherent_assignment(maps, candidate, tuple(range(base.size)))
+        for structure in graphs_up_to_4:
+            base_eppa(structure)
+        assert max(len(group) for group, _ in met) == 24  # Aut(K4), Aut(4K1)
+        # each met list, also shuffled and without its first extender, so that
+        # searches that backtrack and searches that find none are compared too
+        rng = random.Random(11)
+        answers = Counter()
+        for group, extenders in met:
+            for variant in (extenders, {g: rng.sample(hs, len(hs)) for g, hs in extenders.items()},
+                            {g: hs[1:] for g, hs in extenders.items()}):
+                got = _first_homomorphism(group, variant)
+                assert got == all_pairs_homomorphism(group, variant), group
+                answers[got is None] += 1
+        assert answers[False] >= len(met) and answers[True] > 0
+
+    def test_levels_cover_the_product_table_once(self, graphs_up_to_4):
+        sizes = set()
+        for _, _, _, group in self.vertex_groups([*graphs_up_to_4, MIXED]):
+            levels = _product_levels(group)
+            assert len(levels) == len(group)
+            listed = [(a, b) for level in levels for a, b, _ in level]
+            assert sorted(listed) == list(itertools.product(range(len(group)), repeat=2))
+            for i, level in enumerate(levels):
+                for a, b, c in level:
+                    assert group[a].compose(group[b]) == group[c]
+                    assert max(a, b, c) == i
+            sizes.add(len(group))
+        assert {1, 2, 6, 24} <= sizes
+
+    def test_root_elements_are_the_composites(self, graphs_up_to_4):
+        for maps, arrows, tree, group in self.vertex_groups([*graphs_up_to_4, MIXED]):
+            elements = {g.pairs for g in group}
+            seen = []
+            for s, t, p, g in _root_elements(tree, arrows):
+                assert p.domain() == s and p.image() == t
+                assert g == tree[t].inverse().compose(p).compose(tree[s]).pairs
+                assert g in elements
+                seen.append(p)
+            # every arrow of the component once, each domain's in encoding order
+            assert seen == [p for s in tree for p in arrows[s]]
+            assert len(seen) == len(group) * len(tree) ** 2

@@ -6,7 +6,7 @@ import pytest
 from eppa.base_extension import (BaseEppaCertificate, base_eppa,
                                   verify_base_certificate)
 from eppa.coherence import ExtensionMap, coherent_triples
-from eppa.errors import EppaError
+from eppa.errors import BoundExceededError, EppaError
 from eppa.faithful import (ValuedPoint, build_valued_extension,
                            clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
@@ -288,6 +288,10 @@ class TestPipeline:
             assert len(clique) == 1
             assert witness(clique[0]) in set(fc.extension.nu)
 
+    def test_base_override_for_another_structure_is_refused(self):
+        with pytest.raises(EppaError, match="different structure"):
+            clique_faithful_extension(graph(2, []), base_cert=single_in_k2_cert())
+
     def test_small_graphs_verified(self, graphs_up_to_3):
         for structure in graphs_up_to_3:
             fc = clique_faithful_extension(structure)
@@ -334,6 +338,38 @@ class TestForbE:
                       lambda: forb_e_eppa(k2, [k3], size_cap=-1)):
             with pytest.raises(EppaError, match="size cap"):
                 build()
+
+    def test_part_listed_once_per_call(self, graphs_up_to_4, k3, monkeypatch):
+        """The pipeline lists Part(A) once, for the base extension, its own
+        table and the verifier, wherever it is listed."""
+        from eppa import base_extension, faithful
+        from eppa.amalgamation import forb_e_member
+        calls = []
+
+        def counted(structure):
+            calls.append(structure)
+            return enumerate_partial_automorphisms(structure)
+        for module in (base_extension, faithful):
+            monkeypatch.setattr(module, "enumerate_partial_automorphisms", counted)
+        free = [g for g in graphs_up_to_4 if forb_e_member(g, [k3])]
+        assert len(free) == 13
+        refused = 0
+        for structure in free:
+            calls.clear()
+            try:
+                fc = forb_e_eppa(structure, [k3])
+            except BoundExceededError:  # P3+K1: Aut(B) is over the degree bound
+                refused += 1
+                assert calls == [structure]
+                continue
+            assert calls == [structure]
+            assert verify_faithful_view(fc, maps=enumerate_partial_automorphisms(structure))
+            assert calls == [structure]
+            assert verify_faithful_view(fc)
+            assert calls == [structure, structure]
+        assert refused == 1
+        with pytest.raises(TypeError):
+            verify_faithful_view(fc, calls[0])
 
     def test_forbidden_edge_gives_edgeless_extension(self, k2):
         fc = forb_e_eppa(graph(1, []), [k2])

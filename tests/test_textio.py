@@ -452,6 +452,26 @@ class TestBulkPaths:
         cert = parse_certificate(text)
         assert cert.extension.size == 256 and emit_certificate(cert) == text
 
+    def test_a_block_only_out_of_order_is_read_in_bulk(self, monkeypatch):
+        # the paw's 256-point block with its last tuple moved first
+        lines = PAW.read_text(encoding="utf-8").splitlines()
+        start = lines.index("structure b")
+        block = lines[start:lines.index("end", start) + 1]
+        moved = [*block[:3], block[-2], *block[3:-2], block[-1]]
+        assert block[2] == "size 256" and moved != block
+        canonical = parse_structure_named("\n".join(block))
+
+        def refuse(*args):
+            raise AssertionError("a block only out of order was read line by line")
+        monkeypatch.setattr(textio, "_read_tuple_lines", refuse)
+        assert parse_structure_named("\n".join(moved)) == canonical
+
+    def test_a_repeated_tuple_out_of_order_is_named_at_its_second_copy(self):
+        text = "structure s\nrel U 1\nrel E 2\nsize 3\nU 2\nU 0\nE 1 2\nE 0 1\nE 1 2\nend\n"
+        with pytest.raises(StructureSyntaxError, match="duplicate tuple E") as caught:
+            parse_structure(text)
+        assert caught.value.line == 9
+
     def test_emitter_matches_word_join(self):
         # '%d' as a symbol name: the one-format emitter must write it as is
         sig = Signature.make(("U", 1), ("E", 2), ("H", 3), ("%d", 2))
