@@ -11,7 +11,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BoundExceededError, EppaError
 from .structures import (Signature, Structure, embeddings, induced_substructure,
-                         is_embedding, is_gaifman_clique)
+                         is_embedding, is_gaifman_clique, subset_sums)
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,6 @@ def canonical_form(structure: Structure) -> Structure:
     return Structure(structure.signature, n, best)
 
 
-def _subset_sums(items: Sequence, zero=0) -> list:
-    """The sum of each subset of `items`, indexed by the subset's bitmask
-    and added in their order: the OR of distinct bits, or the concatenation
-    of tuples from zero = ()."""
-    sums = [zero]
-    for item in items:
-        sums += [s + item for s in sums]
-    return sums
-
-
 def enumerate_structures(signature: Signature, size: int,
                          universe: Callable[[Structure], bool] | None = None
                          ) -> list[Structure]:
@@ -114,19 +104,19 @@ def _classes(signature: Signature, max_size: int,
         index = {slot: k for k, slot in enumerate(slots)}
         # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
         gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-        moves = [[_subset_sums(images[c:c + 8]) for c in (0, 8, 16)] for images in
+        moves = [[subset_sums(images[c:c + 8]) for c in (0, 8, 16)] for images in
                  ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
         seen = bytearray(1 << len(slots))
         if universe is None:
             candidates = range(len(seen))
         else:  # the slots without the new point are the slots on size - 1 points, in order
-            lift = _subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
-            news = _subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
+            lift = subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 not in t])
+            news = subset_sums([1 << k for k, (_, t) in enumerate(slots) if size - 1 in t])
             candidates = (lift[p] | new for p in parents for new in news)
 
         # per symbol, (shift, table) for each byte holding its slots: table[b]
         # lists in order the symbol's tuples whose slots are set in byte value b
-        decoders = [[(c, _subset_sums([(t,) if j == i else () for j, t in slots[c:c + 8]], ()))
+        decoders = [[(c, subset_sums([(t,) if j == i else () for j, t in slots[c:c + 8]], ()))
                      for c in range(0, len(slots), 8) if any(j == i for j, _ in slots[c:c + 8])]
                     for i in range(len(signature.symbols))]
 

@@ -36,7 +36,7 @@ from .coherence import (ExtensionMap, Verdict, spanning_trees,
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, colour_refinement,
-                         enumerate_partial_automorphisms, is_embedding)
+                         enumerate_partial_automorphisms, is_embedding, subset_sums)
 
 
 @dataclass(frozen=True)
@@ -278,6 +278,10 @@ class _Scaffold:
         self.theta = [sum(1 << j for j, (si, k) in enumerate(self.slots_of[v])
                           if k[0] == v and k in base.relations[si])
                       for v in range(n)]
+        # valuations are looked up in two halves, split at this bit: a table
+        # over all of a point's slots would take 2^18 entries per point and
+        # completion for one ternary symbol on 4 points
+        self.half = min(map(len, self.slots_of), default=0) // 2
 
     def key(self, si: int, t: Sequence[int]):
         symmetric, loopy = self.kinds[si]
@@ -285,17 +289,25 @@ class _Scaffold:
             return None
         return (si, tuple(sorted(t)) if symmetric else tuple(t))
 
-    def action(self, p: PartialAutomorphism):
-        """(pi, flips, moves) for p: pi is the order completion of p,
-        flips[v] is XORed into the valuation of a point over v, and
-        moves[v][j] is the bit of pi(v) that slot j of v goes to.  The flips
-        send theta_x to theta_p(x) on dom(p); at every slot with a point
-        outside dom(p) the least such point evens out the flips, so the XOR
-        of each slot's bits is invariant."""
-        pi = p.order_completion(self.n)
+    def completion(self, pi: Permutation):
+        """(moves, tables) for an order completion pi: moves[v][j] is the
+        bit of pi(v) that slot j of v goes to, and tables[v] = (low, high)
+        are the subset sums of those bits below and from self.half, so that
+        pi sends a valuation c at v to low[c & mask] | high[c >> half]."""
         moves = tuple(tuple(self.slot_index[pi(v)][self.key(si, tuple(pi(z) for z in k))]
                             for si, k in self.slots_of[v])
                       for v in range(self.n))
+        tables = tuple((subset_sums([1 << b for b in m[:self.half]]),
+                        subset_sums([1 << b for b in m[self.half:]])) for m in moves)
+        return moves, tables
+
+    def action(self, p: PartialAutomorphism, moves) -> tuple[int, ...]:
+        """The flips of p, whose order completion moves slots as `moves`
+        (completion): flips[v] is XORed into the valuation of a point over v
+        before the completion moves its bits.  The flips send theta_x to
+        theta_p(x) on dom(p); at every slot with a point outside dom(p) the
+        least such point evens out the flips, so the XOR of each slot's bits
+        is invariant."""
         pmap = p.as_dict()
         flips = [0] * self.n
         for x, px in pmap.items():
@@ -308,29 +320,47 @@ class _Scaffold:
                             for d in points - free) % 2:
                 u = min(free)
                 flips[u] |= 1 << self.slot_index[u][s]
-        return pi, tuple(flips), moves
-
-
-def _act(action, point: tuple[int, int]) -> tuple[int, int]:
-    pi, flips, moves = action
-    v, chi = point
-    chi ^= flips[v]
-    return pi(v), sum(1 << b for j, b in enumerate(moves[v]) if chi >> j & 1)
+        return tuple(flips)
 
 
 def scaffold_certificate(base: Structure,
                          maps: Sequence[PartialAutomorphism]) -> BaseEppaCertificate:
     """Generic realization over `maps` = Part(A): the extension is the orbit
     of the embedded copy under the actions assigned to Part(A) (a set closed
-    under inverses), each restricted to the orbit."""
+    under inverses), each restricted to the orbit.  The action of p is
+    (pi, flips): pi its order completion, whose slot moves and image tables
+    are built once per call (_Scaffold.completion), and flips its bit flips
+    (_Scaffold.action).  It sends a point (v, chi) to (pi(v), the table
+    image of chi ^ flips[v]).  The orbit sweep applies each distinct action
+    to each point once, and the images it finds are that action's
+    Permutation, which every map with that action shares.  A symbol holds
+    on the products of fibre halves, split by their bit at the slot, whose
+    bits XOR to 1."""
     sc = _Scaffold(base)
-    actions = [sc.action(p) for p in maps]
+    completions: dict[Permutation, tuple] = {}
+    actions = []
+    for p in maps:
+        pi = p.order_completion(sc.n)
+        if pi not in completions:
+            completions[pi] = sc.completion(pi)
+        actions.append((pi, sc.action(p, completions[pi][0])))
     points = list(enumerate(sc.theta))
     index = {pt: i for i, pt in enumerate(points)}
-    distinct = sorted(set(actions), key=lambda a: (a[0].images, a[1]))
-    for pt in points:
-        for action in distinct:
-            image = _act(action, pt)
+    half, mask = sc.half, (1 << sc.half) - 1
+    # per distinct action and vertex v: pi(v), flips[v] and v's tables
+    steps = {(pi, flips): [(pi(v), flips[v], *completions[pi][1][v]) for v in range(sc.n)]
+             for pi, flips in sorted(set(actions), key=lambda a: (a[0].images, a[1]))}
+
+    def images(step: list) -> Iterator[tuple[int, int]]:
+        for v, chi in points:
+            w, flip, low, high = step[v]
+            c = chi ^ flip
+            yield w, low[c & mask] | high[c >> half]
+
+    # each sweep reads the growing list of points, one point per round
+    sweeps = [images(step) for step in steps.values()]
+    for _ in points:
+        for image in map(next, sweeps):
             if image not in index:
                 if len(index) >= SCAFFOLD_MAX_POINTS:
                     raise BoundExceededError(
@@ -359,15 +389,22 @@ def scaffold_certificate(base: Structure,
             if s is None:
                 continue
             vs = sorted(set(t))
-            for choice in itertools.product(*(over[v] for v in vs)):
-                if sum(points[i][1] >> sc.slot_index[v][s] & 1
-                       for v, i in zip(vs, choice)) % 2:
-                    at = dict(zip(vs, choice))
-                    rels[name].append(tuple(at[x] for x in t))
+            # halves[k][b]: the points over vs[k] whose bit at slot s is b
+            halves = [([], []) for _ in vs]
+            for k, v in enumerate(vs):
+                j = sc.slot_index[v][s]
+                for i in over[v]:
+                    halves[k][points[i][1] >> j & 1].append(i)
+            pos = [vs.index(x) for x in t]
+            for bits in itertools.product((0, 1), repeat=len(vs)):
+                if sum(bits) % 2:
+                    rels[name] += (tuple([choice[k] for k in pos]) for choice in
+                                   itertools.product(*(h[b] for h, b in zip(halves, bits))))
     extension = Structure.make(base.signature, size, rels)
 
-    table = {p.encode(): Permutation(tuple(index[_act(a, pt)] for pt in points))
-             for p, a in zip(maps, actions)}
+    perms = {a: Permutation(tuple(map(index.__getitem__, images(step))))
+             for a, step in steps.items()}
+    table = {p.encode(): perms[a] for p, a in zip(maps, actions)}
     emb = tuple(range(base.size))
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=size,
                        embedding=emb, table=table)

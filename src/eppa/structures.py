@@ -216,6 +216,16 @@ def _no_points(g: Sequence[int]) -> tuple[()]:
     return ()
 
 
+def subset_sums(items: Sequence, zero=0) -> list:
+    """The sum of each subset of `items`, indexed by the subset's bitmask
+    and added in their order: the OR of distinct bits, or the concatenation
+    of tuples from zero = ()."""
+    sums = [zero]
+    for item in items:
+        sums += [s + item for s in sums]
+    return sums
+
+
 def graph(n: int, edges: Iterable[tuple[int, int]]) -> Structure:
     """Symmetric irreflexive binary structure over the standard graph signature."""
     rel = set()

@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 
 from eppa import base_extension
-from eppa.base_extension import (_extension_candidates, _first_homomorphism, _moved_pairs,
+from eppa.amalgamation import canonical_form
+from eppa.base_extension import (BaseEppaCertificate, _extension_candidates, _first_homomorphism, _moved_pairs,
                                  _product_levels, _root_elements, _search_certificate,
                                  base_eppa, coherent_assignment, scaffold_certificate,
                                  verify_base_certificate)
-from eppa.coherence import (check_forced_values, spanning_trees, verify_coherence,
+from eppa.coherence import (ExtensionMap, check_forced_values, spanning_trees, verify_coherence,
                             verify_coherent_extension, verify_extension)
 from eppa.errors import BoundExceededError, VerificationError
 from eppa.faithful import clique_faithful_extension
@@ -225,6 +226,30 @@ class TestBruteForce:
         assert verify_base_certificate(cert)
 
 
+# the inputs TestScaffold certifies besides k2, P3 and the graphs on 1 and 2 points
+SCAFFOLD_INPUTS = {
+    "arc": Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]}),
+    "directed P3": Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 1), (1, 2)]}),
+    "directed C3": Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 1), (1, 2), (2, 0)]}),
+    "loop": Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]}),
+    "mixed loop": Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 0), (0, 1), (1, 2), (2, 1)]}),
+    "U+E": Structure.make(UNARY_BINARY, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]}),
+    "H (0,0,1)": Structure.make(Signature.make(("H", 3)), 2, {"H": [(0, 0, 1)]}),
+}
+FOUR_VERTEX_FALLBACKS = {
+    "P3+K1": [(0, 1), (1, 2)],
+    "paw": [(0, 1), (0, 2), (1, 2), (2, 3)],
+}
+FIVE_VERTEX_GRAPHS = {
+    "P5": [(0, 1), (1, 2), (2, 3), (3, 4)],
+    "K2+3K1": [(0, 1)],
+    "K1,4": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "bull": [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],
+}
+# the paw as the base4 corpus lists it: 75 maps, 18 order completions, 29 actions
+PAW = graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+
 class TestScaffold:
     """Hrushovski's valuation scaffold: one bit per slot (symbol, tuple up to
     the symbol's symmetry in A) through a point."""
@@ -243,30 +268,23 @@ class TestScaffold:
         assert self.scaffold(path3).extension.size <= 3 * 2 ** 2
 
     def test_digraph(self):
-        arc = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 1)]})
-        self.scaffold(arc)
+        self.scaffold(SCAFFOLD_INPUTS["arc"])
 
     def test_directed_path_and_cycle(self):
-        for arcs in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]):
-            self.scaffold(Structure.make(GRAPH_SIGNATURE, 3, {"E": arcs}))
+        for name in ("directed P3", "directed C3"):
+            self.scaffold(SCAFFOLD_INPUTS[name])
 
     def test_loop(self):
-        loopy = Structure.make(GRAPH_SIGNATURE, 2, {"E": [(0, 0), (0, 1)]})
-        self.scaffold(loopy)
+        self.scaffold(SCAFFOLD_INPUTS["loop"])
 
     def test_mixed_loop(self):
-        mixed = Structure.make(GRAPH_SIGNATURE, 3, {"E": [(0, 0), (0, 1), (1, 2), (2, 1)]})
-        self.scaffold(mixed)
+        self.scaffold(SCAFFOLD_INPUTS["mixed loop"])
 
     def test_unary_and_binary_symbols(self):
-        sig = Signature.make(("U", 1), ("E", 2))
-        mixed = Structure.make(sig, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]})
-        self.scaffold(mixed)
+        self.scaffold(SCAFFOLD_INPUTS["U+E"])
 
     def test_ternary(self):
-        sig = Signature.make(("H", 3))
-        hyper = Structure.make(sig, 2, {"H": [(0, 0, 1)]})
-        self.scaffold(hyper)
+        self.scaffold(SCAFFOLD_INPUTS["H (0,0,1)"])
 
     def test_ternary_on_three_points_exceeds_cost_bound(self):
         # 96 points: 29 maps x 96^3 cells is over the verification-cost bound
@@ -282,25 +300,143 @@ class TestScaffold:
             assert verify_base_certificate(
                 _search_certificate(structure, part(structure), 0))
 
-    @pytest.mark.parametrize("edges", [
-        [(0, 1), (1, 2)],                          # P3+K1
-        [(0, 1), (0, 2), (1, 2), (2, 3)],          # paw
-    ])
+    @pytest.mark.parametrize("edges", FOUR_VERTEX_FALLBACKS.values())
     def test_four_vertex_fallbacks(self, edges):
         cert = base_eppa(graph(4, edges))
         assert cert.extension.size <= 32
         assert verify_base_certificate(cert)
 
-    @pytest.mark.parametrize("edges", [
-        [(0, 1), (1, 2), (2, 3), (3, 4)],          # P5
-        [(0, 1)],                                  # K2+3K1
-        [(0, 1), (0, 2), (0, 3), (0, 4)],          # star K1,4
-        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],  # bull
-    ])
+    @pytest.mark.parametrize("edges", FIVE_VERTEX_GRAPHS.values())
     def test_five_vertex_graphs(self, edges):
         cert = base_eppa(graph(5, edges))
         assert cert.extension.size <= 80
         assert verify_base_certificate(cert)
+
+    def test_every_five_vertex_graph(self, graphs_up_to_4):
+        """All 34 graphs with 5 vertices, each a graph on 4 vertices plus a
+        fifth vertex: 3 are their own extension, 3 get 40 points and 28 get
+        80.  base_eppa verifies each certificate before returning it."""
+        fives = {canonical_form(graph(5, [*g.tuples("E"), *((x, 4) for x in range(4)
+                                                            if mask >> x & 1)]))
+                 for g in graphs_up_to_4 if g.size == 4 for mask in range(16)}
+        assert len(fives) == 34
+        sizes = Counter(base_eppa(structure).extension.size for structure in fives)
+        assert sizes == {5: 3, 40: 3, 80: 28}
+
+    def test_tables_per_completion_and_permutations_per_action(self, monkeypatch):
+        """One call builds each order completion's tables once and each
+        distinct action's Permutation once, shared by every map with that action."""
+        built, perms = [], []
+        completion = base_extension._Scaffold.completion
+
+        def counted_completion(scaffold, pi):
+            built.append(pi)
+            return completion(scaffold, pi)
+
+        def counted_permutation(images):
+            perms.append(images)
+            return Permutation(images)
+        monkeypatch.setattr(base_extension._Scaffold, "completion", counted_completion)
+        monkeypatch.setattr(base_extension, "Permutation", counted_permutation)
+        p5 = graph(5, FIVE_VERTEX_GRAPHS["P5"])
+        for structure, n_maps, completions, actions in ((PAW, 75, 18, 29), (p5, 252, 92, 142)):
+            built.clear()
+            perms.clear()
+            maps = part(structure)
+            cert = scaffold_certificate(structure, maps)
+            assert len(maps) == n_maps
+            assert len(built) == len(set(built)) == completions
+            assert len(perms) == actions
+            assert len({id(g) for g in cert.phi.table.values()}) == actions
+
+
+def reference_scaffold(base, maps):
+    """Reference for scaffold_certificate, sharing no code with it: each
+    map's slot moves are rebuilt from its order completion, each point is
+    moved bit by bit, each map gets its own Permutation, and every product
+    of fibres is tested for odd parity."""
+    n = base.size
+    kinds, keys = [], []
+
+    def key(si, t):
+        symmetric, loopy = kinds[si]
+        if len(set(t)) < len(t) and not loopy:
+            return None
+        return (si, tuple(sorted(t)) if symmetric else tuple(t))
+
+    for si, ((_, arity), tuples) in enumerate(zip(base.signature.symbols, base.relations)):
+        symmetric = arity > 1 and all(tuple(t[i] for i in order) in tuples for t in tuples
+                                      for order in itertools.permutations(range(arity)))
+        kinds.append((symmetric, any(len(set(t)) < arity for t in tuples)))
+        keys += sorted({key(si, t) for t in itertools.product(range(n), repeat=arity)} - {None})
+    slots_of = [[s for s in keys if v in s[1]] for v in range(n)]
+    slot_index = [{s: j for j, s in enumerate(sl)} for sl in slots_of]
+    theta = [sum(1 << j for j, (si, k) in enumerate(slots_of[v])
+                 if k[0] == v and k in base.relations[si]) for v in range(n)]
+
+    def action(p):
+        pi = p.order_completion(n)
+        moves = tuple(tuple(slot_index[pi(v)][key(si, tuple(pi(z) for z in k))]
+                            for si, k in slots_of[v]) for v in range(n))
+        pmap = p.as_dict()
+        flips = [0] * n
+        for x, px in pmap.items():
+            flips[x] = theta[x] ^ sum((theta[px] >> b & 1) << j for j, b in enumerate(moves[x]))
+        for s in keys:
+            free = set(s[1]) - pmap.keys()
+            if free and sum(flips[d] >> slot_index[d][s] & 1 for d in set(s[1]) - free) % 2:
+                flips[min(free)] |= 1 << slot_index[min(free)][s]
+        return pi, tuple(flips), moves
+
+    def act(a, point):
+        pi, flips, moves = a
+        v, chi = point
+        chi ^= flips[v]
+        return pi(v), sum(1 << b for j, b in enumerate(moves[v]) if chi >> j & 1)
+
+    actions = [action(p) for p in maps]
+    points = list(enumerate(theta))
+    index = {pt: i for i, pt in enumerate(points)}
+    for pt in points:
+        for a in sorted(set(actions), key=lambda a: (a[0].images, a[1])):
+            if act(a, pt) not in index:
+                index[act(a, pt)] = len(points)
+                points.append(act(a, pt))
+    over = [[i for i, (v, _) in enumerate(points) if v == u] for u in range(n)]
+    rels = {}
+    for si, (name, arity) in enumerate(base.signature.symbols):
+        rels[name] = []
+        for t in itertools.product(range(n), repeat=arity):
+            s = key(si, t)
+            if s is None:
+                continue
+            vs = sorted(set(t))
+            for choice in itertools.product(*(over[v] for v in vs)):
+                if sum(points[i][1] >> slot_index[v][s] & 1 for v, i in zip(vs, choice)) % 2:
+                    at = dict(zip(vs, choice))
+                    rels[name].append(tuple(at[x] for x in t))
+    extension = Structure.make(base.signature, len(points), rels)
+    table = {p.encode(): Permutation(tuple(index[act(a, pt)] for pt in points))
+             for p, a in zip(maps, actions)}
+    phi = ExtensionMap(domain_universe=n, codomain_universe=len(points),
+                       embedding=tuple(range(n)), table=table)
+    return BaseEppaCertificate(base=base, extension=extension, phi=phi)
+
+
+REFERENCE_INPUTS = {
+    "K1": graph(1, []), "2K1": graph(2, []), "K2": graph(2, [(0, 1)]),
+    "P3": graph(3, [(0, 1), (1, 2)]), **SCAFFOLD_INPUTS, "canonical paw": PAW,
+    **{name: graph(4, edges) for name, edges in FOUR_VERTEX_FALLBACKS.items()},
+    **{name: graph(5, edges) for name, edges in FIVE_VERTEX_GRAPHS.items()},
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_scaffold_emits_the_reference_certificate(name):
+    structure = REFERENCE_INPUTS[name]
+    maps = part(structure)
+    assert (emit_certificate(scaffold_certificate(structure, maps))
+            == emit_certificate(reference_scaffold(structure, maps)))
 
 
 class TestExtensionCandidates:
