@@ -26,6 +26,7 @@ surface as hard errors, never as wrong certificates.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -59,14 +60,14 @@ class BaseEppaCertificate:
 def verify_base_certificate(cert: BaseEppaCertificate, *,
                             maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
     """Full re-check: embedding, then the table over Part(A): automorphisms,
-    extension and coherence, decided on a spanning set of coherent triples
-    (verify_coherent_extension).  Coherence over Part(A) forces the values
-    phi(id_D) = id and phi(p^-1) = phi(p)^-1, so they need no check of their
-    own.  phi then embeds Aut(A) as a group: coherence makes it a
-    homomorphism there, and two distinct automorphisms of A differ at some
-    x, so their extensions differ at the embedded image of x.  `maps` is
-    Part(A) as enumerate_partial_automorphisms lists it, when the caller
-    has already listed it; otherwise it is listed here."""
+    extension and coherence, decided on the spanning maps and a spanning
+    set of coherent triples (verify_coherent_extension).  Coherence over
+    Part(A) forces the values phi(id_D) = id and phi(p^-1) = phi(p)^-1, so
+    they need no check of their own.  phi then embeds Aut(A) as a group:
+    coherence makes it a homomorphism there, and two distinct automorphisms
+    of A differ at some x, so their extensions differ at the embedded image
+    of x.  `maps` is Part(A) as enumerate_partial_automorphisms lists it,
+    when the caller has already listed it; otherwise it is listed here."""
     if maps is None:
         maps = cert.part()
     if not is_embedding(cert.embedding, cert.base, cert.extension):
@@ -255,6 +256,7 @@ def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
 # one bit per other vertex, so at most n * 2^(n-1) points.
 
 SCAFFOLD_MAX_POINTS = 200_000  # the orbit is refused beyond this many points
+SCAFFOLD_MAX_COST = 20_000_000  # and when len(Part(A)) x cells of B exceeds this
 
 
 class _Scaffold:
@@ -357,9 +359,22 @@ def scaffold_certificate(base: Structure,
             c = chi ^ flip
             yield w, low[c & mask] | high[c >> half]
 
+    # the certificate is verified in full before returning, which scans every
+    # relation tuple once per partial automorphism; the orbit is refused as
+    # soon as its size puts that product beyond desk scale, at `costly` points
+    def cells(size: int) -> int:
+        return sum(size ** arity for _, arity in base.signature.symbols)
+
+    costly = bisect.bisect_right(range(SCAFFOLD_MAX_POINTS + 1), SCAFFOLD_MAX_COST,
+                                 key=lambda size: len(maps) * cells(size))
     # each sweep reads the growing list of points, one point per round
     sweeps = [images(step) for step in steps.values()]
     for _ in points:
+        if len(points) >= costly:
+            raise BoundExceededError(
+                f"scaffold verification cost {len(maps)} x {cells(len(points))} tuple "
+                "checks is beyond desk scale; the input is too large for the "
+                "generic realization")
         for image in map(next, sweeps):
             if image not in index:
                 if len(index) >= SCAFFOLD_MAX_POINTS:
@@ -369,15 +384,6 @@ def scaffold_certificate(base: Structure,
                 points.append(image)
 
     size = len(points)
-    # the certificate is verified in full before returning, which scans every
-    # relation tuple once per partial automorphism; refuse cases where that
-    # product leaves desk scale
-    cell_count = sum(size ** arity for _, arity in base.signature.symbols)
-    if len(maps) * cell_count > 20_000_000:
-        raise BoundExceededError(
-            f"scaffold verification cost {len(maps)} x {cell_count} tuple "
-            "checks is beyond desk scale; the input is too large for the "
-            "generic realization")
     over = [[] for _ in range(base.size)]
     for i, (v, _) in enumerate(points):
         over[v].append(i)

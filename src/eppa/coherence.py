@@ -167,7 +167,7 @@ def spanning_trees(maps: Sequence[PartialAutomorphism]
     return arrows, trees
 
 
-def spanning_triples(maps: Sequence[PartialAutomorphism]
+def spanning_triples(maps: Sequence[PartialAutomorphism], forest: tuple | None = None
                      ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
     """Coherent triples within `maps` on which coherence implies coherence on
     all of coherent_triples(maps), for `maps` closed under composition and
@@ -189,14 +189,15 @@ def spanning_triples(maps: Sequence[PartialAutomorphism]
     functor on the groupoid, which is coherence (a functor on a connected
     groupoid is fixed by a vertex group homomorphism and its values on a
     spanning tree; R. Brown, Topology and Groupoids).  The composites are
-    taken from `maps`, so each triple is one of coherent_triples(maps)."""
+    taken from `maps`, so each triple is one of coherent_triples(maps).
+    `forest` is spanning_trees(maps), when the caller has already listed it."""
     by_pairs = {p.pairs: p for p in maps}
 
     def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
         m = p1.as_dict()
         return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
 
-    arrows, trees = spanning_trees(maps)
+    arrows, trees = spanning_trees(maps) if forest is None else forest
     out = []
     for tree in trees:
         root = next(iter(tree))
@@ -246,14 +247,24 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
     """The checks every certificate makes of its phi table, in this order:
     its keys are exactly the encodings of `maps`, each phi(p) is an
     automorphism of `structure`, phi(p) extends p, and phi is coherent.
-    Each distinct permutation is checked once, at its first key.
+    The verdict names the first check that fails, and a failed
+    automorphism check names the first map in `maps` whose value fails it.
+    Each distinct permutation is checked at most once per call.
 
-    Coherence is checked on `triples` when given, as in verify_coherence.
-    Otherwise `maps` must be closed under composition and inverses, like
-    Part(A), and it is checked on spanning_triples(maps), listed only once
-    the other checks pass.  Those triples are coherent triples and imply
-    all the others, so the verdict is that of the full check; when one
-    fails, the full check runs to name the first failing triple in
+    Coherence is checked on `triples` when given, as in verify_coherence,
+    after the other checks.  Otherwise `maps` must be closed under
+    composition and inverses, like Part(A), and the checks run on a
+    spanning set first: the extension check over all of `maps`; then, per
+    component of spanning_trees(maps) with root r, the automorphism check
+    on phi(h) for h in G(r) and on phi(T_t) for each tree map; then
+    coherence on spanning_triples over the same trees.  When these pass,
+    every check passes.  Proof.  Coherence on all of coherent_triples
+    follows (spanning_triples).  A map p: s -> t with g(p) = T_t^-1 o p o
+    T_s in G(r) has phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1, which the
+    spanning triples force, so phi(p) is a product of checked automorphisms
+    and their inverses.  When one fails, the checks finish in the order
+    above: the remaining automorphisms, the extension verdict in hand, and
+    the full coherence check, which names the first failing triple in
     coherent_triples order."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
@@ -262,21 +273,34 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
     extra = sorted(phi.table.keys() - keys)
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
-    checked: set[Permutation] = set()
-    for p in maps:
-        g = phi.lookup(p)
-        if g in checked:
-            continue
-        if not is_automorphism(g.images, structure):
-            return Verdict.failed("automorphism",
-                                  f"phi({p.encode()}) is not an automorphism")
-        checked.add(g)
-    v = verify_extension(phi, maps)
-    if not v:
-        return v
-    if triples is None and verify_coherence(phi, maps, triples=spanning_triples(maps)):
-        return v
-    return verify_coherence(phi, maps, triples=triples)
+    known: dict[Permutation, bool] = {}
+
+    def automorphisms(ps: Iterable[PartialAutomorphism]) -> Verdict:
+        for p in ps:
+            g = phi.lookup(p)
+            ok = known.get(g)
+            if ok is None:
+                ok = known[g] = is_automorphism(g.images, structure)
+            if not ok:
+                return Verdict.failed("automorphism",
+                                      f"phi({p.encode()}) is not an automorphism")
+        return Verdict.passed()
+
+    if triples is not None:
+        return (automorphisms(maps) and verify_extension(phi, maps)
+                and verify_coherence(phi, maps, triples=triples))
+    extension = verify_extension(phi, maps)
+    if extension:
+        forest = arrows, trees = spanning_trees(maps)
+        spanning: list[PartialAutomorphism] = []
+        for tree in trees:
+            root = next(iter(tree))
+            spanning += [h for h in arrows[root] if h.image() == root]
+            spanning += tree.values()
+        if automorphisms(spanning) and verify_coherence(
+                phi, maps, triples=spanning_triples(maps, forest)):
+            return extension
+    return automorphisms(maps) and extension and verify_coherence(phi, maps)
 
 
 @dataclass(frozen=True)

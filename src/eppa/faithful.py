@@ -322,9 +322,9 @@ def verify_faithful_view(cert: FaithfulCertificate, *,
                          maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
     embeddings, the table over Part(A) (automorphisms, extension, and
-    coherence on a spanning set of coherent triples, which also forces
-    phi(id_D) = id and phi(p^-1) = phi(p)^-1), a witness for every clique,
-    and freeness from the forbidden family.  Each distinct witness
+    coherence, decided on the spanning maps and a spanning set of coherent
+    triples, which also forces phi(id_D) = id and phi(p^-1) = phi(p)^-1),
+    a witness for every clique, and freeness from the forbidden family.  Each distinct witness
     permutation is checked to be an automorphism once, at its first clique.
     `maps` is Part(A), listed here unless the caller has listed it."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi

@@ -66,6 +66,25 @@ class TestExtendVerify:
         assert main(["extend", "--in", files["path3"], "--mode", "base",
                      "--out", out]) == 3
 
+    def test_scaffold_is_refused_on_cost_as_its_orbit_grows(self, tmp_path, capsys):
+        # the directed path on 7 points has 2,237 partial automorphisms, so
+        # verifying an extension of 95 or more points costs over 20M tuple
+        # checks; the refusal comes at about that size, not after the orbit
+        # of several thousand points is complete (11 s)
+        sig = Signature.make(("E", 2))
+        path = tmp_path / "dp7.struct"
+        path.write_text(emit_structure(
+            Structure.make(sig, 7, {"E": [(i, i + 1) for i in range(6)]}), "dp7"),
+            encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["extend", "--in", str(path), "--mode", "base",
+                     "--out", str(tmp_path / "cert.txt")]) == 3
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert err.startswith("resource bound: scaffold verification cost 2237 x ")
+        assert "beyond desk scale" in err
+        assert elapsed < 3.0
+
     @pytest.mark.parametrize("variable, mode", [("EPPA_MAX_POINTS", "base"),
                                                 ("EPPA_MAX_VALUED_POINTS", "faithful")])
     def test_non_integer_bound_is_usage_error(self, files, monkeypatch, capsys,

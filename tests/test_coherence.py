@@ -1,14 +1,25 @@
+import dataclasses
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap,
+from eppa import coherence
+from eppa.base_extension import BaseEppaCertificate
+from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
                             check_forced_values, coherent_lift, coherent_triples,
-                            mask_atoms, set_map_coherent_triples, spanning_triples,
-                            verify_coherence, verify_coherent_extension, verify_extension)
+                            mask_atoms, set_map_coherent_triples, spanning_trees,
+                            spanning_triples, verify_coherence, verify_coherent_extension,
+                            verify_extension)
 from eppa.errors import EppaError
+from eppa.faithful import FaithfulCertificate
 from eppa.structures import (PartialAutomorphism, Permutation,
-                             enumerate_partial_automorphisms, graph)
+                             enumerate_partial_automorphisms, graph, is_automorphism)
+from eppa.textio import parse_certificate, verify_certificate
+
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
+PAW = "base4-n4-01_02_03_12.cert"
 
 
 def brute_triples(maps):
@@ -170,6 +181,178 @@ class TestTableChecksNameTheMap:
         for check in (verify_extension, check_forced_values):
             with pytest.raises(EppaError, match="missing table entry for 0>1"):
                 check(phi, self.K2)
+
+
+def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism):
+    """verify_coherent_extension as it was before it checked automorphisms
+    on the spanning maps only, with no code of its own shared: the key set,
+    every distinct phi(p) at its first key, extension at every map, then
+    coherence on every triple of `triples` (coherent_triples(maps) in its
+    order, listed by the caller once per table family).  `automorphic` is
+    is_automorphism or a memo of it."""
+    keys = {p.encode() for p in maps}
+    missing = sorted(keys - phi.table.keys())
+    if missing:
+        return Verdict.failed("table", f"missing table entry for {missing[0]}")
+    extra = sorted(phi.table.keys() - keys)
+    if extra:
+        return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
+    checked = set()
+    for p in maps:
+        g = phi.table[p.encode()]
+        if g not in checked:
+            if not automorphic(g.images, structure):
+                return Verdict.failed("automorphism", f"phi({p.encode()}) is not an automorphism")
+            checked.add(g)
+    emb = phi.embedding
+    for p in maps:
+        g = phi.table[p.encode()]
+        for x, y in p.pairs:
+            if g(emb[x]) != emb[y]:
+                return Verdict.failed(
+                    "extension", f"phi({p.encode()}) moves embedded point {x} to "
+                                 f"{g(emb[x])}, expected image of {y}")
+    for p1, p2, q in triples:
+        if phi.table[p1.encode()].compose(phi.table[p2.encode()]) != phi.table[q.encode()]:
+            return Verdict.failed("coherence", f"triple ({p1.encode()}, {p2.encode()}, "
+                                               f"{q.encode()}): phi(q) != phi(p1) o phi(p2)")
+    return Verdict.passed()
+
+
+def stored_tables():
+    """(name, phi, Part(A), the structure phi acts on) of every stored base
+    and faithful certificate, each table and structure once: 17 of the 36
+    files repeat one of the others (a faithful extension of a triangle-free
+    graph on up to 4 points is often its base extension)."""
+    out, seen = [], set()
+    for path in sorted(STORED.glob("*.cert")):
+        cert = parse_certificate(path.read_text(encoding="utf-8"))
+        if isinstance(cert, BaseEppaCertificate):
+            base, structure = cert.base, cert.extension
+        elif isinstance(cert, FaithfulCertificate):
+            base, structure = cert.base, cert.structure
+        else:
+            continue
+        key = (structure, cert.phi.embedding, frozenset(cert.phi.table.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append((path.name, cert.phi, enumerate_partial_automorphisms(base), structure))
+    return out
+
+
+def spanning_keys(maps):
+    """Encodings of the maps whose values the verifier checks to be
+    automorphisms: each root's vertex group and each tree map."""
+    arrows, trees = spanning_trees(maps)
+    keys = set()
+    for tree in trees:
+        root = next(iter(tree))
+        keys.update(p.encode() for p in arrows[root] if p.image() == root)
+        keys.update(p.encode() for p in tree.values())
+    return keys
+
+
+def mutants(phi, key, rng):
+    """phi with the entry at `key` changed: two images swapped, another
+    value of the table, and its composite with another value."""
+    g = phi.table[key]
+    values = sorted(set(phi.table.values()) - {g}, key=lambda h: h.images)
+    images = list(g.images)
+    if len(images) > 1:
+        i, j = rng.sample(range(len(images)), 2)
+        images[i], images[j] = images[j], images[i]
+        yield Permutation(tuple(images))
+    if values:
+        yield rng.choice(values)
+        yield g.compose(rng.choice(values))
+
+
+def regauged(phi, maps, rng):
+    """phi(p: s -> t) replaced by k_t phi(p) k_s^-1, where k_t, for a random
+    half of the domains t, swaps two points outside the embedded copy, and
+    is the identity elsewhere.  The table still extends and is still
+    coherent.  Where k_r is the identity at a root r, it keeps every vertex
+    group value and may send tree maps to non-automorphisms, which no
+    one-entry change can do: a changed tree map value breaks coherence
+    first.  None when B has no two such points."""
+    free = sorted(set(range(phi.codomain_universe)) - set(phi.embedding))
+    if len(free) < 2:
+        return None
+    k = {}
+    for t in sorted({p.domain() for p in maps}, key=sorted):
+        images = list(range(phi.codomain_universe))
+        if rng.random() < 0.5:
+            i, j = rng.sample(free, 2)
+            images[i], images[j] = j, i
+        k[t] = Permutation(tuple(images))
+    return dataclasses.replace(phi, table={
+        p.encode(): k[p.image()].compose(phi.lookup(p)).compose(k[p.domain()].inverse())
+        for p in maps})
+
+
+class TestSpanningAutomorphismCheck:
+    """Over Part(A), verify_coherent_extension checks automorphisms only on
+    the spanning maps and lets coherence cover the rest; its verdict and
+    message are those of checking every distinct value (reference_verify)."""
+
+    def test_verdicts_equal_the_reference_on_mutated_stored_tables(self, monkeypatch):
+        # both sides read one memo of is_automorphism, which keeps the test short
+        known = {}
+
+        def automorphic(g, structure):
+            key = (id(structure), tuple(g))
+            if key not in known:
+                known[key] = is_automorphism(g, structure)
+            return known[key]
+
+        monkeypatch.setattr(coherence, "is_automorphism", automorphic)
+        rng = random.Random(27)
+        conditions = Counter()
+        for name, phi, maps, structure in stored_tables():
+            triples = coherent_triples(maps)
+            keys = sorted(phi.table)
+            if structure.size > 12:  # the paw: 5 spanning and 5 other entries
+                spanning = spanning_keys(maps)
+                keys = (rng.sample(sorted(spanning), 5)
+                        + rng.sample(sorted(set(keys) - spanning), 5))
+            tables = [regauged(phi, maps, rng) for _ in range(3)]
+            tables += [dataclasses.replace(phi, table={**phi.table, key: value})
+                       for key in keys for value in mutants(phi, key, rng)]
+            for table in tables:
+                if table is None:
+                    continue
+                expected = reference_verify(table, maps, structure, triples, automorphic)
+                assert verify_coherent_extension(table, maps, structure) == expected, name
+                conditions[expected.condition or "ok"] += 1
+        assert {c: n > 20 for c, n in conditions.items()} == {
+            "ok": True, "automorphism": True, "extension": True, "coherence": True}
+
+    def test_paw_checks_its_spanning_permutations_only(self, monkeypatch):
+        checked = []
+
+        def counted(g, structure):
+            checked.append(tuple(g))
+            return is_automorphism(g, structure)
+
+        monkeypatch.setattr(coherence, "is_automorphism", counted)
+        cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
+        assert verify_certificate(cert)
+        assert (len(checked), len(set(checked)), len(set(cert.phi.table.values()))) == (12, 12, 33)
+
+    def test_extension_is_checked_once_on_a_table_that_fails_it(self, monkeypatch):
+        calls = []
+
+        def counted(phi, maps):
+            calls.append(len(maps))
+            return verify_extension(phi, maps)
+
+        monkeypatch.setattr(coherence, "verify_extension", counted)
+        cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
+        table = dict(cert.phi.table)
+        table["0>1"] = table["0>0"]
+        verdict = verify_certificate(dataclasses.replace(cert, phi=dataclasses.replace(
+            cert.phi, table=table)))
+        assert (verdict.condition, len(calls)) == ("extension", 1)
 
 
 def random_induced_families(seed, count, max_universe=6):
