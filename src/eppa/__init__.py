@@ -7,9 +7,9 @@ from .structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                          induced_substructure, is_embedding, is_gaifman_clique,
                          is_homomorphism)
 from .coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
-                        coherent_lift, coherent_triples, spanning_triples,
-                        verify_coherence, verify_coherent_extension, verify_extension)
-from .base_extension import (BaseEppaCertificate, base_eppa, coherent_assignment,
+                        coherent_lift, coherent_triples, verify_coherence,
+                        verify_coherent_extension, verify_extension)
+from .base_extension import (BaseEppaCertificate, PartGroupoid, base_eppa, coherent_assignment,
                              scaffold_certificate, verify_base_certificate)
 from .quotient import (SpecialCertificate, special_extension, verify_special)
 from .faithful import (FaithfulCertificate, LargeSetFamily, ValuedPoint,

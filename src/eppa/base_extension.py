@@ -29,15 +29,121 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from . import config
-from .coherence import (ExtensionMap, Verdict, spanning_trees,
-                        verify_coherent_extension)
+from .coherence import ExtensionMap, Verdict, verify_coherent_extension
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, colour_refinement,
                          enumerate_partial_automorphisms, is_embedding, subset_sums)
+
+
+class PartGroupoid:
+    """Part(A) as a groupoid, whose objects are the domains and whose arrows
+    are the maps: `maps` lists Part(A) once, within the point bound, and the
+    arrows, the BFS forest and the moved pairs are built on first read.
+
+    One groupoid serves one call: base_eppa builds it, and the certificate
+    built over it carries it (`part`) to the verifier, the faithful pipeline
+    and the chain stage.  It is not cached on Structure, as the benchmark
+    keeps its structures for every pass: cached there, it raised base4's
+    peak_rss_mb from 33.9 MB to 37.1-37.5 MB (+9.4% to +10.6%, against a 10%
+    bound), and to 39.4-39.8 MB with its forest (seeds 41-43, 2-core host)."""
+
+    def __init__(self, structure: Structure):
+        self.structure = PartGroupoid.bounded(structure)
+        self.maps = enumerate_partial_automorphisms(structure)
+
+    @staticmethod
+    def bounded(structure: Structure) -> Structure:
+        """`structure`, refused over the point bound, past which no Part(A) is listed."""
+        if structure.size > (bound := config.max_points()):
+            raise BoundExceededError(
+                f"structure a has {structure.size} points, over the bound {bound}")
+        return structure
+
+    def carried_by(self, cert):
+        """`cert`, built over this groupoid, with it as its cached `part`."""
+        vars(cert)["part"] = self
+        return cert
+
+    @cached_property
+    def arrows(self) -> dict[frozenset[int], list[PartialAutomorphism]]:
+        """The arrows out of each domain, in encoding order."""
+        arrows: dict[frozenset[int], list[PartialAutomorphism]] = {}
+        for p in sorted(self.maps, key=PartialAutomorphism.encode):
+            arrows.setdefault(p.domain(), []).append(p)
+        return arrows
+
+    @cached_property
+    def forest(self) -> list[tuple[list[PartialAutomorphism], dict]]:
+        """Per component, in the order of its root r, the least domain by
+        (size, sorted points): (the vertex group of r, the arrows r -> r;
+        its BFS tree, which reaches exactly the component, as Part(A) is
+        closed under inverses).  A tree maps each domain t, in BFS order and
+        r first, to tree(t): r -> t, a composite of the arrows walked."""
+        components: list = []
+        for root in sorted(self.arrows, key=lambda s: (len(s), sorted(s))):
+            if any(root in tree for _, tree in components):
+                continue
+            tree = {root: PartialAutomorphism.identity_on(root)}
+            order = [root]
+            for s in order:  # also visits the domains appended below
+                for p in self.arrows[s]:
+                    if p.image() not in tree:
+                        tree[p.image()] = p.compose(tree[s])
+                        order.append(p.image())
+            components.append(([p for p in self.arrows[root] if p.image() == root], tree))
+        return components
+
+    @cached_property
+    def moved(self) -> set[tuple[int, int]]:
+        """The pairs (x, y), x != y, such that some map sends x to y."""
+        return {(x, y) for p in self.maps for x, y in p.pairs if x != y}
+
+    def spanning_maps(self) -> list[PartialAutomorphism]:
+        """Per component, its vertex group and then its tree maps: the maps
+        whose values verify_coherent_extension checks to be automorphisms."""
+        return [p for group, tree in self.forest for p in (*group, *tree.values())]
+
+    def spanning_triples(self) -> list[tuple[PartialAutomorphism, ...]]:
+        """Coherent triples of Part(A) on which coherence implies coherence on
+        all of coherent_triples(maps).  Per component, with root r, vertex
+        group G(r) and tree T_t: r -> t:
+
+          (a, b, a o b)        for a, b in G(r);
+          (T_t, h, T_t o h)    for every domain t != r of the component and h in G(r);
+          (p, T_s, p o T_s)    for every map p: s -> t of the component with s != r.
+
+        No triple is listed twice.  Proof.  The first family makes phi a
+        homomorphism on G(r), so phi(id_r) = id, and the triples the other
+        two families leave out, at T_r = id_r, hold as well.  For p: s -> t
+        let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) = p o T_s,
+        the second family at h = g(p) and the third at p give phi(p)
+        phi(T_s) = phi(T_t) phi(g(p)), so phi(p) = phi(T_t) phi(g(p))
+        phi(T_s)^-1.  For p: s -> t and p': t -> u, g(p') o g(p) = g(p' o
+        p), so phi(p') phi(p) = phi(T_u) phi(g(p')) phi(g(p)) phi(T_s)^-1 =
+        phi(p' o p): phi is a functor on the groupoid, which is coherence (a
+        functor on a connected groupoid is fixed by a vertex group
+        homomorphism and its values on a spanning tree; R. Brown, Topology
+        and Groupoids).  The composites are taken from `maps`, so each
+        triple is one of coherent_triples(maps)."""
+        by_pairs = {p.pairs: p for p in self.maps}
+
+        def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
+            m = p1.as_dict()
+            return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
+
+        out = []
+        for group, tree in self.forest:
+            out += [(a, b, after(a, b)) for a in group for b in group]
+            branches = list(tree.items())[1:]  # every domain but the root
+            out += [(tree_t, h, after(tree_t, h)) for _, tree_t in branches for h in group]
+            out += [(p, tree_s, after(p, tree_s)) for s, tree_s in branches
+                    for p in self.arrows[s]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -53,12 +159,13 @@ class BaseEppaCertificate:
         """The embedding of A into B that phi extends through."""
         return self.phi.embedding
 
-    def part(self) -> list[PartialAutomorphism]:
-        return enumerate_partial_automorphisms(self.base)
+    @cached_property
+    def part(self) -> PartGroupoid:
+        """Part(A), the groupoid phi is built over, listed here if not carried."""
+        return PartGroupoid(self.base)
 
 
-def verify_base_certificate(cert: BaseEppaCertificate, *,
-                            maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
+def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
     """Full re-check: embedding, then the table over Part(A): automorphisms,
     extension and coherence, decided on the spanning maps and a spanning
     set of coherent triples (verify_coherent_extension).  Coherence over
@@ -66,47 +173,43 @@ def verify_base_certificate(cert: BaseEppaCertificate, *,
     they need no check of their own.  phi then embeds Aut(A) as a group:
     coherence makes it a homomorphism there, and two distinct automorphisms
     of A differ at some x, so their extensions differ at the embedded image
-    of x.  `maps` is Part(A) as enumerate_partial_automorphisms lists it,
-    when the caller has already listed it; otherwise it is listed here."""
-    if maps is None:
-        maps = cert.part()
+    of x.  Part(A) is the certificate's `part`, read before any check, so
+    A over the point bound raises BoundExceededError."""
+    part = cert.part
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
-    return verify_coherent_extension(cert.phi, maps, cert.extension)
+    return verify_coherent_extension(cert.phi, part, cert.extension)
 
 
 # ---------------------------------------------------------------------------
 # Realization 1: coherent assignment into a candidate extension (functor
 # search over the partial-automorphism groupoid).
 
-def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structure,
+def coherent_assignment(part: PartGroupoid, candidate: Structure,
                         embedding: Sequence[int]) -> dict[str, Permutation] | None:
     """The first coherent, extending assignment Part(A) -> Aut(candidate),
-    where `maps` is Part(A) as enumerate_partial_automorphisms lists it; None
-    when there is none.
+    for the groupoid `part` of A; None when there is none.
 
     Coherence makes the assignment a functor from the groupoid of partial
     automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
-    Each connected component has its root r and BFS tree tree(t): r -> t
-    from spanning_trees, the trees the verifier's spanning triples are
-    listed over.  The one choice searched is a homomorphism `hom` of r's
-    vertex group.  With lift(t) the first extender of tree(t) (the identity
-    at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1
-    extends p because each factor extends its own map.  So extenders are
-    listed only for the vertex group, and only the first for each tree map:
-    every p = tree(t) g(p) tree(s)^-1 then has one, with no check of its own.
-    Each g(p) and each vertex-group product is looked up among the listed
-    maps by its pairs (_root_elements, _product_levels), not built.
+    Each component of part.forest has its root r and BFS tree tree(t): r ->
+    t, the trees of the verifier's spanning triples.  The one choice
+    searched is a homomorphism `hom` of r's vertex group.  With lift(t) the first extender of tree(t) (the identity at r),
+    phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1 extends p
+    because each factor extends its own map.  So extenders are listed only
+    for the vertex group, and only the first for each tree map: every p =
+    tree(t) g(p) tree(s)^-1 then has one, with no check of its own.  Each
+    g(p) and each vertex-group product is looked up among the listed maps by
+    its pairs (_root_elements, _product_levels), not built.
 
     Before Aut(candidate) is built, colour refinement rejects the candidate
-    when, after some round, a p in `maps` sends x to y with emb(x) and
+    when, after some round, a map of Part(A) sends x to y with emb(x) and
     emb(y) of different colours.  The rejection is exact: every automorphism
-    preserves each round's colours, so such a p has no extender, and
+    preserves each round's colours, so such a map has no extender, and
     building Aut(candidate) would end in the same None.  The search's
-    candidates pass the first round already (_extension_candidates).
-    """
+    candidates pass the first round already (_extension_candidates)."""
     emb = tuple(embedding)
-    pairs = [(emb[x], emb[y]) for x, y in _moved_pairs(maps)]
+    pairs = [(emb[x], emb[y]) for x, y in part.moved]
     for colour in colour_refinement(candidate):
         if any(colour[x] != colour[y] for x, y in pairs):
             return None
@@ -115,24 +218,21 @@ def coherent_assignment(maps: Sequence[PartialAutomorphism], candidate: Structur
     def extenders(p: PartialAutomorphism) -> Iterator[Permutation]:
         return (g for g in aut.elements if all(g(emb[x]) == emb[y] for x, y in p.pairs))
 
-    arrows, trees = spanning_trees(maps)
     phi: dict[str, Permutation] = {}
-    for tree in trees:
-        root = next(iter(tree))
-        group = [p for p in arrows[root] if p.image() == root]
+    for group, tree in part.forest:
         hom = _first_homomorphism(group, {g: list(extenders(g)) for g in group})
         lift = {t: next(extenders(tree_t), None) for t, tree_t in tree.items()}
         if hom is None or None in lift.values():
             return None
         hom_at = {g.pairs: h for g, h in hom.items()}
-        for s, t, p, g in _root_elements(tree, arrows):
+        for s, t, p, g in _root_elements(tree, part.arrows):
             phi[p.encode()] = lift[t].compose(hom_at[g]).compose(lift[s].inverse())
     return phi
 
 
 def _root_elements(tree: dict, arrows: dict) -> Iterator[tuple]:
     """(s, t, p, pairs of g(p) = tree(t)^-1 p tree(s)) for each arrow p: s -> t
-    of the component that `tree` spans (spanning_trees), in tree, then arrow order."""
+    of the component that `tree` spans (PartGroupoid.forest), in tree, then arrow order."""
     back = {t: {y: x for x, y in tree_t.pairs} for t, tree_t in tree.items()}
     for s, tree_s in tree.items():
         for p in arrows[s]:
@@ -178,21 +278,16 @@ def _first_homomorphism(group: list[PartialAutomorphism],
     return dict(zip(group, values)) if search(0) else None
 
 
-def _moved_pairs(maps: Sequence[PartialAutomorphism]) -> set[tuple[int, int]]:
-    """The pairs (x, y), x != y, such that some map in `maps` sends x to y."""
-    return {(x, y) for p in maps for x, y in p.pairs if x != y}
-
-
-def _extension_candidates(base: Structure, extra: int, maps: Sequence[PartialAutomorphism]):
+def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int, int]]):
     """Extensions of `base` by `extra` fresh points, in canonical bitmask
     order over the new slots.  A slot is (symbol, the tuples it adds): on a
     graph one edge, added as both arcs on the first symbol, so that graph
     inputs stay graphs; otherwise one tuple through a fresh point.  No
-    Structure is built for a state in which a moved pair (x, y) of `maps`
+    Structure is built for a state in which a moved pair (x, y) of Part(A)
     joins base points with different counts of tuples at some (symbol,
     position): x's count in `base` plus the set slots that add one, at most
     one per slot.  That is the first round of colour refinement in
-    coherent_assignment; with no maps, every state is built."""
+    coherent_assignment; with no pairs in `moved`, every state is built."""
     m = base.size + extra
     if base.is_graphlike():
         name0 = base.signature.symbols[0][0]
@@ -212,7 +307,7 @@ def _extension_candidates(base: Structure, extra: int, maps: Sequence[PartialAut
                     if slot_name == name and any(t[i] == x for t in added)))
                for (name, arity), tuples in zip(base.signature.symbols, base.relations)
                for i in range(arity)] for x in range(base.size)]
-    checks = {(cy - cx, mx, my) for x, y in _moved_pairs(maps)
+    checks = {(cy - cx, mx, my) for x, y in moved
              for (cx, mx), (cy, my) in zip(counts[x], counts[y]) if (cx, mx) != (cy, my)}
     for state in range(1 << len(slots)):
         if any((state & mx).bit_count() - (state & my).bit_count() != d for d, mx, my in checks):
@@ -224,20 +319,21 @@ def _extension_candidates(base: Structure, extra: int, maps: Sequence[PartialAut
         yield Structure.make(base.signature, m, rels)
 
 
-def _search_certificate(base: Structure, maps: Sequence[PartialAutomorphism],
-                        max_extra: int) -> BaseEppaCertificate | None:
-    """Iterative deepening over point-extensions and coherent assignments,
-    with `maps` = Part(A): the certificate of the first assignment found, or
-    None when the budget is exhausted."""
+def _search_certificate(part: PartGroupoid, max_extra: int) -> BaseEppaCertificate | None:
+    """Iterative deepening over point-extensions of A and coherent
+    assignments over its groupoid `part`: the certificate of the first
+    assignment found, or None when the budget is exhausted."""
+    base = part.structure
     emb = tuple(range(base.size))
     for extra in range(max_extra + 1):
-        for candidate in _extension_candidates(base, extra, maps):
-            table = coherent_assignment(maps, candidate, emb)
+        for candidate in _extension_candidates(base, extra, part.moved):
+            table = coherent_assignment(part, candidate, emb)
             if table is not None:
                 phi = ExtensionMap(domain_universe=base.size,
                                    codomain_universe=candidate.size,
                                    embedding=emb, table=table)
-                return BaseEppaCertificate(base=base, extension=candidate, phi=phi)
+                return part.carried_by(
+                    BaseEppaCertificate(base=base, extension=candidate, phi=phi))
     return None
 
 
@@ -325,9 +421,8 @@ class _Scaffold:
         return tuple(flips)
 
 
-def scaffold_certificate(base: Structure,
-                         maps: Sequence[PartialAutomorphism]) -> BaseEppaCertificate:
-    """Generic realization over `maps` = Part(A): the extension is the orbit
+def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
+    """Generic realization over the groupoid `part` of A: the extension is the orbit
     of the embedded copy under the actions assigned to Part(A) (a set closed
     under inverses), each restricted to the orbit.  The action of p is
     (pi, flips): pi its order completion, whose slot moves and image tables
@@ -338,6 +433,7 @@ def scaffold_certificate(base: Structure,
     Permutation, which every map with that action shares.  A symbol holds
     on the products of fibre halves, split by their bit at the slot, whose
     bits XOR to 1."""
+    base, maps = part.structure, part.maps
     sc = _Scaffold(base)
     completions: dict[Permutation, tuple] = {}
     actions = []
@@ -414,38 +510,28 @@ def scaffold_certificate(base: Structure,
     emb = tuple(range(base.size))
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=size,
                        embedding=emb, table=table)
-    return BaseEppaCertificate(base=base, extension=extension, phi=phi)
+    return part.carried_by(BaseEppaCertificate(base=base, extension=extension, phi=phi))
 
 
 # ---------------------------------------------------------------------------
 
-def base_eppa(base: Structure, *,
-              maps: Sequence[PartialAutomorphism] | None = None) -> BaseEppaCertificate:
+def base_eppa(base: Structure) -> BaseEppaCertificate:
     """Coherent EPPA extension of an arbitrary finite structure.
 
-    Tries the minimal realizations first (the structure itself, then small
-    point-extensions) and falls back to the generic scaffold; whichever
-    realization answers is verified in full, once, and a failure raises
-    VerificationError.  `maps` is Part(A) as _bounded_part lists it, when
-    the caller has already listed it; otherwise it is listed here.
+    Lists Part(A) once (PartGroupoid), tries the minimal realizations first
+    (the structure itself, then small point-extensions) and falls back to
+    the generic scaffold; whichever realization answers is verified in
+    full, once, over the same groupoid, which the certificate carries, and
+    a failure raises VerificationError.
     """
-    if maps is None:
-        maps = _bounded_part(base)
+    part = PartGroupoid(base)
     cert = None
-    if base.size <= config.SEARCH_MAX_SIZE and len(maps) <= config.SEARCH_MAX_PART:
+    if base.size <= config.SEARCH_MAX_SIZE and len(part.maps) <= config.SEARCH_MAX_PART:
         budget = max(0, config.SEARCH_TARGET_SIZE - base.size)
-        cert = _search_certificate(base, maps, budget)
+        cert = _search_certificate(part, budget)
     if cert is None:
-        cert = scaffold_certificate(base, maps)
-    verdict = verify_base_certificate(cert, maps=maps)
+        cert = scaffold_certificate(part)
+    verdict = verify_base_certificate(cert)
     if not verdict:
         raise VerificationError(f"internal realization failure: {verdict.message()}")
     return cert
-
-
-def _bounded_part(base: Structure) -> list[PartialAutomorphism]:
-    """Part(A), listed only when A is within the input bound."""
-    bound = config.max_points()
-    if base.size > bound:
-        raise BoundExceededError(f"input has {base.size} points, bound is {bound}")
-    return enumerate_partial_automorphisms(base)

@@ -17,8 +17,8 @@ from .coherence import PermutationGroup, Verdict
 from .errors import BoundExceededError, EppaError
 from .faithful import forb_e_eppa
 from .structures import (PartialAutomorphism, Permutation, Structure,
-                         automorphism_group, enumerate_partial_automorphisms,
-                         is_automorphism, is_embedding, is_partial_automorphism)
+                         automorphism_group, is_automorphism, is_embedding,
+                         is_partial_automorphism)
 
 MAX_STAGE_SIZE = 64  # a stage structure larger than this is not extended further
 
@@ -66,15 +66,14 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
         if current.size > MAX_STAGE_SIZE:
             raise BoundExceededError(
                 f"stage structure grew to {current.size} points (bound {MAX_STAGE_SIZE})")
-        target = next((p for p in enumerate_partial_automorphisms(current)
-                       if p not in taken), PartialAutomorphism.empty())
-
         if forbidden:
             cert = forb_e_eppa(current, forbidden)
             nxt, inclusion, phi = cert.structure, cert.phi.embedding, cert.phi
         else:
             cert = base_eppa(current)
             nxt, inclusion, phi = cert.extension, cert.embedding, cert.phi
+        target = next((p for p in cert.part.maps if p not in taken),
+                      PartialAutomorphism.empty())
 
         lifted = tuple(phi.lookup(PartialAutomorphism.from_map(
             {x: g(x) for x in range(current.size)}))

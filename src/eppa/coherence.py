@@ -5,8 +5,10 @@ A triple (p1, p2, q) of partial bijections is coherent when dom(p2) = dom(q),
 range(p1) = range(q), range(p2) = dom(p1) and q = p1 o p2.  A map into a
 permutation group is coherent when it sends coherent triples to composing
 permutations; on a group of total maps this is exactly a homomorphism.  On
-a set of maps closed under composition and inverses, such as Part(A), it is
-decided on a spanning set of the triples (spanning_triples).
+Part(A), closed under composition and inverses, it is decided on the
+spanning triples of its groupoid, base_extension.PartGroupoid: built once per
+call, not cached on Structure, where it cost base4 +9.4% to +10.6% of
+peak_rss_mb against a 10% bound (+16.5% to +17.2% with its forest).
 """
 
 from __future__ import annotations
@@ -136,79 +138,6 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
     return out
 
 
-def spanning_trees(maps: Sequence[PartialAutomorphism]
-                   ) -> tuple[dict[frozenset[int], list[PartialAutomorphism]],
-                              list[dict[frozenset[int], PartialAutomorphism]]]:
-    """BFS spanning trees of the groupoid whose objects are the domains of
-    `maps` and whose arrows are the maps, for `maps` closed under inverses,
-    like Part(A): a BFS from a root then reaches exactly its connected
-    component.  Returns the arrows out of each domain, in encoding order,
-    and one tree per component, rooted at its least domain by (size, sorted
-    points) and taken in that order of roots.  A tree maps each domain t
-    of its component, in BFS order and the root first, to tree(t): root ->
-    t, a composite of the arrows walked and the identity at the root."""
-    arrows: dict[frozenset[int], list[PartialAutomorphism]] = {}
-    for p in sorted(maps, key=PartialAutomorphism.encode):
-        arrows.setdefault(p.domain(), []).append(p)
-    trees: list[dict[frozenset[int], PartialAutomorphism]] = []
-    reached: set[frozenset[int]] = set()
-    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
-        if root in reached:
-            continue
-        tree = {root: PartialAutomorphism.identity_on(root)}
-        order = [root]
-        for s in order:  # also visits the domains appended below
-            for p in arrows[s]:
-                if p.image() not in tree:
-                    tree[p.image()] = p.compose(tree[s])
-                    order.append(p.image())
-        reached.update(order)
-        trees.append(tree)
-    return arrows, trees
-
-
-def spanning_triples(maps: Sequence[PartialAutomorphism], forest: tuple | None = None
-                     ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
-    """Coherent triples within `maps` on which coherence implies coherence on
-    all of coherent_triples(maps), for `maps` closed under composition and
-    inverses, like Part(A).  Per component of spanning_trees(maps), with
-    root r, vertex group G(r) (the maps r -> r) and tree T_t: r -> t:
-
-      (a, b, a o b)        for a, b in G(r);
-      (T_t, h, T_t o h)    for every domain t != r of the component and h in G(r);
-      (p, T_s, p o T_s)    for every map p: s -> t of the component with s != r.
-
-    No triple is listed twice.  Proof.  The first family makes phi a
-    homomorphism on G(r), so phi(id_r) = id, and the triples the other two
-    families leave out, at T_r = id_r, hold as well.  For p: s -> t
-    let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) = p o T_s, the
-    second family at h = g(p) and the third at p give phi(p) phi(T_s) =
-    phi(T_t) phi(g(p)), so phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1.  For
-    p: s -> t and p': t -> u, g(p') o g(p) = g(p' o p), so phi(p') phi(p) =
-    phi(T_u) phi(g(p')) phi(g(p)) phi(T_s)^-1 = phi(p' o p): phi is a
-    functor on the groupoid, which is coherence (a functor on a connected
-    groupoid is fixed by a vertex group homomorphism and its values on a
-    spanning tree; R. Brown, Topology and Groupoids).  The composites are
-    taken from `maps`, so each triple is one of coherent_triples(maps).
-    `forest` is spanning_trees(maps), when the caller has already listed it."""
-    by_pairs = {p.pairs: p for p in maps}
-
-    def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
-        m = p1.as_dict()
-        return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
-
-    arrows, trees = spanning_trees(maps) if forest is None else forest
-    out = []
-    for tree in trees:
-        root = next(iter(tree))
-        group = [p for p in arrows[root] if p.image() == root]
-        out += [(a, b, after(a, b)) for a in group for b in group]
-        branches = list(tree.items())[1:]  # every domain but the root
-        out += [(tree_t, h, after(tree_t, h)) for _, tree_t in branches for h in group]
-        out += [(p, tree_s, after(p, tree_s)) for s, tree_s in branches for p in arrows[s]]
-    return out
-
-
 def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
                      *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
                      ) -> Verdict:
@@ -240,32 +169,31 @@ def verify_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism]) -> 
     return Verdict.passed()
 
 
-def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
-                              structure: Structure, *,
+def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
                               triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
                               ) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
-    its keys are exactly the encodings of `maps`, each phi(p) is an
+    its keys are exactly the encodings of the maps, each phi(p) is an
     automorphism of `structure`, phi(p) extends p, and phi is coherent.
-    The verdict names the first check that fails, and a failed
-    automorphism check names the first map in `maps` whose value fails it.
-    Each distinct permutation is checked at most once per call.
+    The verdict names the first check that fails, and a failed automorphism
+    check names the first listed map whose value fails it.  Each distinct
+    permutation is checked at most once per call.
 
-    Coherence is checked on `triples` when given, as in verify_coherence,
-    after the other checks.  Otherwise `maps` must be closed under
-    composition and inverses, like Part(A), and the checks run on a
-    spanning set first: the extension check over all of `maps`; then, per
-    component of spanning_trees(maps) with root r, the automorphism check
-    on phi(h) for h in G(r) and on phi(T_t) for each tree map; then
-    coherence on spanning_triples over the same trees.  When these pass,
-    every check passes.  Proof.  Coherence on all of coherent_triples
-    follows (spanning_triples).  A map p: s -> t with g(p) = T_t^-1 o p o
-    T_s in G(r) has phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1, which the
-    spanning triples force, so phi(p) is a product of checked automorphisms
-    and their inverses.  When one fails, the checks finish in the order
-    above: the remaining automorphisms, the extension verdict in hand, and
-    the full coherence check, which names the first failing triple in
-    coherent_triples order."""
+    With `triples`, `maps` is a list P, and coherence is checked on
+    `triples` after the other checks.  Otherwise `maps` is Part(A) as a
+    base_extension.PartGroupoid: the extension check over all of it comes
+    first, then the automorphism check on its spanning maps (each root's
+    vertex group G(r) and each tree map T_t) and coherence on its spanning
+    triples.  When these pass, every check passes.  Proof.  Coherence on all
+    of coherent_triples follows (PartGroupoid.spanning_triples).  A map p:
+    s -> t with g(p) = T_t^-1 o p o T_s in G(r) has phi(p) = phi(T_t)
+    phi(g(p)) phi(T_s)^-1, which the spanning triples force, so phi(p) is
+    a product of checked automorphisms and their inverses.  When one fails,
+    the checks finish in the order above: the remaining automorphisms, the
+    extension verdict in hand, and the full coherence check, which names
+    the first failing triple in coherent_triples order."""
+    if triples is None:
+        part, maps = maps, maps.maps
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -290,16 +218,9 @@ def verify_coherent_extension(phi: ExtensionMap, maps: Sequence[PartialAutomorph
         return (automorphisms(maps) and verify_extension(phi, maps)
                 and verify_coherence(phi, maps, triples=triples))
     extension = verify_extension(phi, maps)
-    if extension:
-        forest = arrows, trees = spanning_trees(maps)
-        spanning: list[PartialAutomorphism] = []
-        for tree in trees:
-            root = next(iter(tree))
-            spanning += [h for h in arrows[root] if h.image() == root]
-            spanning += tree.values()
-        if automorphisms(spanning) and verify_coherence(
-                phi, maps, triples=spanning_triples(maps, forest)):
-            return extension
+    if extension and automorphisms(part.spanning_maps()) and verify_coherence(
+            phi, maps, triples=part.spanning_triples()):
+        return extension
     return automorphisms(maps) and extension and verify_coherence(phi, maps)
 
 

@@ -21,14 +21,14 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import config
-from .base_extension import BaseEppaCertificate, _bounded_part, base_eppa, verify_base_certificate
+from .base_extension import (BaseEppaCertificate, PartGroupoid, base_eppa,
+                             verify_base_certificate)
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, mask_points,
                         verify_coherent_extension)
 from .errors import BoundExceededError, EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
-                         automorphism_group, enumerate_partial_automorphisms,
-                         gaifman_graph, is_automorphism, is_embedding,
-                         is_gaifman_clique)
+                         automorphism_group, gaifman_graph, is_automorphism,
+                         is_embedding, is_gaifman_clique)
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,11 @@ class FaithfulCertificate:
         family = large_sets(self.base_extension, self.base_embedding, self.size_cap)
         return build_valued_extension(self.base_extension, self.base_embedding, family)
 
+    @cached_property
+    def part(self) -> PartGroupoid:
+        """Part(A), the groupoid phi is built over, listed here if not carried."""
+        return PartGroupoid(self.base)
+
 
 def clique_faithful_extension(base: Structure,
                               size_cap: int | None = None,
@@ -273,23 +278,24 @@ def clique_faithful_extension(base: Structure,
     hat_extend sends clique points to their nu points (both re-verified).
     Every clique S has a mover into A: S is within the cap and generic with
     distinct owners, so a large projection would be a listed set on which
-    |S| points take distinct values in [1, |S|)."""
+    |S| points take distinct values in [1, |S|).  Part(A) is the base
+    certificate's groupoid, which the returned certificate carries on."""
     if size_cap is not None and size_cap < 0:
         raise EppaError(f"size cap must be >= 0, got {size_cap}")
-    maps = _bounded_part(base)  # Part(A), listed once per call
     if base_cert is None:
-        base_cert = base_eppa(base, maps=maps)
+        base_cert = base_eppa(base)
     else:
         if base_cert.base != base:
             raise EppaError("base certificate is for a different structure")
-        verdict = verify_base_certificate(base_cert, maps=maps)
+        verdict = verify_base_certificate(base_cert)
         if not verdict:
             raise VerificationError(f"supplied base certificate invalid: {verdict.message()}")
+    part = base_cert.part
     family = large_sets(base_cert.extension, base_cert.embedding, size_cap)
     extension = build_valued_extension(base_cert.extension, base_cert.embedding, family)
 
     table: dict[str, Permutation] = {}
-    for p in maps:
+    for p in part.maps:
         g = base_cert.phi.lookup(p)
         pairs = [(extension.points[extension.nu[x]], extension.points[extension.nu[y]])
                  for x, y in p.pairs]
@@ -307,34 +313,30 @@ def clique_faithful_extension(base: Structure,
                  for pt in pts]
         witnesses[clique] = hat_extend(pairs, witness_g, extension)
 
-    cert = FaithfulCertificate(base=base, base_extension=base_cert.extension,
-                               structure=extension.structure,
-                               base_embedding=base_cert.embedding, phi=phi,
-                               clique_witnesses=witnesses, size_cap=size_cap,
-                               forbidden=tuple(forbidden))
-    verdict = verify_faithful_view(cert, maps=maps)
+    cert = part.carried_by(FaithfulCertificate(
+        base=base, base_extension=base_cert.extension, structure=extension.structure,
+        base_embedding=base_cert.embedding, phi=phi, clique_witnesses=witnesses,
+        size_cap=size_cap, forbidden=tuple(forbidden)))
+    verdict = verify_faithful_view(cert)
     if not verdict:
         raise VerificationError(f"pipeline produced invalid certificate: {verdict.message()}")
     return cert
 
 
-def verify_faithful_view(cert: FaithfulCertificate, *,
-                         maps: Sequence[PartialAutomorphism] | None = None) -> Verdict:
+def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
     embeddings, the table over Part(A) (automorphisms, extension, and
     coherence, decided on the spanning maps and a spanning set of coherent
     triples, which also forces phi(id_D) = id and phi(p^-1) = phi(p)^-1),
     a witness for every clique, and freeness from the forbidden family.  Each distinct witness
     permutation is checked to be an automorphism once, at its first clique.
-    `maps` is Part(A), listed here unless the caller has listed it."""
+    Part(A) is the certificate's `part`, read after the embedding checks."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi
     if not is_embedding(cert.base_embedding, base, cert.base_extension):
         return Verdict.failed("embedding", "A is not induced in the base extension")
     if not is_embedding(phi.embedding, base, c_structure):
         return Verdict.failed("embedding", "nu is not an embedding of A into C")
-    if maps is None:
-        maps = enumerate_partial_automorphisms(base)
-    v = verify_coherent_extension(phi, maps, c_structure)
+    v = verify_coherent_extension(phi, cert.part, c_structure)
     if not v:
         return v
     nu_set = frozenset(phi.embedding)

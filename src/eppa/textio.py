@@ -17,11 +17,10 @@ import re
 from itertools import chain, islice
 from typing import Hashable, Sequence
 
-from . import config
-from .base_extension import BaseEppaCertificate, verify_base_certificate
+from .base_extension import BaseEppaCertificate, PartGroupoid, verify_base_certificate
 from .chains import ChainCertificate, ChainStage, verify_chain
 from .coherence import ExtensionMap, PermutationGroup, Verdict
-from .errors import BoundExceededError, EppaError, StructureSyntaxError
+from .errors import EppaError, StructureSyntaxError
 from .faithful import FaithfulCertificate, verify_faithful_view
 from .quotient import SpecialCertificate, verify_special
 from .structures import (PartialAutomorphism, Permutation, Signature, Structure)
@@ -384,28 +383,20 @@ def _once(tag: str, items: Sequence[tuple[int, Hashable]]) -> tuple:
     return tuple(seen)
 
 
-def _bounded(structure: Structure) -> Structure:
-    """Structure `a` of a kind whose verifier enumerates all of Part(A)."""
-    if structure.size > config.max_points():
-        raise BoundExceededError(f"structure a has {structure.size} points, "
-                                 f"over the bound {config.max_points()}")
-    return structure
-
-
 def _forbidden(r: _Lines) -> tuple[Structure, ...]:
     line, count = r.value("forbid")
     return tuple(r.structure(f"f{i}") for i in range(_int(count, line)))
 
 
 def _build_base(r: _Lines) -> BaseEppaCertificate:
-    base, extension = _bounded(r.structure("a")), r.structure("b")
+    base, extension = PartGroupoid.bounded(r.structure("a")), r.structure("b")
     phi = ExtensionMap(base.size, extension.size, r.ints("embed"), r.table("phi"))
     return BaseEppaCertificate(base=base, extension=extension, phi=phi)
 
 
 def _build_faithful(r: _Lines) -> FaithfulCertificate:
     cap_line, cap = r.value("param", "size-cap")
-    base, structure = _bounded(r.structure("a")), r.structure("c")
+    base, structure = PartGroupoid.bounded(r.structure("a")), r.structure("c")
     witnesses = {_ints(key.split(","), line): Permutation(_ints(body, line))
                  for line, (key,), body in r.keyed("witness")}
     return FaithfulCertificate(

@@ -107,7 +107,7 @@ def test_criterion_01_base_extension_all_graphs_up_to_four():
     for structure, digest in zip(graphs, CRITERION_01_DIGESTS, strict=True):
         cert = base_eppa(structure)
         assert digest_of(cert) == digest
-        maps = cert.part()
+        maps = cert.part.maps
         assert verify_extension(cert.phi, maps)
         assert verify_coherence(cert.phi, maps)
         assert check_forced_values(cert.phi, maps)

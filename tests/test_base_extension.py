@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from collections import Counter
@@ -7,11 +8,11 @@ import pytest
 
 from eppa import base_extension
 from eppa.amalgamation import canonical_form
-from eppa.base_extension import (BaseEppaCertificate, _extension_candidates, _first_homomorphism, _moved_pairs,
-                                 _product_levels, _root_elements, _search_certificate,
-                                 base_eppa, coherent_assignment, scaffold_certificate,
-                                 verify_base_certificate)
-from eppa.coherence import (ExtensionMap, check_forced_values, spanning_trees, verify_coherence,
+from eppa.base_extension import (BaseEppaCertificate, PartGroupoid, _extension_candidates,
+                                 _first_homomorphism, _product_levels, _root_elements,
+                                 _search_certificate, base_eppa, coherent_assignment,
+                                 scaffold_certificate, verify_base_certificate)
+from eppa.coherence import (ExtensionMap, check_forced_values, verify_coherence,
                             verify_coherent_extension, verify_extension)
 from eppa.errors import BoundExceededError, VerificationError
 from eppa.faithful import clique_faithful_extension
@@ -20,7 +21,7 @@ from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              enumerate_partial_automorphisms, graph)
 from eppa.textio import emit_certificate
 
-part = enumerate_partial_automorphisms
+part = PartGroupoid
 
 
 class TestBaseEppa:
@@ -73,31 +74,56 @@ class TestBaseEppa:
         assert first == second
 
     def test_part_listed_once_per_call(self, graphs_up_to_4, monkeypatch):
-        """base_eppa hands the Part(A) it listed to the verifier, which
-        lists it itself only when called without one."""
-        calls = []
+        """base_eppa lists Part(A) and builds its forest once, for the
+        search and the verifier, and hands both on in the certificate; a
+        certificate that carries no groupoid lists its own."""
+        listed, forests = [], []
 
         def counted(structure):
-            calls.append(structure)
-            return part(structure)
+            listed.append(structure)
+            return enumerate_partial_automorphisms(structure)
+
+        def counted_forest(groupoid):
+            forests.append(groupoid.structure)
+            return forest(groupoid)
+        forest = PartGroupoid.__dict__["forest"].func
+        cached = functools.cached_property(counted_forest)
+        cached.__set_name__(PartGroupoid, "forest")
         monkeypatch.setattr(base_extension, "enumerate_partial_automorphisms", counted)
+        monkeypatch.setattr(PartGroupoid, "forest", cached)
         assert len(graphs_up_to_4) == 18
         for structure in graphs_up_to_4:
-            calls.clear()
             cert = base_eppa(structure)
-            assert calls == [structure]
-            maps = part(structure)
-            assert verify_base_certificate(cert, maps=maps)
-            assert calls == [structure]
             assert verify_base_certificate(cert)
-            assert calls == [structure, structure]
+            held = [cert.part, cert.part.maps, cert.part.forest]
+            assert not any(v is h for v in vars(structure).values() for h in held)
+        assert (len(listed), len(forests)) == (18, 18)
+        assert listed == forests == graphs_up_to_4
+        listed.clear()
+        assert verify_base_certificate(dataclasses.replace(cert))
+        assert listed == [cert.base]
         with pytest.raises(TypeError):
-            verify_base_certificate(cert, maps)
+            verify_base_certificate(cert, cert.part.maps)
 
     def test_size_bound(self, monkeypatch):
         monkeypatch.setenv("EPPA_MAX_POINTS", "2")
         with pytest.raises(BoundExceededError):
             base_eppa(graph(3, []))
+
+    def test_verifier_applies_the_point_bound(self):
+        # 13 points, each alone in its own unary relation: Part(A) is just
+        # the 2^13 identity maps, so an unbounded verifier would accept it
+        n = 13
+        a = Structure.make(Signature.make(*((f"U{i}", 1) for i in range(n))), n,
+                           {f"U{i}": [(i,)] for i in range(n)})
+        ident = Permutation.identity(n)
+        table = {PartialAutomorphism.identity_on(
+                     x for x in range(n) if mask >> x & 1).encode(): ident
+                 for mask in range(1 << n)}
+        cert = BaseEppaCertificate(base=a, extension=a,
+                                   phi=ExtensionMap(n, n, ident.images, table))
+        with pytest.raises(BoundExceededError, match="has 13 points"):
+            verify_base_certificate(cert)
 
     def test_a_table_that_fails_verification_raises(self, k2, monkeypatch):
         """base_eppa verifies the search's first table itself; a table that
@@ -178,7 +204,8 @@ def test_spanning_and_full_coherence_agree_on_swapped_tables(graphs_up_to_4):
     rng = random.Random(16)
     verdicts = Counter()
     for structure, extension, phi in cases:
-        maps = part(structure)
+        groupoid = part(structure)
+        maps = groupoid.maps
         aut = automorphism_group(extension, 12).elements if extension.size <= 12 else ()
         for _ in range(8):
             table, other = gauged(phi, maps, rng), gauged(phi, maps, rng)
@@ -188,7 +215,7 @@ def test_spanning_and_full_coherence_agree_on_swapped_tables(graphs_up_to_4):
                     + [other[p.encode()]])
             mutant = dataclasses.replace(phi, table=table)
             full = verify_coherence(mutant, maps)
-            assert verify_coherent_extension(mutant, maps, extension) == full
+            assert verify_coherent_extension(mutant, groupoid, extension) == full
             verdicts[full.ok] += 1
     assert verdicts[True] > 20 and verdicts[False] > 20
 
@@ -198,30 +225,30 @@ class TestBruteForce:
     point-extensions, returning the first certificate that verifies."""
 
     def test_single_vertex_immediate(self):
-        cert = _search_certificate(graph(1, []), part(graph(1, [])), max_extra=0)
+        cert = _search_certificate(part(graph(1, [])), max_extra=0)
         assert cert is not None and cert.extension.size == 1
 
     def test_two_points_no_extra_needed(self):
-        cert = _search_certificate(graph(2, []), part(graph(2, [])), max_extra=0)
+        cert = _search_certificate(part(graph(2, [])), max_extra=0)
         assert cert is not None
         assert cert.extension == cert.base
 
     def test_not_found_within_budget(self):
         # the leaf-to-centre map of a path cannot extend inside the path itself
         path = graph(3, [(0, 1), (1, 2)])
-        cert = _search_certificate(path, part(path), max_extra=0)
+        cert = _search_certificate(part(path), max_extra=0)
         assert cert is None
 
     def test_cross_check_with_base_eppa(self, k2):
         for structure in (k2, graph(3, [(0, 1)])):
-            searched = _search_certificate(structure, part(structure), max_extra=1)
+            searched = _search_certificate(part(structure), max_extra=1)
             built = base_eppa(structure)
             assert searched is not None
             for cert in (searched, built):
                 assert verify_base_certificate(cert)
 
     def test_oracle_certificates_verified(self, path3):
-        cert = _search_certificate(path3, part(path3), max_extra=1)
+        cert = _search_certificate(part(path3), max_extra=1)
         assert cert is not None and cert.extension.size == 4
         assert verify_base_certificate(cert)
 
@@ -255,7 +282,7 @@ class TestScaffold:
     the symbol's symmetry in A) through a point."""
 
     def scaffold(self, structure):
-        cert = scaffold_certificate(structure, part(structure))
+        cert = scaffold_certificate(part(structure))
         assert verify_base_certificate(cert)
         return cert
 
@@ -291,14 +318,14 @@ class TestScaffold:
         sig = Signature.make(("H", 3))
         hyper = Structure.make(sig, 3, {"H": [(0, 1, 2)]})
         with pytest.raises(BoundExceededError, match="verification cost"):
-            scaffold_certificate(hyper, part(hyper))
+            scaffold_certificate(part(hyper))
 
     def test_agrees_with_search_on_trivial_inputs(self):
         # dual route: both realizations must produce verifiable certificates
         for structure in (graph(1, []), graph(2, [])):
             self.scaffold(structure)
             assert verify_base_certificate(
-                _search_certificate(structure, part(structure), 0))
+                _search_certificate(part(structure), 0))
 
     @pytest.mark.parametrize("edges", FOUR_VERTEX_FALLBACKS.values())
     def test_four_vertex_fallbacks(self, edges):
@@ -342,9 +369,9 @@ class TestScaffold:
         for structure, n_maps, completions, actions in ((PAW, 75, 18, 29), (p5, 252, 92, 142)):
             built.clear()
             perms.clear()
-            maps = part(structure)
-            cert = scaffold_certificate(structure, maps)
-            assert len(maps) == n_maps
+            groupoid = part(structure)
+            cert = scaffold_certificate(groupoid)
+            assert len(groupoid.maps) == n_maps
             assert len(built) == len(set(built)) == completions
             assert len(perms) == actions
             assert len({id(g) for g in cert.phi.table.values()}) == actions
@@ -434,9 +461,9 @@ REFERENCE_INPUTS = {
 @pytest.mark.parametrize("name", REFERENCE_INPUTS)
 def test_scaffold_emits_the_reference_certificate(name):
     structure = REFERENCE_INPUTS[name]
-    maps = part(structure)
-    assert (emit_certificate(scaffold_certificate(structure, maps))
-            == emit_certificate(reference_scaffold(structure, maps)))
+    groupoid = part(structure)
+    assert (emit_certificate(scaffold_certificate(groupoid))
+            == emit_certificate(reference_scaffold(structure, groupoid.maps)))
 
 
 class TestExtensionCandidates:
@@ -489,13 +516,13 @@ class TestBitmaskRejection:
     def test_accepts_what_the_unfiltered_sweep_accepts(self, graphs_up_to_4):
         hits = 0
         for base, extra in bitmask_runs(graphs_up_to_4):
-            maps = part(base)
+            groupoid = part(base)
             emb = tuple(range(base.size))
 
             def accepted(swept):
                 return [c for c in _extension_candidates(base, extra, swept)
-                        if coherent_assignment(maps, c, emb) is not None]
-            found = accepted(maps)
+                        if coherent_assignment(groupoid, c, emb) is not None]
+            found = accepted(groupoid.moved)
             assert found == accepted(()), (base, extra)
             hits += len(found)
         assert hits > 0
@@ -503,14 +530,13 @@ class TestBitmaskRejection:
     def test_skips_exactly_the_first_round_rejections(self, graphs_up_to_4):
         skipped = 0
         for base, extra in bitmask_runs(graphs_up_to_4):
-            maps = part(base)
-            pairs = _moved_pairs(maps)
+            pairs = part(base).moved
 
             def first_round_joins(candidate):
                 *_, colour = itertools.islice(colour_refinement(candidate), 2)
                 return all(colour[x] == colour[y] for x, y in pairs)
             every = list(_extension_candidates(base, extra, ()))
-            kept = list(_extension_candidates(base, extra, maps))
+            kept = list(_extension_candidates(base, extra, pairs))
             assert kept == [c for c in every if first_round_joins(c)], (base, extra)
             skipped += len(every) - len(kept)
         assert skipped > 0
@@ -519,12 +545,11 @@ class TestBitmaskRejection:
 class TestCoherentAssignment:
     def test_rejects_candidate_without_extensions(self):
         lopsided = graph(3, [(0, 1)])
-        maps = enumerate_partial_automorphisms(lopsided)
-        assert coherent_assignment(maps, lopsided, (0, 1, 2)) is None
+        assert coherent_assignment(part(lopsided), lopsided, (0, 1, 2)) is None
 
     def test_finds_assignment_into_cycle(self, path3):
         c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        table = coherent_assignment(enumerate_partial_automorphisms(path3), c4, (0, 1, 2))
+        table = coherent_assignment(part(path3), c4, (0, 1, 2))
         assert table is not None
 
     def test_first_homomorphism_backtracks(self):
@@ -607,14 +632,14 @@ MIXED = Structure.make(UNARY_BINARY, 2, {"U": [(0,)], "E": [(0, 1)]})
 
 
 def searched_candidates(graphs_up_to_3):
-    """(A, Part(A), candidate) for every candidate the search proposes for the
+    """(A, its groupoid, candidate) for every candidate the search proposes for the
     graphs with at most 3 vertices at up to 2 extra points, and for U {0},
     E {01} on 2 points at 1 extra point."""
     runs = [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(MIXED, 1)]
     for base, extra in runs:
-        maps = part(base)
+        groupoid = part(base)
         for candidate in _extension_candidates(base, extra, ()):
-            yield base, maps, candidate
+            yield base, groupoid, candidate
 
 
 class TestColourRejection:
@@ -623,10 +648,10 @@ class TestColourRejection:
 
     def test_same_answers_as_aut_first_search(self, graphs_up_to_3):
         total = hits = 0
-        for base, maps, candidate in searched_candidates(graphs_up_to_3):
+        for base, groupoid, candidate in searched_candidates(graphs_up_to_3):
             emb = tuple(range(base.size))
-            got = coherent_assignment(maps, candidate, emb)
-            assert got == aut_first_assignment(maps, candidate, emb), candidate
+            got = coherent_assignment(groupoid, candidate, emb)
+            assert got == aut_first_assignment(groupoid.maps, candidate, emb), candidate
             total += 1
             hits += got is not None
         # per graph on 1, 2 and 3 vertices: 1 + 2 + 8, 1 + 4 + 32 and 1 + 8 + 128
@@ -661,11 +686,9 @@ class TestHomomorphismSchedule:
     def vertex_groups(bases):
         """(maps, arrows, tree, vertex group) per groupoid component of Part(A)."""
         for base in bases:
-            maps = part(base)
-            arrows, trees = spanning_trees(maps)
-            for tree in trees:
-                root = next(iter(tree))
-                yield maps, arrows, tree, [p for p in arrows[root] if p.image() == root]
+            groupoid = part(base)
+            for group, tree in groupoid.forest:
+                yield groupoid.maps, groupoid.arrows, tree, group
 
     def test_same_homomorphism_as_all_pairs_search(self, graphs_up_to_3, graphs_up_to_4,
                                                    monkeypatch):
@@ -675,8 +698,8 @@ class TestHomomorphismSchedule:
             met.append((group, extenders))
             return _first_homomorphism(group, extenders)
         monkeypatch.setattr(base_extension, "_first_homomorphism", recorded)
-        for base, maps, candidate in searched_candidates(graphs_up_to_3):
-            coherent_assignment(maps, candidate, tuple(range(base.size)))
+        for base, groupoid, candidate in searched_candidates(graphs_up_to_3):
+            coherent_assignment(groupoid, candidate, tuple(range(base.size)))
         for structure in graphs_up_to_4:
             base_eppa(structure)
         assert max(len(group) for group, _ in met) == 24  # Aut(K4), Aut(4K1)

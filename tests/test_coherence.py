@@ -2,16 +2,16 @@ import dataclasses
 import random
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 from eppa import coherence
-from eppa.base_extension import BaseEppaCertificate
+from eppa.base_extension import BaseEppaCertificate, PartGroupoid
 from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
                             check_forced_values, coherent_lift, coherent_triples,
-                            mask_atoms, set_map_coherent_triples, spanning_trees,
-                            spanning_triples, verify_coherence, verify_coherent_extension,
-                            verify_extension)
+                            mask_atoms, set_map_coherent_triples, verify_coherence,
+                            verify_coherent_extension, verify_extension)
 from eppa.errors import EppaError
 from eppa.faithful import FaithfulCertificate
 from eppa.structures import (PartialAutomorphism, Permutation,
@@ -65,24 +65,25 @@ def encoded(triples):
 
 
 class TestSpanningTriples:
-    """spanning_triples lists, per component of Part(A), the vertex group's
-    products, the tree maps after each vertex group element and each map
-    after its domain's tree map."""
+    """PartGroupoid.spanning_triples lists, per component of Part(A), the
+    vertex group's products, the tree maps after each vertex group element
+    and each map after its domain's tree map."""
 
     def test_every_spanning_triple_is_a_coherent_triple(self, graphs_up_to_4):
         for structure in graphs_up_to_4:
-            maps = enumerate_partial_automorphisms(structure)
-            spanning = encoded(spanning_triples(maps))
+            groupoid = PartGroupoid(structure)
+            spanning = encoded(groupoid.spanning_triples())
             assert len(set(spanning)) == len(spanning)
-            assert set(spanning) <= set(encoded(coherent_triples(maps)))
+            assert set(spanning) <= set(encoded(coherent_triples(groupoid.maps)))
 
     def test_count_on_the_empty_graph_on_4_vertices(self):
-        maps = enumerate_partial_automorphisms(graph(4, []))
-        assert (len(spanning_triples(maps)), len(coherent_triples(maps))) == (793, 3809)
+        groupoid = PartGroupoid(graph(4, []))
+        assert (len(groupoid.spanning_triples()),
+                len(coherent_triples(groupoid.maps))) == (793, 3809)
 
     def test_k2(self):
-        maps = enumerate_partial_automorphisms(graph(2, [(0, 1)]))
-        assert encoded(spanning_triples(maps)) == [
+        groupoid = PartGroupoid(graph(2, [(0, 1)]))
+        assert encoded(groupoid.spanning_triples()) == [
             ("-", "-", "-"), ("0>0", "0>0", "0>0"), ("0>1", "0>0", "0>1"),
             ("1>0", "0>1", "0>0"), ("1>1", "0>1", "0>1"),
             ("0>0,1>1", "0>0,1>1", "0>0,1>1"), ("0>0,1>1", "0>1,1>0", "0>1,1>0"),
@@ -129,6 +130,14 @@ class TestTableChecksNameTheMap:
           ("-", "0>0", "0>0,1>1", "0>1", "0>1,1>0", "1>0", "1>1")]
     B = graph(4, [(0, 1), (2, 3)])
 
+    def part(self):
+        """Part(K2) as a groupoid, with its maps listed in the order of K2,
+        which the expected messages follow."""
+        groupoid = PartGroupoid(graph(2, [(0, 1)]))
+        assert sorted(groupoid.maps, key=PartialAutomorphism.encode) == self.K2
+        groupoid.maps = self.K2
+        return groupoid
+
     def table(self, **changes):
         swap, ident = Permutation((1, 0, 2, 3)), Permutation.identity(4)
         table = {p.encode(): ident if all(x == y for x, y in p.pairs) else swap
@@ -136,7 +145,7 @@ class TestTableChecksNameTheMap:
         return ExtensionMap(2, 4, (0, 1), {**table, **changes})
 
     def test_valid_table_passes_every_check(self):
-        assert verify_coherent_extension(self.table(), self.K2, self.B)
+        assert verify_coherent_extension(self.table(), self.part(), self.B)
         assert check_forced_values(self.table(), self.K2)
 
     @pytest.mark.parametrize("changes, condition, detail", [
@@ -158,7 +167,7 @@ class TestTableChecksNameTheMap:
          "triple (0>0, 0>0, 0>0): phi(q) != phi(p1) o phi(p2)"),
     ])
     def test_table_checks_name_the_map(self, changes, condition, detail):
-        verdict = verify_coherent_extension(self.table(**changes), self.K2, self.B)
+        verdict = verify_coherent_extension(self.table(**changes), self.part(), self.B)
         assert (verdict.condition, verdict.detail) == (condition, detail)
 
     def test_coherence_failure_is_named_in_full_triple_order(self):
@@ -166,9 +175,9 @@ class TestTableChecksNameTheMap:
         # failing triple of coherent_triples is the identity's idempotence
         phi = self.table(**{"0>0,1>1": Permutation((0, 1, 3, 2)),
                             "0>1": Permutation((1, 0, 3, 2))})
-        spanning = verify_coherence(phi, self.K2, triples=spanning_triples(self.K2))
+        spanning = verify_coherence(phi, self.K2, triples=self.part().spanning_triples())
         assert spanning.detail == "triple (1>0, 0>1, 0>0): phi(q) != phi(p1) o phi(p2)"
-        verdict = verify_coherent_extension(phi, self.K2, self.B)
+        verdict = verify_coherent_extension(phi, self.part(), self.B)
         assert verdict == verify_coherence(phi, self.K2)
         assert (verdict.condition, verdict.detail) == (
             "coherence", "triple (0>0,1>1, 0>0,1>1, 0>0,1>1): phi(q) != phi(p1) o phi(p2)")
@@ -176,7 +185,7 @@ class TestTableChecksNameTheMap:
     def test_missing_entry(self):
         phi = self.table()
         del phi.table["0>1"]
-        verdict = verify_coherent_extension(phi, self.K2, self.B)
+        verdict = verify_coherent_extension(phi, self.part(), self.B)
         assert (verdict.condition, verdict.detail) == ("table", "missing table entry for 0>1")
         for check in (verify_extension, check_forced_values):
             with pytest.raises(EppaError, match="missing table entry for 0>1"):
@@ -220,7 +229,7 @@ def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism)
 
 
 def stored_tables():
-    """(name, phi, Part(A), the structure phi acts on) of every stored base
+    """(name, phi, Part(A) as a groupoid, the structure phi acts on) of every stored base
     and faithful certificate, each table and structure once: 17 of the 36
     files repeat one of the others (a faithful extension of a triangle-free
     graph on up to 4 points is often its base extension)."""
@@ -236,8 +245,107 @@ def stored_tables():
         key = (structure, cert.phi.embedding, frozenset(cert.phi.table.items()))
         if key not in seen:
             seen.add(key)
-            out.append((path.name, cert.phi, enumerate_partial_automorphisms(base), structure))
+            out.append((path.name, cert.phi, PartGroupoid(base), structure))
     return out
+
+
+# The spanning forest and triples as free functions of a list of maps, as
+# coherence had them before PartGroupoid: the reference its forest, vertex
+# groups, spanning maps and spanning triples are compared with.
+
+def spanning_trees(maps: Sequence[PartialAutomorphism]
+                   ) -> tuple[dict[frozenset[int], list[PartialAutomorphism]],
+                              list[dict[frozenset[int], PartialAutomorphism]]]:
+    """BFS spanning trees of the groupoid whose objects are the domains of
+    `maps` and whose arrows are the maps, for `maps` closed under inverses,
+    like Part(A): a BFS from a root then reaches exactly its connected
+    component.  Returns the arrows out of each domain, in encoding order,
+    and one tree per component, rooted at its least domain by (size, sorted
+    points) and taken in that order of roots.  A tree maps each domain t
+    of its component, in BFS order and the root first, to tree(t): root ->
+    t, a composite of the arrows walked and the identity at the root."""
+    arrows: dict[frozenset[int], list[PartialAutomorphism]] = {}
+    for p in sorted(maps, key=PartialAutomorphism.encode):
+        arrows.setdefault(p.domain(), []).append(p)
+    trees: list[dict[frozenset[int], PartialAutomorphism]] = []
+    reached: set[frozenset[int]] = set()
+    for root in sorted(arrows, key=lambda s: (len(s), sorted(s))):
+        if root in reached:
+            continue
+        tree = {root: PartialAutomorphism.identity_on(root)}
+        order = [root]
+        for s in order:  # also visits the domains appended below
+            for p in arrows[s]:
+                if p.image() not in tree:
+                    tree[p.image()] = p.compose(tree[s])
+                    order.append(p.image())
+        reached.update(order)
+        trees.append(tree)
+    return arrows, trees
+
+
+def spanning_triples(maps: Sequence[PartialAutomorphism]
+                     ) -> list[tuple[PartialAutomorphism, PartialAutomorphism, PartialAutomorphism]]:
+    """Coherent triples within `maps` on which coherence implies coherence on
+    all of coherent_triples(maps), for `maps` closed under composition and
+    inverses, like Part(A).  Per component of spanning_trees(maps), with
+    root r, vertex group G(r) (the maps r -> r) and tree T_t: r -> t:
+
+      (a, b, a o b)        for a, b in G(r);
+      (T_t, h, T_t o h)    for every domain t != r of the component and h in G(r);
+      (p, T_s, p o T_s)    for every map p: s -> t of the component with s != r.
+
+    No triple is listed twice.  Proof.  The first family makes phi a
+    homomorphism on G(r), so phi(id_r) = id, and the triples the other two
+    families leave out, at T_r = id_r, hold as well.  For p: s -> t
+    let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) = p o T_s, the
+    second family at h = g(p) and the third at p give phi(p) phi(T_s) =
+    phi(T_t) phi(g(p)), so phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1.  For
+    p: s -> t and p': t -> u, g(p') o g(p) = g(p' o p), so phi(p') phi(p) =
+    phi(T_u) phi(g(p')) phi(g(p)) phi(T_s)^-1 = phi(p' o p): phi is a
+    functor on the groupoid, which is coherence (a functor on a connected
+    groupoid is fixed by a vertex group homomorphism and its values on a
+    spanning tree; R. Brown, Topology and Groupoids).  The composites are
+    taken from `maps`, so each triple is one of coherent_triples(maps)."""
+    by_pairs = {p.pairs: p for p in maps}
+
+    def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
+        m = p1.as_dict()
+        return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
+
+    arrows, trees = spanning_trees(maps)
+    out = []
+    for tree in trees:
+        root = next(iter(tree))
+        group = [p for p in arrows[root] if p.image() == root]
+        out += [(a, b, after(a, b)) for a in group for b in group]
+        branches = list(tree.items())[1:]  # every domain but the root
+        out += [(tree_t, h, after(tree_t, h)) for _, tree_t in branches for h in group]
+        out += [(p, tree_s, after(p, tree_s)) for s, tree_s in branches for p in arrows[s]]
+    return out
+
+
+class TestGroupoidMatchesTheReference:
+    """PartGroupoid's roots, vertex groups, trees (in BFS order), spanning
+    maps and spanning triples (in order) are those of the reference, on
+    every graph with at most 4 vertices and each stored certificate's A."""
+
+    def test_forest_and_spanning_sets(self, graphs_up_to_4):
+        stored = [groupoid.structure for _, _, groupoid, _ in stored_tables()]
+        assert len(graphs_up_to_4) == 18 and len(stored) == 19
+        for structure in graphs_up_to_4 + stored:
+            groupoid = PartGroupoid(structure)
+            arrows, trees = spanning_trees(groupoid.maps)
+            roots = [next(iter(tree)) for tree in trees]
+            groups = [[p for p in arrows[root] if p.image() == root] for root in roots]
+            assert groupoid.arrows == arrows
+            assert [next(iter(tree)) for _, tree in groupoid.forest] == roots
+            assert [group for group, _ in groupoid.forest] == groups
+            assert [list(tree.items()) for _, tree in groupoid.forest] == [
+                list(tree.items()) for tree in trees]
+            assert groupoid.spanning_maps() == [
+                p for group, tree in zip(groups, trees) for p in (*group, *tree.values())]
+            assert groupoid.spanning_triples() == spanning_triples(groupoid.maps)
 
 
 def spanning_keys(maps):
@@ -308,7 +416,8 @@ class TestSpanningAutomorphismCheck:
         monkeypatch.setattr(coherence, "is_automorphism", automorphic)
         rng = random.Random(27)
         conditions = Counter()
-        for name, phi, maps, structure in stored_tables():
+        for name, phi, groupoid, structure in stored_tables():
+            maps = groupoid.maps
             triples = coherent_triples(maps)
             keys = sorted(phi.table)
             if structure.size > 12:  # the paw: 5 spanning and 5 other entries
@@ -322,7 +431,7 @@ class TestSpanningAutomorphismCheck:
                 if table is None:
                     continue
                 expected = reference_verify(table, maps, structure, triples, automorphic)
-                assert verify_coherent_extension(table, maps, structure) == expected, name
+                assert verify_coherent_extension(table, groupoid, structure) == expected, name
                 conditions[expected.condition or "ok"] += 1
         assert {c: n > 20 for c, n in conditions.items()} == {
             "ok": True, "automorphism": True, "extension": True, "coherence": True}

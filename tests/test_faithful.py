@@ -7,7 +7,7 @@ from eppa.base_extension import (BaseEppaCertificate, base_eppa,
                                   verify_base_certificate)
 from eppa.coherence import ExtensionMap, coherent_triples
 from eppa.errors import BoundExceededError, EppaError
-from eppa.faithful import (ValuedPoint, build_valued_extension,
+from eppa.faithful import (FaithfulCertificate, ValuedPoint, build_valued_extension,
                            clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
                            large_sets, projection_is_small,
@@ -339,21 +339,26 @@ class TestForbE:
             with pytest.raises(EppaError, match="size cap"):
                 build()
 
-    def test_part_listed_once_per_call(self, graphs_up_to_4, k3, monkeypatch):
+    def test_part_listed_once_per_call(self, graphs_up_to_3, graphs_up_to_4, k2, k3,
+                                       path3, monkeypatch):
         """The pipeline lists Part(A) once, for the base extension, its own
-        table and the verifier, wherever it is listed."""
-        from eppa import base_extension, faithful
+        table and the verifier, all reading the base certificate's groupoid,
+        which the faithful certificate carries on; a certificate that carries
+        none lists its own.  A chain stage lists it once, and reads its
+        target map from its certificate: the free workload's constructions
+        make 25 listings."""
+        from eppa import base_extension
         from eppa.amalgamation import forb_e_member
+        from eppa.chains import build_dlf_chain
         calls = []
 
         def counted(structure):
             calls.append(structure)
             return enumerate_partial_automorphisms(structure)
-        for module in (base_extension, faithful):
-            monkeypatch.setattr(module, "enumerate_partial_automorphisms", counted)
+        monkeypatch.setattr(base_extension, "enumerate_partial_automorphisms", counted)
         free = [g for g in graphs_up_to_4 if forb_e_member(g, [k3])]
         assert len(free) == 13
-        refused = 0
+        refused = listed = 0
         for structure in free:
             calls.clear()
             try:
@@ -361,15 +366,41 @@ class TestForbE:
             except BoundExceededError:  # P3+K1: Aut(B) is over the degree bound
                 refused += 1
                 assert calls == [structure]
+                listed += 1
                 continue
             assert calls == [structure]
-            assert verify_faithful_view(fc, maps=enumerate_partial_automorphisms(structure))
-            assert calls == [structure]
+            listed += 1
             assert verify_faithful_view(fc)
+            assert calls == [structure]
+            assert verify_faithful_view(dataclasses.replace(fc))
             assert calls == [structure, structure]
         assert refused == 1
         with pytest.raises(TypeError):
             verify_faithful_view(fc, calls[0])
+        calls.clear()
+        for structure in graphs_up_to_3:
+            clique_faithful_extension(structure)
+        assert calls == graphs_up_to_3
+        listed += len(calls)
+        for seed, stages in ((k2, 2), (path3, 3)):
+            calls.clear()
+            cert = build_dlf_chain([k3], stages, seed)
+            assert calls == [stage.structure for stage in cert.stages[:-1]]
+            listed += len(calls)
+        assert listed == 25
+
+    def test_verifier_applies_the_point_bound(self):
+        # 13 points, each alone in its own unary relation: Part(A) is the
+        # 2^13 identity maps, which the verifier refuses to list
+        n = 13
+        a = Structure.make(Signature.make(*((f"U{i}", 1) for i in range(n))), n,
+                           {f"U{i}": [(i,)] for i in range(n)})
+        ident = Permutation.identity(n)
+        cert = FaithfulCertificate(
+            base=a, base_extension=a, structure=a, base_embedding=ident.images,
+            phi=ExtensionMap(n, n, ident.images, {"-": ident}), clique_witnesses={})
+        with pytest.raises(BoundExceededError, match="has 13 points"):
+            verify_faithful_view(cert)
 
     def test_forbidden_edge_gives_edgeless_extension(self, k2):
         fc = forb_e_eppa(graph(1, []), [k2])
