@@ -7,12 +7,12 @@ Two realizations sit behind one verified certificate contract:
 * a functor search that tries the structure itself and then minimal
   point-extensions; per connected component of the partial-automorphism
   groupoid it searches only a homomorphism of one vertex group, and spanning
-  tree lifts carry it to the rest of the component.  Most labelled states
-  are rejected on their bitmask, before a Structure is built, and colour
-  refinement rejects most of the rest before Aut(candidate) is built: every
-  automorphism preserves the refined colours, so a partial automorphism
-  that joins two colours has no extender, and the search's answers are
-  exactly those of building Aut(candidate) every time;
+  tree lifts carry it to the rest of the component.  A labelled state is
+  rejected on its bitmask, before a Structure is built, when a map of
+  Part(A) sends a point to one with a different count of tuples at some
+  (symbol, position): no automorphism does that, so such a map has no
+  extender, and the search's answers are exactly those of building
+  Aut(candidate) for every state;
 * Hrushovski's valuation scaffold: points of the extension are (vertex,
   valuation) pairs with one bit per slot (symbol, tuple up to the symbol's
   symmetry in A) through the vertex, permuted by order-preserving
@@ -35,8 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from . import config
 from .coherence import ExtensionMap, Verdict, verify_coherent_extension
 from .errors import BoundExceededError, VerificationError
-from .structures import (PartialAutomorphism, Permutation, Structure,
-                         automorphism_group, colour_refinement,
+from .structures import (PartialAutomorphism, Permutation, Structure, automorphism_group,
                          enumerate_partial_automorphisms, is_embedding, subset_sums)
 
 
@@ -200,19 +199,10 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
     for the vertex group, and only the first for each tree map: every p =
     tree(t) g(p) tree(s)^-1 then has one, with no check of its own.  Each
     g(p) and each vertex-group product is looked up among the listed maps by
-    its pairs (_root_elements, _product_levels), not built.
-
-    Before Aut(candidate) is built, colour refinement rejects the candidate
-    when, after some round, a map of Part(A) sends x to y with emb(x) and
-    emb(y) of different colours.  The rejection is exact: every automorphism
-    preserves each round's colours, so such a map has no extender, and
-    building Aut(candidate) would end in the same None.  The search's
-    candidates pass the first round already (_extension_candidates)."""
+    its pairs (_root_elements, _product_levels), not built.  The search's
+    candidates have passed its only filter, on tuple counts, already
+    (_extension_candidates)."""
     emb = tuple(embedding)
-    pairs = [(emb[x], emb[y]) for x, y in part.moved]
-    for colour in colour_refinement(candidate):
-        if any(colour[x] != colour[y] for x, y in pairs):
-            return None
     aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
 
     def extenders(p: PartialAutomorphism) -> Iterator[Permutation]:
@@ -286,8 +276,10 @@ def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int
     Structure is built for a state in which a moved pair (x, y) of Part(A)
     joins base points with different counts of tuples at some (symbol,
     position): x's count in `base` plus the set slots that add one, at most
-    one per slot.  That is the first round of colour refinement in
-    coherent_assignment; with no pairs in `moved`, every state is built."""
+    one per slot.  The filter is exact: an automorphism keeps each point's
+    counts, so a map that moves x to y has no extender, and
+    coherent_assignment would return None.  With no pairs in `moved`,
+    every state is built."""
     m = base.size + extra
     if base.is_graphlike():
         name0 = base.signature.symbols[0][0]

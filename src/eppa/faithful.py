@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import config
+from .amalgamation import exists_embedding, forb_e_member
 from .base_extension import (BaseEppaCertificate, PartGroupoid, base_eppa,
                              verify_base_certificate)
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, mask_points,
@@ -356,7 +357,6 @@ def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     if missing:
         return Verdict.failed("clique-cover",
                               f"no witness recorded for clique {sorted(missing)[0]}")
-    from .amalgamation import exists_embedding
     for q in cert.forbidden:
         hit = exists_embedding(q, c_structure)
         if hit is not None:
@@ -369,7 +369,6 @@ def forb_e_eppa(base: Structure, forbidden: Sequence[Structure],
     """Coherent EPPA inside the class of structures embedding no member of a
     family of Gaifman cliques; the certificate records the family, so its
     verification shows the output stays in the class."""
-    from .amalgamation import forb_e_member
     forbidden = tuple(forbidden)
     for q in forbidden:
         if not is_gaifman_clique(q):

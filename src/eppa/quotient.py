@@ -7,8 +7,8 @@ generated by the assigned automorphisms, where a single move identifies
 (x, g) with (p(x), psi(p) o g).  Points reachable by words act as witnesses:
 every point, every relation tuple and every A-to-A transition of the
 quotient is realized by a word over P.  Words act on the finite set of
-states (group element, point), so `verify_special` decides each of these
-conditions exactly, by closing under the letters."""
+states (point, group element), so `verify_special` decides each of these
+conditions exactly, from the group and the classes of its word moves."""
 
 from __future__ import annotations
 
@@ -31,29 +31,20 @@ def _generated_group(structure: Structure, maps: Sequence[PartialAutomorphism],
     return PermutationGroup.from_generators(structure.size, [table.lookup(p) for p in maps])
 
 
-def _letters(maps: Sequence[PartialAutomorphism], table: ExtensionMap
-             ) -> list[tuple[dict[int, int], Permutation]]:
-    """Each p in `maps` and its inverse, as (the partial map, its table image)."""
-    out = []
-    for p in maps:
-        g = table.lookup(p)
-        out += [(dict(p.pairs), g), (dict(p.inverse().pairs), g.inverse())]
-    return out
-
-
 def _word_classes(base: Structure, maps: Sequence[PartialAutomorphism],
-                  psi: ExtensionMap, group: PermutationGroup
+                  table: ExtensionMap, group: PermutationGroup
                   ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Classes of (A x G)/~, each a sorted tuple of (point, group index)
-    pairs: the closures under the single moves (x, g) -> (p(x), psi(p) o g),
+    """Classes of A x `group`, each a sorted tuple of (point, group index)
+    pairs: the closures under the single moves (x, g) -> (p(x), table(p) o g),
     one per p in `maps` and one per inverse, of the states in product order,
-    so the classes come ordered by least member.  Each p's move on group
-    indices is tabled once, and its inverse's move is that table inverted."""
+    so the classes come ordered by least member: (A x G)/~ for psi, and for
+    phi the states that words over P reach.  Each p's move on group indices
+    is tabled once, and its inverse's move is that table inverted."""
     elements = group.elements
     gindex = {g: i for i, g in enumerate(elements)}
     moves = []
     for p in maps:
-        gp = psi.lookup(p)
+        gp = table.lookup(p)
         moved = [gindex[gp.compose(g)] for g in elements]
         back = sorted(range(len(moved)), key=moved.__getitem__)
         moves += [(dict(p.pairs), moved), (dict(p.inverse().pairs), back)]
@@ -165,32 +156,34 @@ def verify_structural(cert: SpecialCertificate) -> Verdict:
 
 def verify_special(cert: SpecialCertificate, max_word_len: int = 6) -> Verdict:
     """The structural checks, then the three special-extension conditions,
-    each decided exactly: words over P act on the finite set of states
-    (group element, point), so closing under the letters reaches every word.
+    each decided exactly from the group G generated by phi(P) and the
+    classes of _word_classes over phi and G: a word over P sends the state
+    (x, g) to (p(x), phi(p) o g) letter by letter, so the states a word
+    reaches from (x1, identity) are the class of that state.
 
-    (i) reachability: every point is a word image of an embedded point;
+    (i) reachability: every point is a word image of an embedded point, that
+    is, lies in the G-orbit of iota's points;
     (ii) tuple-realization: every tuple is the image of an embedded tuple
-    under the group G generated by phi(P).  The converse inclusion needs no
-    check: each letter is a verified automorphism and iota a verified
-    embedding;
+    under G.  The converse inclusion needs no check: each letter is a
+    verified automorphism and iota a verified embedding;
     (iii) transition-realization: whenever g in G sends iota(x1) to iota(x2),
-    some word with group image g is defined on x1 and sends it to x2.
+    some word with group image g is defined on x1 and sends it to x2, that
+    is, (x2, g) is in the class of (x1, identity).
 
     `max_word_len` is accepted and ignored; no bound is needed."""
     structural = verify_structural(cert)
     if not structural:
         return structural
     size = cert.extension.size
-    letters = _letters(cert.maps, cert.phi)
+    group = _generated_group(cert.extension, cert.maps, cert.phi)
     iota = cert.phi.embedding
 
-    reachable = closure(iota, lambda b: (g(b) for _, g in letters))
+    reachable = {g(b) for g in group.elements for b in iota}
     if len(reachable) != size:
         missing = sorted(set(range(size)) - reachable)[0]
         return Verdict.failed("reachability",
                               f"point {missing} is not a word image of the inner copy")
 
-    group = _generated_group(cert.extension, cert.maps, cert.phi)
     for name, _ in cert.base.signature.symbols:
         covered = {tuple(g(iota[x]) for x in t)
                    for g in group.elements for t in cert.base.tuples(name)}
@@ -200,15 +193,14 @@ def verify_special(cert: SpecialCertificate, max_word_len: int = 6) -> Verdict:
                 "tuple-realization",
                 f"{name} tuple {sorted(stray)[0]} is not a word image of an embedded tuple")
 
-    identity = Permutation.identity(size)
+    classes = _word_classes(cert.base, cert.maps, cert.phi, group)
+    class_of = {state: i for i, members in enumerate(classes) for state in members}
+    start = group.elements.index(Permutation.identity(size))
     inner = {b: x for x, b in enumerate(iota)}
     for x1 in range(cert.base.size):
-        realized = closure([(identity, x1)], lambda state: (
-            (letter.compose(state[0]), pairs[state[1]])
-            for pairs, letter in letters if state[1] in pairs))
-        for g in group.elements:
+        for gi, g in enumerate(group.elements):
             x2 = inner.get(g(iota[x1]))
-            if x2 is not None and (g, x2) not in realized:
+            if x2 is not None and class_of[(x2, gi)] != class_of[(x1, start)]:
                 return Verdict.failed(
                     "transition-realization",
                     f"no word with the same group image sends {x1} to {x2} "

@@ -590,37 +590,6 @@ def automorphism_group(structure: Structure,
     return PermutationGroup(degree=structure.size, elements=elements)
 
 
-def colour_refinement(structure: Structure) -> Iterator[list[int]]:
-    """Colour refinement (1-dimensional Weisfeiler-Leman): the uniform
-    colouring, then each strictly finer colouring, the last one stable.
-
-    A point's next colour ranks its signature: its colour and the sorted
-    multiset of (symbol index, position, colours of the tuple) over the
-    tuples through it, one entry per position it holds.  The colour of a
-    signature does not depend on the numbering, so by induction every
-    automorphism preserves every colouring yielded: two points of different
-    colours lie in different Aut-orbits."""
-    n = structure.size
-    through: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for si, tuples in enumerate(structure.relations):
-        for t in tuples:
-            for i, x in enumerate(t):
-                through[x].append((si, i, t))
-    colour = [0] * n
-    classes = min(n, 1)
-    yield colour
-    while True:
-        signatures = [(colour[v], tuple(sorted((si, i, tuple(colour[x] for x in t))
-                                                for si, i, t in through[v])))
-                      for v in range(n)]
-        rank = {sig: c for c, sig in enumerate(sorted(set(signatures)))}
-        if len(rank) == classes:
-            return
-        classes = len(rank)
-        colour = [rank[sig] for sig in signatures]
-        yield colour
-
-
 def gaifman_graph(structure: Structure) -> Structure:
     """Co-occurrence graph: distinct points adjacent iff they share a satisfied tuple."""
     edges = {pair for t in itertools.chain.from_iterable(structure.relations)

@@ -4,7 +4,7 @@ import pytest
 
 from eppa.chains import ChainCertificate, ChainStage, build_dlf_chain, verify_chain
 from eppa.coherence import PermutationGroup
-from eppa.errors import EppaError
+from eppa.errors import BoundExceededError, EppaError
 from eppa.structures import (PartialAutomorphism, Permutation,
                              enumerate_partial_automorphisms, graph)
 from eppa.textio import emit_certificate
@@ -13,6 +13,7 @@ K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
 K2_K1 = graph(3, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
+PAW = graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 
 # sha256 digests of chains that take the base path (no forbidden family) and
 # the faithful path (Forb(K3)) over seeds with a nontrivial partial map order
@@ -57,6 +58,13 @@ class TestBuildChain:
     def test_rejects_seed_outside_class(self, k3):
         with pytest.raises(EppaError):
             build_dlf_chain([k3], 1, k3)
+
+    def test_stage_over_the_point_bound_is_refused(self):
+        # the paw's first stage is its 32-point scaffold, which the second
+        # stage takes as an input over the default bound of 12 points
+        with pytest.raises(BoundExceededError) as refused:
+            build_dlf_chain([], 2, PAW)
+        assert str(refused.value) == "structure a has 32 points, over the bound 12"
 
     @pytest.mark.parametrize("forbidden,stages,seed,digest", CHAIN_DIGESTS)
     def test_pinned_digest(self, forbidden, stages, seed, digest):

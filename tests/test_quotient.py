@@ -1,15 +1,19 @@
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from eppa.base_extension import base_eppa
-from eppa.coherence import ExtensionMap
+from eppa.coherence import ExtensionMap, PermutationGroup, Verdict, closure
 from eppa.errors import EppaError, VerificationError
 from eppa.quotient import (SpecialCertificate, special_extension, verify_special,
                            verify_structural)
 from eppa.structures import (PartialAutomorphism, Permutation, Structure, graph,
                              enumerate_partial_automorphisms)
 from eppa.textio import emit_certificate, parse_certificate
+
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
 
 
 def k2_instance():
@@ -209,3 +213,114 @@ class TestWordRelation:
             for b in range(cert.extension.size):
                 assert cert.hom[g(b)] == gp(cert.hom[b])
         assert verify_structural(cert)
+
+
+def reference_verify_special(cert):
+    """Reference for verify_special: each condition decided by closing under
+    the letters, each p in P and its inverse as (partial map, phi image);
+    transition-realization closes the states (word image, point) reached
+    from (identity, x1), once per x1."""
+    structural = verify_structural(cert)
+    if not structural:
+        return structural
+    size = cert.extension.size
+    letters = []
+    for p in cert.maps:
+        g = cert.phi.lookup(p)
+        letters += [(dict(p.pairs), g), (dict(p.inverse().pairs), g.inverse())]
+    iota = cert.phi.embedding
+
+    reachable = closure(iota, lambda b: (g(b) for _, g in letters))
+    if len(reachable) != size:
+        missing = sorted(set(range(size)) - reachable)[0]
+        return Verdict.failed("reachability",
+                              f"point {missing} is not a word image of the inner copy")
+
+    group = PermutationGroup.from_generators(size, [cert.phi.lookup(p) for p in cert.maps])
+    for name, _ in cert.base.signature.symbols:
+        covered = {tuple(g(iota[x]) for x in t)
+                   for g in group.elements for t in cert.base.tuples(name)}
+        stray = set(cert.extension.tuples(name)) - covered
+        if stray:
+            return Verdict.failed(
+                "tuple-realization",
+                f"{name} tuple {sorted(stray)[0]} is not a word image of an embedded tuple")
+
+    identity = Permutation.identity(size)
+    inner = {b: x for x, b in enumerate(iota)}
+    for x1 in range(cert.base.size):
+        realized = closure([(identity, x1)], lambda state: (
+            (letter.compose(state[0]), pairs[state[1]])
+            for pairs, letter in letters if state[1] in pairs))
+        for g in group.elements:
+            x2 = inner.get(g(iota[x1]))
+            if x2 is not None and (g, x2) not in realized:
+                return Verdict.failed(
+                    "transition-realization",
+                    f"no word with the same group image sends {x1} to {x2} "
+                    f"while defined on {x1}")
+    return Verdict.passed()
+
+
+def changed_hom(cert, rng):
+    """f with one value replaced by a random point of the base extension."""
+    hom = list(cert.hom)
+    hom[rng.randrange(len(hom))] = rng.randrange(cert.codomain.size)
+    return dataclasses.replace(cert, hom=tuple(hom))
+
+
+def added_tuple_orbit(cert, rng):
+    """B with the phi-group orbit of a random tuple added, and the base
+    extension with the psi-group orbit of its f-image, so that the letters
+    stay automorphisms and f a homomorphism."""
+    name, arity = rng.choice(cert.base.signature.symbols)
+    t = tuple(rng.randrange(cert.extension.size) for _ in range(arity))
+
+    def grown(structure, table, u):
+        group = PermutationGroup.from_generators(structure.size,
+                                                 [table.lookup(p) for p in cert.maps])
+        rels = {n: set(structure.tuples(n)) for n, _ in structure.signature.symbols}
+        rels[name] |= {tuple(g(x) for x in u) for g in group.elements}
+        return Structure.make(structure.signature, structure.size, rels)
+    return dataclasses.replace(cert, extension=grown(cert.extension, cert.phi, t),
+                               codomain=grown(cert.codomain, cert.psi,
+                                              tuple(cert.hom[x] for x in t)))
+
+
+def kept_p_entries(cert, rng):
+    """P cut to one to three of its maps, with their phi and psi entries."""
+    keep = set(rng.sample(cert.maps, rng.randint(1, min(3, len(cert.maps)))))
+    maps = tuple(p for p in cert.maps if p in keep)
+    keys = {p.encode() for p in maps}
+
+    def kept(table):
+        return dataclasses.replace(table, table={k: g for k, g in table.table.items()
+                                                 if k in keys})
+    return dataclasses.replace(cert, maps=maps, phi=kept(cert.phi), psi=kept(cert.psi))
+
+
+class TestAgainstTheReference:
+    """verify_special, which reads the group and _word_classes, gives the
+    verdict and message of the letter-closing reference."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        return [parse_certificate(path.read_text(encoding="utf-8"))
+                for path in sorted(STORED.glob("special-*.cert"))]
+
+    def test_stored_files(self, stored):
+        assert len(stored) == 11
+        for cert in stored:
+            assert verify_special(cert) == reference_verify_special(cert) == Verdict.passed()
+
+    def test_seeded_mutants(self, stored):
+        conditions = set()
+        for i, cert in enumerate(stored):
+            for mutate in (changed_hom, added_tuple_orbit, kept_p_entries):
+                for seed in range(20):
+                    mutant = mutate(cert, random.Random(f"{mutate.__name__}:{seed}:{i}"))
+                    verdict = verify_special(mutant)
+                    assert verdict == reference_verify_special(mutant), (i, mutate, seed)
+                    conditions.add(verdict.condition)
+        assert {"reachability", "tuple-realization",
+                "transition-realization"} <= conditions

@@ -10,7 +10,7 @@ from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
                              embeddings, enumerate_partial_automorphisms, gaifman_graph,
-                             colour_refinement, graph, induced_substructure, is_automorphism,
+                             graph, induced_substructure, is_automorphism,
                              is_embedding, is_homomorphism, is_partial_automorphism)
 from eppa.textio import parse_certificate
 
@@ -603,28 +603,6 @@ class TestEmbeddingsOracle:
                     hits += check(pattern, target)
                     searches += 1
         assert 0 < hits < searches
-
-
-class TestColourRefinement:
-    def test_path_colours_leaves_apart_from_centre(self, path3):
-        *_, stable = colour_refinement(path3)
-        assert stable[0] == stable[2] != stable[1]
-
-    def test_each_colouring_refines_the_last(self):
-        for structure in TestIsAutomorphism.samples:
-            colourings = list(colour_refinement(structure))
-            assert colourings[0] == [0] * structure.size
-            for coarse, fine in zip(colourings, colourings[1:]):
-                assert len(set(fine)) > len(set(coarse))
-                assert all(coarse[x] == coarse[y]
-                           for x in range(structure.size) for y in range(structure.size)
-                           if fine[x] == fine[y])
-
-    def test_automorphisms_preserve_the_stable_colouring(self):
-        for structure in TestIsAutomorphism.samples:
-            *_, stable = colour_refinement(structure)
-            for g in automorphism_group(structure).elements:
-                assert [stable[g(v)] for v in range(structure.size)] == stable
 
 
 class TestGaifman:
