@@ -545,6 +545,20 @@ class TestBitmaskRejection:
             skipped += len(every) - len(kept)
         assert skipped > 0
 
+    def test_skips_only_candidates_without_an_assignment(self, graphs_up_to_3):
+        # the filter is the search's only pruning, so nothing it skips may
+        # carry a coherent assignment
+        skipped = 0
+        for base, extra in [(g, extra) for g in graphs_up_to_3 for extra in range(3)] + [(MIXED, 1)]:
+            groupoid = part(base)
+            kept = list(_extension_candidates(base, extra, groupoid.moved))
+            for candidate in _extension_candidates(base, extra, ()):
+                if candidate not in kept:
+                    emb = tuple(range(base.size))
+                    assert coherent_assignment(groupoid, candidate, emb) is None, candidate
+                    skipped += 1
+        assert skipped > 0
+
 
 class TestCoherentAssignment:
     def test_rejects_candidate_without_extensions(self):

@@ -66,6 +66,17 @@ class TestExtendVerify:
         assert main(["extend", "--in", files["path3"], "--mode", "base",
                      "--out", out]) == 3
 
+    def test_dlf_stage_over_the_point_bound_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the paw's second stage extends its 32-point scaffold as an input
+        monkeypatch.delenv("EPPA_MAX_POINTS", raising=False)
+        seed = tmp_path / "paw.struct"
+        seed.write_text(emit_structure(graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), "paw"),
+                        encoding="utf-8")
+        out = tmp_path / "chain.cert"
+        assert main(["dlf", "--stages", "2", "--seed", str(seed), "--out", str(out)]) == 3
+        assert "over the bound 12" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scaffold_is_refused_on_cost_as_its_orbit_grows(self, tmp_path, capsys):
         # the directed path on 7 points has 2,237 partial automorphisms, so
         # verifying an extension of 95 or more points costs over 20M tuple
