@@ -326,13 +326,30 @@ class PartialAutomorphism:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    @staticmethod
+    def _unchecked(pairs: tuple[tuple[int, int], ...]) -> "PartialAutomorphism":
+        """A PartialAutomorphism of pairs known to be sorted and injective,
+        built without the checks of __post_init__."""
+        p = object.__new__(PartialAutomorphism)
+        object.__setattr__(p, "pairs", pairs)
+        return p
+
     def inverse(self) -> "PartialAutomorphism":
-        return PartialAutomorphism(tuple(sorted((y, x) for x, y in self.pairs)))
+        return PartialAutomorphism._unchecked(tuple(sorted((y, x) for x, y in self.pairs)))
 
     def compose(self, other: "PartialAutomorphism") -> "PartialAutomorphism":
-        """self after other, defined on other's domain (requires composability)."""
+        """self after other, defined on other's domain, whose image must lie
+        in self's domain.  other's pairs are sorted by distinct first points
+        and both maps are injective, so (x, self(y)) over other's pairs are
+        the sorted pairs of an injective map."""
         m = self.as_dict()
-        return PartialAutomorphism(tuple(sorted((x, m[y]) for x, y in other.pairs)))
+        try:
+            pairs = tuple([(x, m[y]) for x, y in other.pairs])
+        except KeyError as missing:
+            raise EppaError(f"cannot compose: point {missing.args[0]} is in the image "
+                            f"of {other.encode()} but not in the domain of "
+                            f"{self.encode()}") from None
+        return PartialAutomorphism._unchecked(pairs)
 
     def order_completion(self, n: int) -> Permutation:
         """The permutation of {0, ..., n-1} that agrees with this map on its
@@ -567,14 +584,86 @@ def embeddings(pattern: Structure, target: Structure) -> Iterator[tuple[int, ...
 
 def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomorphism]:
     """All of Part(A), empty map included: by domain size, then domain in
-    combination order, then image in lexicographic order."""
-    out = []
-    for k in range(structure.size + 1):
-        for dom in itertools.combinations(range(structure.size), k):
-            sub, _ = induced_substructure(structure, dom)
-            out.extend(PartialAutomorphism(tuple(zip(dom, img)))
-                       for img in embeddings(sub, structure))
+    combination order, then image in lexicographic order.
+
+    Listed a domain size at a time.  Part(A) is closed under restriction, so
+    each map on k + 1 points is a map h on its k least points, with domain
+    D, extended by a point x > max(D) to a free point y.  y is tested as
+    `embeddings` tests a pattern point, with this structure's own
+    `pattern_index` flips on its `Structure.masks`: the unary and loop tests
+    of x, and a row test per binary symbol, direction and d in D, read at
+    h(d).  A tuple of arity >= 3 is checked when it gains its largest point:
+    each tuple through x inside D + x must map to a tuple, and each through
+    y inside the new image must come from one.
+
+    The order is that of one embedding search per domain.  Each size's
+    domains are kept in combination order, each with its images in
+    lexicographic order.  The domains of size k + 1 are the D + x with
+    x > max(D), so D in order, then x ascending, is combination order, and
+    the parents of D + x in image order, then y ascending, is image order.
+    The maps are built unchecked: their pairs are sorted by construction,
+    and injective since y is free."""
+    n = structure.size
+    units, rows, symmetric_rows, _, hyper = structure.pattern_index
+    masks = structure.masks
+    fixed = [(1 << n) - 1] * n
+    for i, loop, flips in units:
+        mask = masks[i][2] if loop else masks[i]
+        fixed = [f & (mask ^ flip) for f, flip in zip(fixed, flips)]
+    # tests[x][j]: the row tests of (j, x), each (table, flip) read at h(j); the
+    # target is this structure, so its symmetric rows serve whenever they exist
+    tests = [[[] for _ in range(x)] for x in range(n)]
+    for x, row in enumerate(rows if symmetric_rows is None else symmetric_rows):
+        for i, d, j, flip in row:
+            tests[x][j].append((masks[i][d], flip))
+    through: list[list] = [[] for _ in range(n)]  # per point, its tuples of arity >= 3
+    for i, tuple_set in hyper:
+        for t in structure.relations[i]:
+            for v in set(t):
+                through[v].append((tuple_set, t, _bits(t)))
+
+    unchecked = PartialAutomorphism._unchecked
+    out = [unchecked(())]
+    level = [((), [()], [0])]  # per domain, its images and their masks
+    for _ in range(n):
+        below, level = level, []
+        for dom, images, takens in below:
+            for x in range(dom[-1] + 1 if dom else 0, n):
+                checks = [(k, table, flip) for k, j in enumerate(dom)
+                          for table, flip in tests[x][j]]
+                grown = dom + (x,)
+                new_images, new_takens = [], []
+                for img, taken in zip(images, takens):
+                    candidates = fixed[x] & ~taken
+                    for k, table, flip in checks:
+                        candidates &= table[img[k]] ^ flip
+                    while candidates:
+                        low = candidates & -candidates
+                        candidates ^= low
+                        y = low.bit_length() - 1
+                        image = img + (y,)
+                        if hyper and not (
+                                _keeps(dict(zip(grown, image)), through[x], _bits(grown))
+                                and _keeps(dict(zip(image, grown)), through[y],
+                                           taken | low)):
+                            continue
+                        new_images.append(image)
+                        new_takens.append(taken | low)
+                level.append((grown, new_images, new_takens))
+        out += [unchecked(tuple(zip(dom, img)))
+                for dom, images, _ in level for img in images]
     return out
+
+
+def _bits(points: Iterable[int]) -> int:
+    return sum({1 << p for p in points})
+
+
+def _keeps(h: dict[int, int], through: list, inside: int) -> bool:
+    """Does h send to a tuple each (tuple_set, t, bits) of `through` whose
+    points all lie `inside`, the mask of h's domain?"""
+    return all(tuple(map(h.__getitem__, t)) in tuple_set
+               for tuple_set, t, bits in through if not bits & ~inside)
 
 
 def automorphism_group(structure: Structure,

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from eppa.amalgamation import enumerate_structures, is_graph_universe
+from eppa.amalgamation import canonical_form, enumerate_structures, is_graph_universe
 from eppa.cli import main
 from eppa.coherence import ExtensionMap
 from eppa.quotient import SpecialCertificate, special_extension
@@ -46,6 +46,17 @@ def graphs_up_to_4() -> list[Structure]:
     for n in range(1, 5):
         out.extend(all_graphs(n))
     return out
+
+
+@pytest.fixture(scope="session")
+def graphs_5(graphs_up_to_4) -> list[Structure]:
+    """The graphs with 5 vertices up to isomorphism, in canonical form and
+    sorted: each is a graph on 4 vertices with a fifth vertex joined to a
+    set of its vertices."""
+    fives = {canonical_form(graph(5, [*g.tuples("E"), *((x, 4) for x in range(4)
+                                                        if mask >> x & 1)]))
+             for g in graphs_up_to_4 if g.size == 4 for mask in range(16)}
+    return sorted(fives, key=lambda s: s.relations)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from eppa import structures
 from eppa.amalgamation import exists_embedding
-from eppa.base_extension import base_eppa
+from eppa.base_extension import PartGroupoid, base_eppa
 from eppa.errors import EppaError
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation,
                              Signature, Structure, automorphism_group,
@@ -34,6 +35,20 @@ def brute_partial_automorphisms(structure):
                 if is_embedding(relabel, sub_d, sub_r) and len(relabel) == sub_r.size:
                     found.append(tuple(zip(dom, img)))
     return found
+
+
+def reference_part(structure):
+    """Part(A) by one embedding search into A per domain, of the
+    substructure induced on it, domains in combination order and each
+    search's images in lexicographic order: the listing that
+    `enumerate_partial_automorphisms` must give, order included."""
+    out = []
+    for k in range(structure.size + 1):
+        for dom in itertools.combinations(range(structure.size), k):
+            sub, _ = induced_substructure(structure, dom)
+            out.extend(PartialAutomorphism(tuple(zip(dom, img)))
+                       for img in embeddings(sub, structure))
+    return out
 
 
 MIXED = Signature.make(("U", 1), ("E", 2), ("H", 3), ("Z", 2))
@@ -227,6 +242,92 @@ class TestPartialAutomorphisms:
                 first = next((h for h in itertools.permutations(pts, pattern.size)
                               if is_embedding(h, pattern, structure)), None)
                 assert exists_embedding(pattern, structure) == first
+
+
+UNARY_BINARY = Signature.make(("U", 1), ("E", 2))
+TWO_BINARY = Signature.make(("E", 2), ("F", 2))
+TERNARY = Signature.make(("H", 3))
+BINARY_TERNARY = Signature.make(("E", 2), ("H", 3))
+
+
+def seeded_structures():
+    """Seeded random structures on 0 to 5 points: a unary and a binary
+    symbol, directed E/2 with loops, two binary symbols, H/3 and E/2 + H/3,
+    five of each size and signature at mixed densities."""
+    rng = random.Random("part-by-extension")
+    return [random_structure(rng, signature, size, rng.choice((0.15, 0.3, 0.5, 0.8)))
+            for signature in (UNARY_BINARY, GRAPH_SIGNATURE, TWO_BINARY, TERNARY,
+                              BINARY_TERNARY)
+            for size in range(6) for _ in range(5)]
+
+
+class TestPartByExtension:
+    """`enumerate_partial_automorphisms` extends each map by one point and
+    lists the same maps, in the same order, as one embedding search per
+    domain (`reference_part`)."""
+
+    def test_graphs_up_to_4(self, graphs_up_to_4):
+        assert len(graphs_up_to_4) == 18
+        for structure in graphs_up_to_4:
+            assert enumerate_partial_automorphisms(structure) == reference_part(structure)
+
+    def test_graphs_with_5_vertices(self, graphs_5):
+        assert len(graphs_5) == 34
+        for structure in graphs_5:
+            assert enumerate_partial_automorphisms(structure) == reference_part(structure)
+
+    def test_seeded_structures(self):
+        samples = seeded_structures()
+        # the samples reach one-way arcs, loops and non-empty ternary relations
+        assert any(not s.is_graphlike() and s.signature == GRAPH_SIGNATURE
+                   and any(a == b for a, b in s.tuples("E")) for s in samples)
+        assert sum(bool(s.tuples("H")) for s in samples if "H" in s.signature.names()) > 20
+        for structure in samples:
+            expected = reference_part(structure)
+            assert enumerate_partial_automorphisms(structure) == expected, structure
+
+    def test_lists_without_substructures_or_searches(self, monkeypatch, graphs_up_to_4):
+        """The pass reads the structure's own masks: no induced substructure
+        is built and no embedding search is run."""
+        samples = graphs_up_to_4 + seeded_structures()[::7]
+        expected = [reference_part(s) for s in samples]
+        calls = []
+
+        def counted(name):
+            original = getattr(structures, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+        for name in ("induced_substructure", "embeddings"):
+            monkeypatch.setattr(structures, name, counted(name))
+        assert [enumerate_partial_automorphisms(s) for s in samples] == expected
+        assert calls == []
+
+    def test_unchecked_maps_equal_checked_ones(self, graphs_up_to_4):
+        """The listed maps, the forest's tree maps (composites) and their
+        inverses are built without the constructor's checks; each equals
+        the checked map of its pairs, with the same hash and key."""
+        checked = 0
+        for structure in graphs_up_to_4 + seeded_structures()[::3]:
+            groupoid = PartGroupoid(structure)
+            trees = [p for _, tree in groupoid.forest for p in tree.values()]
+            for p in (*groupoid.maps, *trees):
+                for q in (p, p.inverse()):
+                    fresh = PartialAutomorphism(q.pairs)
+                    assert (q, hash(q), q.encode()) == (fresh, hash(fresh), fresh.encode())
+                    checked += 1
+        assert checked > 5000
+
+    def test_compose_outside_the_domain_names_the_point(self):
+        with pytest.raises(EppaError, match="point 1 is in the image of 0>1 but not "
+                                            "in the domain of 0>1"):
+            PartialAutomorphism(((0, 1),)).compose(PartialAutomorphism(((0, 1),)))
+        with pytest.raises(EppaError, match="point 1 "):
+            PartialAutomorphism(((0, 1),)).compose(PartialAutomorphism(((1, 1),)))
+        assert PartialAutomorphism(((1, 0),)).compose(PartialAutomorphism(((0, 1),))) == \
+            PartialAutomorphism(((0, 0),))
 
 
 class TestAutomorphismGroup:
