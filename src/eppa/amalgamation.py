@@ -36,15 +36,13 @@ def free_amalgam(instance: AmalgamInstance) -> tuple[Structure, tuple[int, ...],
     are exactly the union, so no tuple meets both outer sides."""
     left, right = instance.left, instance.right
     left_map = tuple(range(left.size))
-    shared_image = {instance.into_right[a]: instance.into_left[a]
-                    for a in range(instance.shared.size)}
+    shared_image = dict(zip(instance.into_right, instance.into_left))
     fresh = itertools.count(left.size)
     right_map = tuple(shared_image[b] if b in shared_image else next(fresh)
                       for b in range(right.size))
-    rels: dict[str, set[tuple[int, ...]]] = {}
-    for name, _ in left.signature.symbols:
-        rels[name] = {tuple(left_map[x] for x in t) for t in left.tuples(name)}
-        rels[name] |= {tuple(right_map[x] for x in t) for t in right.tuples(name)}
+    rels = {name: {*left.tuples(name), *(tuple(right_map[x] for x in t)
+                                         for t in right.tuples(name))}
+            for name, _ in left.signature.symbols}
     glued = Structure.make(left.signature, next(fresh), rels)  # size: the next fresh point
     return glued, left_map, right_map
 
@@ -102,9 +100,9 @@ def _classes(signature: Signature, max_size: int,
         slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)
                  for t in itertools.product(range(size), repeat=arity)]
         index = {slot: k for k, slot in enumerate(slots)}
-        # S_n is generated by (0 1) and x -> x + 1; moves[g][c][v] is g(v << 8c)
+        # S_n is generated by (0 1) and x -> x + 1; g(m) is low[m & 255] | high[m >> 8]
         gens = [(1, 0, *range(2, size)), (*range(1, size), 0)] if size > 1 else []
-        moves = [[subset_sums(images[c:c + 8]) for c in (0, 8, 16)] for images in
+        moves = [(subset_sums(images[:8]), subset_sums(images[8:])) for images in
                  ([1 << index[i, tuple(g[x] for x in t)] for i, t in slots] for g in gens)]
         seen = bytearray(1 << len(slots))
         if universe is None:
@@ -133,8 +131,8 @@ def _classes(signature: Signature, max_size: int,
             for member in orbit:  # close the orbit under the generators
                 if (diff := member ^ least) & -diff & member:
                     least = member
-                for low, mid, high in moves:
-                    image = low[member & 255] | mid[member >> 8 & 255] | high[member >> 16]
+                for low, high in moves:
+                    image = low[member & 255] | high[member >> 8]
                     if not seen[image]:
                         seen[image] = 1
                         orbit.append(image)
@@ -186,10 +184,16 @@ def check_clique_characterization(member: Callable[[Structure], bool],
     """Check both sides of the characterization on structures of bounded size
     and report a witness for whichever side fails, testing each structure as
     it is enumerated.  `member` and `universe`, on the enumerated structures
-    and the amalgams alike, are each called once per distinct structure."""
+    and the amalgams alike, are each called once per distinct structure.
+
+    Closure is decided on one-point amalgams, which is exact when `member`
+    and `universe` are hereditary and closed under isomorphism.  Glue L and
+    R over S, R with points r1..rm outside S, as D_m: D_0 = L, and D_i glues
+    D_(i-1) and R_i = R on S + r1..ri over R_(i-1).  Each D_i is induced in
+    D_m, so in the universe and the bound, and each R_i is a member; so if
+    no one-point amalgam of members fails, by induction no D_i does."""
     member = functools.cache(member)
-    if universe is not None:
-        universe = functools.cache(universe)
+    universe = functools.cache(universe) if universe is not None else None
     minimal, members = [], []
     for s in _classes(signature, max_size, universe):
         if member(s):
@@ -197,10 +201,9 @@ def check_clique_characterization(member: Callable[[Structure], bool],
         elif _is_minimal_forbidden(s, member):
             minimal.append(s)
     non_clique = next((f for f in minimal if not is_gaifman_clique(f)), None)
-    closure_witness = next(
-        ((left, right, shared, glued)
-         for left, right, shared, glued in _free_amalgams(members, max_size)
-         if (universe is None or universe(glued)) and not member(glued)), None)
+    closure_witness = next(((left, right, shared, glued)
+                            for left, right, shared, glued in _free_amalgams(members, max_size)
+                            if (universe is None or universe(glued)) and not member(glued)), None)
 
     return CharacterizationReport(
         cliques_side=non_clique is None,
@@ -211,20 +214,17 @@ def check_clique_characterization(member: Callable[[Structure], bool],
 
 
 def _free_amalgams(members: Sequence[Structure], max_size: int):
-    """Free amalgams of two members with at most `max_size` points, as
-    (left, right, shared, glued): the shared part is induced on a point set
-    of left, and its embeddings into right come by image set, then in
-    lexicographic order."""
-    for left in members:
-        for right in members:
-            for k in range(min(left.size, right.size) + 1):
-                if left.size + right.size - k > max_size:
-                    continue
-                for pts_left in itertools.combinations(range(left.size), k):
-                    shared, _ = induced_substructure(left, pts_left)
-                    for into_right in sorted(embeddings(shared, right), key=sorted):
-                        inst = AmalgamInstance(shared, left, right, pts_left, into_right)
-                        yield left, right, shared, free_amalgam(inst)[0]
+    """(left, right, shared, glued) for the free amalgams of members on at most
+    `max_size` points whose right has one point outside shared, which is induced
+    on points of left and embedded into right by image set, then lexicographically."""
+    for left, right in itertools.product(members, repeat=2):
+        if not 0 < right.size <= left.size + 1 <= max_size:
+            continue
+        for pts_left in itertools.combinations(range(left.size), right.size - 1):
+            shared, _ = induced_substructure(left, pts_left)
+            for into_right in sorted(embeddings(shared, right), key=sorted):
+                inst = AmalgamInstance(shared, left, right, pts_left, into_right)
+                yield left, right, shared, free_amalgam(inst)[0]
 
 
 def is_graph_universe(structure: Structure) -> bool:

@@ -345,6 +345,7 @@ def _search_certificate(part: PartGroupoid, max_extra: int) -> BaseEppaCertifica
 
 SCAFFOLD_MAX_POINTS = 200_000  # the orbit is refused beyond this many points
 SCAFFOLD_MAX_COST = 20_000_000  # and when len(Part(A)) x cells of B exceeds this
+SCAFFOLD_MAX_ENTRIES = 4_000_000  # the lookup tables are refused beyond this many entries
 
 
 class _Scaffold:
@@ -427,13 +428,16 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
     bits XOR to 1."""
     base, maps = part.structure, part.maps
     sc = _Scaffold(base)
-    completions: dict[Permutation, tuple] = {}
-    actions = []
-    for p in maps:
-        pi = p.order_completion(sc.n)
-        if pi not in completions:
-            completions[pi] = sc.completion(pi)
-        actions.append((pi, sc.action(p, completions[pi][0])))
+    pis = [p.order_completion(sc.n) for p in maps]
+    distinct = dict.fromkeys(pis)
+    # each completion's tables hold 2^half + 2^(slots - half) entries per point
+    entries = len(distinct) * sum(2 ** sc.half + 2 ** (len(s) - sc.half) for s in sc.slots_of)
+    if entries > SCAFFOLD_MAX_ENTRIES:
+        raise BoundExceededError(
+            f"scaffold lookup tables of {entries} entries are over the bound "
+            f"{SCAFFOLD_MAX_ENTRIES}; the input is too large for the generic realization")
+    completions = {pi: sc.completion(pi) for pi in distinct}
+    actions = [(pi, sc.action(p, completions[pi][0])) for p, pi in zip(maps, pis)]
     points = list(enumerate(sc.theta))
     index = {pt: i for i, pt in enumerate(points)}
     half, mask = sc.half, (1 << sc.half) - 1

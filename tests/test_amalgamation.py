@@ -3,13 +3,14 @@ import weakref
 
 import pytest
 
+from eppa import amalgamation
 from eppa.amalgamation import (AmalgamInstance, canonical_form,
                                check_clique_characterization, enumerate_structures,
                                exists_embedding, forb_e_member, free_amalgam,
                                is_graph_universe, minimal_forbidden)
 from eppa.errors import BoundExceededError, EppaError
 from eppa.structures import (GRAPH_SIGNATURE, Signature, Structure,
-                             automorphism_group, graph, induced_substructure,
+                             automorphism_group, embeddings, graph, induced_substructure,
                              is_embedding, is_gaifman_clique)
 
 
@@ -417,3 +418,98 @@ class TestCharacterization:
                                        into_left=into_left, into_right=into_right)
                 glued, _, _ = free_amalgam(inst)
                 assert triangle_free_graph(glued)
+
+
+def reference_free_amalgams(members, max_size):
+    """Reference for `_free_amalgams`, sharing no code with it: the free
+    amalgams of two members with at most `max_size` points over shared parts
+    of every size, in the same order."""
+    for left in members:
+        for right in members:
+            for k in range(min(left.size, right.size) + 1):
+                if left.size + right.size - k > max_size:
+                    continue
+                for pts_left in itertools.combinations(range(left.size), k):
+                    shared, _ = induced_substructure(left, pts_left)
+                    for into_right in sorted(embeddings(shared, right), key=sorted):
+                        inst = AmalgamInstance(shared, left, right, pts_left, into_right)
+                        yield left, right, shared, amalgamation.free_amalgam(inst)[0]
+
+
+def forb(*family):
+    return lambda structure: forb_e_member(structure, family)
+
+
+def max_degree_at_most(bound):
+    def member(structure):
+        degree = [0] * structure.size
+        for a, _ in structure.tuples("E"):
+            degree[a] += 1
+        return max(degree, default=0) <= bound
+    return member
+
+
+K2, K3, P3, THREE_K1 = (graph(2, [(0, 1)]), graph(3, [(0, 1), (1, 2), (0, 2)]),
+                        graph(3, [(0, 1), (1, 2)]), graph(3, []))
+# hereditary classes closed under isomorphism, as the characterization assumes
+GRAPH_CLASSES = {
+    "K2-free": forb(K2),
+    "K3-free": forb(K3),
+    "K4-free": forb(graph(4, itertools.combinations(range(4), 2))),
+    "P3-free": forb(P3),
+    "C4-free": forb(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+    "3K1-free": forb(THREE_K1),
+    "K3-and-3K1-free": forb(K3, THREE_K1),
+    "max-degree-1": max_degree_at_most(1),
+    "max-degree-2": max_degree_at_most(2),
+    "all": lambda structure: True,
+}
+DIGRAPH_CLASSES = {
+    "loop-free": lambda structure: all(a != b for a, b in structure.tuples("E")),
+    "arc-free": lambda structure: all(a == b for a, b in structure.tuples("E")),
+    "all": lambda structure: True,
+}
+
+
+class TestOnePointAmalgams:
+    """Closure is decided on the free amalgams whose right side has one point
+    outside the shared part; the reference glues over shared parts of every
+    size."""
+
+    @pytest.mark.parametrize("universe, member, size", [
+        *(pytest.param(is_graph_universe, member, size, id=f"graphs-{name}-{size}")
+          for name, member in GRAPH_CLASSES.items() for size in (2, 3, 4)),
+        *(pytest.param(None, member, size, id=f"E2-{name}-{size}")
+          for name, member in DIGRAPH_CLASSES.items() for size in (2, 3)),
+    ])
+    def test_decides_as_every_amalgam(self, monkeypatch, universe, member, size):
+        report = check_clique_characterization(member, size, GRAPH_SIGNATURE, universe)
+        monkeypatch.setattr(amalgamation, "_free_amalgams", reference_free_amalgams)
+        reference = check_clique_characterization(member, size, GRAPH_SIGNATURE, universe)
+        assert report.closure_side == reference.closure_side == report.cliques_side
+        if report.closure_witness is not None:
+            left, right, shared, glued = report.closure_witness
+            assert right.size == shared.size + 1 and glued.size == left.size + 1 <= size
+            assert (universe is None or universe(glued)) and not member(glued)
+
+    def test_three_independent_points_first_witness(self):
+        # 2K1 glued with K1 over nothing; over every shared part, K1 with 2K1 came first
+        report = check_clique_characterization(GRAPH_CLASSES["3K1-free"], 3, GRAPH_SIGNATURE,
+                                               is_graph_universe)
+        assert report.closure_witness == (graph(2, []), graph(1, []), graph(0, []), THREE_K1)
+
+    def test_triangle_free_closure_builds_259_amalgams(self, monkeypatch):
+        built = []
+
+        def counted(instance):
+            built.append(instance)
+            return free_amalgam(instance)
+        monkeypatch.setattr(amalgamation, "free_amalgam", counted)
+        assert check_clique_characterization(GRAPH_CLASSES["K3-free"], 4, GRAPH_SIGNATURE,
+                                             is_graph_universe).closure_side
+        assert len(built) == 259
+        built.clear()
+        monkeypatch.setattr(amalgamation, "_free_amalgams", reference_free_amalgams)
+        check_clique_characterization(GRAPH_CLASSES["K3-free"], 4, GRAPH_SIGNATURE,
+                                      is_graph_universe)
+        assert len(built) == 751

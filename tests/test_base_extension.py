@@ -372,6 +372,30 @@ class TestScaffold:
             assert len(perms) == actions
             assert len({id(g) for g in cert.phi.table.values()}) == actions
 
+    def test_table_bound_counts_entries_per_completion_and_point(self, monkeypatch):
+        # the paw: 18 completions x 4 points x (2^1 + 2^2) entries, 3 slots per point
+        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 432)
+        assert verify_base_certificate(scaffold_certificate(part(PAW)))
+        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 431)
+        with pytest.raises(BoundExceededError,
+                           match="tables of 432 entries are over the bound 431"):
+            scaffold_certificate(part(PAW))
+
+    def test_chain_stage_over_the_table_bound_is_refused_before_any_table(self, monkeypatch):
+        # the second stage of `eppa dlf` from this 3-point seed has 6 points
+        # of 91 slots each, so 65 completions would need 2^45 entries per point
+        seed = Structure.make(Signature.make(("H", 3)), 3,
+                              {"H": [(0, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 2)]})
+        stage = base_eppa(seed).extension
+        assert stage.size == 6
+
+        def completion(scaffold, pi):
+            raise AssertionError("a completion's tables were built")
+        monkeypatch.setattr(base_extension._Scaffold, "completion", completion)
+        with pytest.raises(BoundExceededError,
+                           match="^scaffold lookup tables of 41165715343933440 "):
+            base_eppa(stage)
+
 
 def reference_scaffold(base, maps):
     """Reference for scaffold_certificate, sharing no code with it: each

@@ -77,6 +77,27 @@ class TestExtendVerify:
         assert "over the bound 12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("signature, relations", [
+        (Signature.make(("H", 3)), {"H": [(0, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 2)]}),
+        (Signature.make(("E", 2), ("F", 2)),
+         {"E": [(1, 2), (2, 0)], "F": [(0, 2), (1, 0), (2, 2)]}),
+    ], ids=["H3", "E2F2"])
+    def test_dlf_stage_over_the_table_bound_exit_code(self, tmp_path, capsys, signature,
+                                                      relations):
+        # the second stages (6 and 8 points) would need scaffold lookup tables
+        # of about 4e16 and 1.1e8 entries; they are refused before any is built
+        seed = tmp_path / "seed.struct"
+        seed.write_text(emit_structure(Structure.make(signature, 3, relations), "seed"),
+                        encoding="utf-8")
+        out = tmp_path / "chain.cert"
+        start = time.perf_counter()
+        assert main(["dlf", "--stages", "2", "--seed", str(seed), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("resource bound: scaffold lookup tables of ")
+        assert "over the bound 4000000" in err
+        assert not out.exists()
+
     def test_scaffold_is_refused_on_cost_as_its_orbit_grows(self, tmp_path, capsys):
         # the directed path on 7 points has 2,237 partial automorphisms, so
         # verifying an extension of 95 or more points costs over 20M tuple
