@@ -30,10 +30,10 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
-from .coherence import ExtensionMap, Verdict, verify_coherent_extension
+from .coherence import ExtensionMap, Verdict, closure, verify_coherent_extension
 from .errors import BoundExceededError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure, automorphism_group,
                          enumerate_partial_automorphisms, is_embedding, subset_sums)
@@ -42,7 +42,8 @@ from .structures import (PartialAutomorphism, Permutation, Structure, automorphi
 class PartGroupoid:
     """Part(A) as a groupoid, whose objects are the domains and whose arrows
     are the maps: `maps` lists Part(A) once, within the point bound, and the
-    arrows, the BFS forest and the moved pairs are built on first read.
+    arrows, the BFS forest, its vertex groups' generators (cayley) and the
+    moved pairs are built on first read.
 
     One groupoid serves one call: base_eppa builds it, and the certificate
     built over it carries it (`part`) to the verifier, the faithful pipeline
@@ -91,11 +92,17 @@ class PartGroupoid:
             order = [root]
             for s in order:  # also visits the domains appended below
                 for p in self.arrows[s]:
-                    if p.image() not in tree:
-                        tree[p.image()] = p.compose(tree[s])
-                        order.append(p.image())
+                    if (t := p.image()) not in tree:
+                        tree[t] = p.compose(tree[s])
+                        order.append(t)
             components.append(([p for p in self.arrows[root] if p.image() == root], tree))
         return components
+
+    @cached_property
+    def cayley(self) -> list[tuple[int, list[int], list[list[int]]]]:
+        """Per component, in the order of forest, the vertex group's
+        generators and their right-multiplication table (_cayley)."""
+        return [_cayley(group) for group, _ in self.forest]
 
     @cached_property
     def moved(self) -> set[tuple[int, int]]:
@@ -110,25 +117,30 @@ class PartGroupoid:
     def spanning_triples(self) -> list[tuple[PartialAutomorphism, ...]]:
         """Coherent triples of Part(A) on which coherence implies coherence on
         all of coherent_triples(maps).  Per component, with root r, vertex
-        group G(r) and tree T_t: r -> t:
+        group G(r), its generators S(r) (cayley) and tree T_t: r -> t:
 
-          (a, b, a o b)        for a, b in G(r);
+          (a, s, a o s)        for a in G(r) and s in S(r), or (e, e, e) when
+                               G(r) = {e} and S(r) is empty;
           (T_t, h, T_t o h)    for every domain t != r of the component and h in G(r);
           (p, T_s, p o T_s)    for every map p: s -> t of the component with s != r.
 
         No triple is listed twice.  Proof.  The first family makes phi a
-        homomorphism on G(r), so phi(id_r) = id, and the triples the other
-        two families leave out, at T_r = id_r, hold as well.  For p: s -> t
-        let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) = p o T_s,
-        the second family at h = g(p) and the third at p give phi(p)
+        homomorphism on G(r).  The triple (e, s, s) forces phi(e) = id (as
+        (e, e, e) does when G(r) is trivial).  Every element of a finite group
+        is a positive word in S(r), so phi(a w) = phi(a) phi(w) follows by
+        induction on the length of w: phi(a w s) = phi(a w) phi(s) = phi(a)
+        phi(w) phi(s) = phi(a) phi(w s).  As phi(id_r) = id, the triples the
+        other two families leave out, at T_r = id_r, hold as well.  For
+        p: s -> t let g(p) = T_t^-1 o p o T_s, in G(r).  Since T_t o g(p) =
+        p o T_s, the second family at h = g(p) and the third at p give phi(p)
         phi(T_s) = phi(T_t) phi(g(p)), so phi(p) = phi(T_t) phi(g(p))
         phi(T_s)^-1.  For p: s -> t and p': t -> u, g(p') o g(p) = g(p' o
         p), so phi(p') phi(p) = phi(T_u) phi(g(p')) phi(g(p)) phi(T_s)^-1 =
         phi(p' o p): phi is a functor on the groupoid, which is coherence (a
         functor on a connected groupoid is fixed by a vertex group
         homomorphism and its values on a spanning tree; R. Brown, Topology
-        and Groupoids).  The composites are taken from `maps`, so each
-        triple is one of coherent_triples(maps)."""
+        and Groupoids).  The composites are taken from `maps` or the
+        vertex group, so each triple is one of coherent_triples(maps)."""
         by_pairs = {p.pairs: p for p in self.maps}
 
         def after(p1: PartialAutomorphism, p2: PartialAutomorphism) -> PartialAutomorphism:
@@ -136,13 +148,36 @@ class PartGroupoid:
             return by_pairs[tuple([(x, m[y]) for x, y in p2.pairs])]
 
         out = []
-        for group, tree in self.forest:
-            out += [(a, b, after(a, b)) for a in group for b in group]
+        for (group, tree), (e, gens, right) in zip(self.forest, self.cayley):
+            out += [(a, group[s], group[col[i]]) for i, a in enumerate(group)
+                    for s, col in zip(gens, right)] or [(group[e],) * 3]
             branches = list(tree.items())[1:]  # every domain but the root
             out += [(tree_t, h, after(tree_t, h)) for _, tree_t in branches for h in group]
             out += [(p, tree_s, after(p, tree_s)) for s, tree_s in branches
                     for p in self.arrows[s]]
         return out
+
+
+def _cayley(group: list[PartialAutomorphism]) -> tuple[int, list[int], list[list[int]]]:
+    """(e, gens, right) for a vertex group listed as `group`: e indexes the
+    identity; gens, taken greedily in list order, are each the first element
+    outside the subgroup the earlier ones generate, so there are at most
+    log2 |G|; right[k][a] indexes group[a] o group[gens[k]], found by its
+    images, not built as a map."""
+    images = [tuple([y for _, y in g.pairs]) for g in group]
+    index = {im: i for i, im in enumerate(images)}
+    rank = {x: i for i, (x, _) in enumerate(group[0].pairs)}
+    e = index[tuple(rank)]
+    gens: list[int] = []
+    right: list[list[int]] = []
+    reached = {e}
+    for s, s_images in enumerate(images):
+        if s not in reached:
+            at = [rank[y] for y in s_images]  # (a o s)(x_i) = a(s(x_i))
+            gens.append(s)
+            right.append([index[tuple(map(a.__getitem__, at))] for a in images])
+            reached = closure([e], lambda a: [col[a] for col in right])
+    return e, gens, right
 
 
 @dataclass(frozen=True)
@@ -193,30 +228,42 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
     automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
     Each component of part.forest has its root r and BFS tree tree(t): r ->
     t, the trees of the verifier's spanning triples.  The one choice
-    searched is a homomorphism `hom` of r's vertex group.  With lift(t) the first extender of tree(t) (the identity at r),
-    phi(p: s -> t) = lift(t) hom(tree(t)^-1 p tree(s)) lift(s)^-1 extends p
-    because each factor extends its own map.  So extenders are listed only
-    for the vertex group, and only the first for each tree map: every p =
-    tree(t) g(p) tree(s)^-1 then has one, with no check of its own.  Each
-    g(p) and each vertex-group product is looked up among the listed maps by
-    its pairs (_root_elements, _product_levels), not built.  The search's
-    candidates have passed its only filter, on tuple counts, already
+    searched is a homomorphism `hom` of r's vertex group, on the generators
+    of part.cayley only: a map of a finite group that respects right
+    multiplication by a generating set is a homomorphism, as every element
+    is a positive word in the generators, and the first such map over the
+    generators is the first over every element in group order (both
+    proofs at _first_homomorphism).  With lift(t) the first extender
+    of tree(t) (the identity at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1
+    p tree(s)) lift(s)^-1 extends p because each factor extends its own
+    map.  So extenders are listed only for the generators, and only the
+    first for each tree map: any other vertex-group value is a product of
+    automorphisms, so it is an extender of its element exactly when it
+    extends it, and every p = tree(t) g(p) tree(s)^-1 then has one, with no
+    check of its own.  Each g(p) and each vertex-group product is looked
+    up, by its pairs or in the table (_root_elements, _cayley), not built,
+    and each lift is inverted once per domain.  The search's candidates
+    have passed its only filter, on tuple counts, already
     (_extension_candidates)."""
     emb = tuple(embedding)
     aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
 
+    def extends(p: PartialAutomorphism, g: Permutation) -> bool:
+        return all(g.images[emb[x]] == emb[y] for x, y in p.pairs)
+
     def extenders(p: PartialAutomorphism) -> Iterator[Permutation]:
-        return (g for g in aut.elements if all(g(emb[x]) == emb[y] for x, y in p.pairs))
+        return (g for g in aut.elements if extends(p, g))
 
     phi: dict[str, Permutation] = {}
-    for group, tree in part.forest:
-        hom = _first_homomorphism(group, {g: list(extenders(g)) for g in group})
+    for (group, tree), cayley in zip(part.forest, part.cayley):
+        hom = _first_homomorphism(group, cayley, extenders, extends)
         lift = {t: next(extenders(tree_t), None) for t, tree_t in tree.items()}
         if hom is None or None in lift.values():
             return None
+        back = {t: g.inverse() for t, g in lift.items()}
         hom_at = {g.pairs: h for g, h in hom.items()}
         for s, t, p, g in _root_elements(tree, part.arrows):
-            phi[p.encode()] = lift[t].compose(hom_at[g]).compose(lift[s].inverse())
+            phi[p.encode()] = lift[t].compose(hom_at[g]).compose(back[s])
     return phi
 
 
@@ -230,42 +277,66 @@ def _root_elements(tree: dict, arrows: dict) -> Iterator[tuple]:
             yield s, t, p, tuple([(x, back[t][m[y]]) for x, y in tree_s.pairs])
 
 
-def _product_levels(group: list[PartialAutomorphism]) -> list[list[tuple[int, int, int]]]:
-    """Per level i, the products group[a] group[b] = group[c] with max(a, b,
-    c) = i, as (a, b, c): each product once, at the first level that has
-    chosen all three values.  group[c] is found by its pairs."""
-    index = {g.pairs: i for i, g in enumerate(group)}
-    levels: list[list[tuple[int, int, int]]] = [[] for _ in group]
-    for a, g in enumerate(group):
-        m = g.as_dict()
-        for b, h in enumerate(group):
-            c = index[tuple([(x, m[y]) for x, y in h.pairs])]
-            levels[max(a, b, c)].append((a, b, c))
-    return levels
-
-
-def _first_homomorphism(group: list[PartialAutomorphism],
-                        extenders: dict[PartialAutomorphism, list[Permutation]]
+def _first_homomorphism(group: list[PartialAutomorphism], cayley: tuple,
+                        extenders: Callable[[PartialAutomorphism], Iterable[Permutation]],
+                        extends: Callable[[PartialAutomorphism, Permutation], bool]
                         ) -> dict[PartialAutomorphism, Permutation] | None:
-    """The first h, backtracking over each element's extenders in order, with
-    h(a) h(b) = h(ab) on the vertex group `group`; None when there is none.
-    Level i checks only _product_levels(group)[i]: the other products of
-    chosen values passed at shallower levels, so h is the all-pairs search's."""
-    levels = _product_levels(group)
-    values: list[Permutation] = []
+    """The first homomorphism h on the vertex group `group` with each h(a)
+    among extenders(a), in the order of backtracking over each element's
+    extenders in list order; None when there is none.  `extends(a, v)`
+    tells whether v is one of extenders(a).
 
-    def search(i: int) -> bool:
-        if i == len(group):
-            return True
-        for h in extenders[group[i]]:
-            values.append(h)
-            if all(values[a].compose(values[b]) == values[c]
-                   for a, b, c in levels[i]) and search(i + 1):
-                return True
-            values.pop()
-        return False
+    The search backtracks over the generators' values only, in the order
+    of cayley = (e, gens, right) (_cayley), with h(e) = id, the identity
+    being the only idempotent.  At each node the chosen values are closed
+    over the table from e: with H the subgroup of the chosen generators,
+    every product a o s with a in H and s a chosen generator is given h(a)
+    h(s), or compared with the value it has.  A conflict, or a derived
+    value v with not extends(a o s, v), rejects the node (with the lists of
+    coherent_assignment that never happens, as a product of extenders
+    extends the product, but other lists need not be closed so).  Proof of
+    soundness.  A homomorphism is fixed on H by its generator values, so a
+    rejected node extends to none.  Once every generator is chosen, h(a s)
+    = h(a) h(s) for every a and s, and every element is a positive word in
+    the generators, so h(a w) = h(a) h(w) by induction on the length of w:
+    h is a homomorphism.  The first answer is that of the search over
+    every element in list order: each element before gens[j] lies in the
+    subgroup of gens[:j], so two homomorphisms that first differ at gens[j]
+    first differ at gens[j]'s place in the list, too."""
+    e, gens, right = cayley
+    options = [list(extenders(group[s])) for s in gens]
+    identity = next((h for h in extenders(group[e]) if h.compose(h) == h), None)
+    if identity is None or not all(options):
+        return None
 
-    return dict(zip(group, values)) if search(0) else None
+    def closed(chosen: list[Permutation]) -> dict[int, Permutation] | None:
+        """The values that `chosen`, the values of gens[:len(chosen)], give
+        the subgroup they generate; None on a conflict or on a value that
+        does not extend its element."""
+        values, order = {e: identity}, [e]
+        for a in order:  # also visits the elements appended below
+            for col, h in zip(right, chosen):
+                c, v = col[a], values[a].compose(h)
+                if c not in values:
+                    if not extends(group[c], v):
+                        return None
+                    values[c] = v
+                    order.append(c)
+                elif values[c] != v:
+                    return None
+        return values
+
+    def search(chosen: list[Permutation]) -> dict[int, Permutation] | None:
+        values = closed(chosen)
+        if values is None or len(chosen) == len(gens):
+            return values
+        for h in options[len(chosen)]:
+            if (found := search([*chosen, h])) is not None:
+                return found
+        return None
+
+    values = search([])
+    return None if values is None else {g: values[i] for i, g in enumerate(group)}
 
 
 def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int, int]]):

@@ -184,8 +184,13 @@ def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
     base_extension.PartGroupoid: the extension check over all of it comes
     first, then the automorphism check on its spanning maps (each root's
     vertex group G(r) and each tree map T_t) and coherence on its spanning
-    triples.  When these pass, every check passes.  Proof.  Coherence on all
-    of coherent_triples follows (PartGroupoid.spanning_triples).  A map p:
+    triples, of which the vertex group's are (a, s, a o s) for a in G(r)
+    and s among its generators.  When these pass, every check passes.
+    Proof.  The triple (e, s, s) forces phi(e) = id, and every element of
+    G(r) is a positive word w in the generators, so phi(a w) = phi(a)
+    phi(w) by induction on the length of w: phi is a homomorphism on G(r).
+    Coherence on all of coherent_triples follows from that and the tree
+    triples (PartGroupoid.spanning_triples).  A map p:
     s -> t with g(p) = T_t^-1 o p o T_s in G(r) has phi(p) = phi(T_t)
     phi(g(p)) phi(T_s)^-1, which the spanning triples force, so phi(p) is
     a product of checked automorphisms and their inverses.  When one fails,

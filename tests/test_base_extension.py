@@ -8,7 +8,7 @@ import pytest
 
 from eppa import base_extension
 from eppa.base_extension import (BaseEppaCertificate, PartGroupoid, _extension_candidates,
-                                 _first_homomorphism, _product_levels, _root_elements,
+                                 _cayley, _first_homomorphism, _root_elements,
                                  _search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import (ExtensionMap, check_forced_values, verify_coherence,
@@ -597,9 +597,16 @@ class TestCoherentAssignment:
         swap = PartialAutomorphism.decode("0>1,1>0")
         first, second = Permutation((1, 0, 3, 4, 2)), Permutation((1, 0, 2, 3, 4))
         extenders = {ident: [Permutation.identity(5)], swap: [first, second]}
-        hom = _first_homomorphism([ident, swap], extenders)
+        hom = listed_homomorphism([ident, swap], extenders)
         assert hom == {ident: Permutation.identity(5), swap: second}
-        assert _first_homomorphism([ident, swap], {**extenders, swap: [first]}) is None
+        assert listed_homomorphism([ident, swap], {**extenders, swap: [first]}) is None
+
+
+def listed_homomorphism(group, extenders):
+    """_first_homomorphism with each element's extenders given as a list,
+    membership in it deciding whether a derived value extends the element."""
+    return _first_homomorphism(group, _cayley(group), extenders.__getitem__,
+                               lambda a, h: h in extenders[a])
 
 
 def all_pairs_homomorphism(group, extenders):
@@ -712,9 +719,56 @@ class TestColourRejection:
         assert len(calls) == 49
 
 
+U1 = Signature.make(("U", 1))
+
+
+def marked(size, marks):
+    """U/1 on `size` points, U holding on the first `marks`: Aut(A) is S_marks
+    x S_rest, and A is its own base extension."""
+    return Structure.make(U1, size, {"U": [(x,) for x in range(marks)]})
+
+
+class TestGeneratorSpanning:
+    """The verifier's first spanning family pairs each vertex-group element
+    with each generator of the group only, not with every element."""
+
+    def test_non_generator_value_swapped_for_another_extender_fails_coherence(self):
+        # each swapped value is still an automorphism that extends its map,
+        # so only coherence can reject it
+        cert = base_eppa(marked(6, 3))
+        phi = cert.phi
+        aut = automorphism_group(cert.extension, 12).elements
+        swapped = 0
+        for (group, _), (_, gens, _) in zip(cert.part.forest, cert.part.cayley):
+            if len(group) < 6:
+                continue
+            for a in [a for i, a in enumerate(group) if i not in gens]:
+                other = next((g for g in aut if g != phi.lookup(a) and all(
+                    g(phi.embed(x)) == phi.embed(y) for x, y in a.pairs)), None)
+                if other is not None:
+                    table = {**phi.table, a.encode(): other}
+                    mutant = cert.part.carried_by(dataclasses.replace(
+                        cert, phi=dataclasses.replace(phi, table=table)))
+                    assert verify_base_certificate(mutant).condition == "coherence", a
+                    swapped += 1
+        # the 4 non-generators of each S3 at {0, 1, 2}, {3, 4, 5}, {0, 1, 2, 3}
+        # and {0, 3, 4, 5}; at 5 and 6 points each map has one extender
+        assert swapped == 16
+
+    def test_two_symmetric_groups_of_four_build_and_verify(self):
+        cert = base_eppa(marked(8, 4))
+        groupoid = cert.part
+        assert len(groupoid.maps) == 43681 and cert.extension == cert.base
+        assert max(len(group) for group, _ in groupoid.forest) == 576  # S4 x S4
+        assert verify_base_certificate(cert)
+        # 424,449 with every product of each vertex group listed
+        assert len(groupoid.spanning_triples()) == 48377
+
+
 class TestHomomorphismSchedule:
-    """_first_homomorphism checks each vertex-group product once, found by
-    lookup; coherent_assignment finds each g(p) by lookup."""
+    """_first_homomorphism searches on the generators' values, closed over
+    the right-multiplication table; coherent_assignment finds each g(p) by
+    lookup."""
 
     @staticmethod
     def vertex_groups(bases):
@@ -728,9 +782,9 @@ class TestHomomorphismSchedule:
                                                    monkeypatch):
         met = []
 
-        def recorded(group, extenders):
-            met.append((group, extenders))
-            return _first_homomorphism(group, extenders)
+        def recorded(group, cayley, extenders, extends):
+            met.append((group, {g: list(extenders(g)) for g in group}))
+            return _first_homomorphism(group, cayley, extenders, extends)
         monkeypatch.setattr(base_extension, "_first_homomorphism", recorded)
         for base, groupoid, candidate in searched_candidates(graphs_up_to_3):
             coherent_assignment(groupoid, candidate, tuple(range(base.size)))
@@ -738,30 +792,49 @@ class TestHomomorphismSchedule:
             base_eppa(structure)
         assert max(len(group) for group, _ in met) == 24  # Aut(K4), Aut(4K1)
         # each met list, also shuffled and without its first extender, so that
-        # searches that backtrack and searches that find none are compared too
+        # searches that backtrack and searches that find none are compared too;
+        # the last variant keeps the identity's list whole (its first extender
+        # is the identity), so that a search reaches products that are unlisted
         rng = random.Random(11)
         answers = Counter()
         for group, extenders in met:
             for variant in (extenders, {g: rng.sample(hs, len(hs)) for g, hs in extenders.items()},
-                            {g: hs[1:] for g, hs in extenders.items()}):
-                got = _first_homomorphism(group, variant)
+                            {g: hs[1:] for g, hs in extenders.items()},
+                            {g: hs if all(x == y for x, y in g.pairs) else hs[1:]
+                             for g, hs in extenders.items()}):
+                got = listed_homomorphism(group, variant)
                 assert got == all_pairs_homomorphism(group, variant), group
                 answers[got is None] += 1
         assert answers[False] >= len(met) and answers[True] > 0
 
-    def test_levels_cover_the_product_table_once(self, graphs_up_to_4):
+    def test_generators_and_right_table(self, graphs_up_to_4):
         sizes = set()
         for _, _, _, group in self.vertex_groups([*graphs_up_to_4, MIXED]):
-            levels = _product_levels(group)
-            assert len(levels) == len(group)
-            listed = [(a, b) for level in levels for a, b, _ in level]
-            assert sorted(listed) == list(itertools.product(range(len(group)), repeat=2))
-            for i, level in enumerate(levels):
-                for a, b, c in level:
-                    assert group[a].compose(group[b]) == group[c]
-                    assert max(a, b, c) == i
-            sizes.add(len(group))
-        assert {1, 2, 6, 24} <= sizes
+            e, gens, right = _cayley(group)
+            assert group[e] == PartialAutomorphism.identity_on(group[0].domain())
+            index = {g: i for i, g in enumerate(group)}
+
+            def generated(indices):
+                reached, order = {e}, [e]
+                for a in order:
+                    for s in indices:
+                        c = index[group[a].compose(group[s])]
+                        if c not in reached:
+                            reached.add(c)
+                            order.append(c)
+                return reached
+            # greedy in group order: each generator is the first element
+            # outside the subgroup the earlier ones generate
+            for k, s in enumerate(gens):
+                below = generated(gens[:k])
+                assert s not in below
+                assert all(a in below for a in range(s))
+            assert generated(gens) == set(range(len(group)))
+            assert len(right) == len(gens)
+            for s, col in zip(gens, right):
+                assert col == [index[a.compose(group[s])] for a in group]
+            sizes.add((len(group), len(gens)))
+        assert {(1, 0), (2, 1), (6, 2), (24, 3)} <= sizes
 
     def test_root_elements_are_the_composites(self, graphs_up_to_4):
         for maps, arrows, tree, group in self.vertex_groups([*graphs_up_to_4, MIXED]):
