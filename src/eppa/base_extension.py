@@ -201,14 +201,14 @@ class BaseEppaCertificate:
 
 def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
     """Full re-check: embedding, then the table over Part(A): automorphisms,
-    extension and coherence, decided on the spanning maps and a spanning
-    set of coherent triples (verify_coherent_extension).  Coherence over
-    Part(A) forces the values phi(id_D) = id and phi(p^-1) = phi(p)^-1, so
-    they need no check of their own.  phi then embeds Aut(A) as a group:
-    coherence makes it a homomorphism there, and two distinct automorphisms
-    of A differ at some x, so their extensions differ at the embedded image
-    of x.  Part(A) is the certificate's `part`, read before any check, so
-    A over the point bound raises BoundExceededError."""
+    extension and coherence, decided on the spanning maps and triples, a
+    failure named at the first failing one (verify_coherent_extension).
+    Coherence over Part(A) forces phi(id_D) = id and phi(p^-1) =
+    phi(p)^-1, so they need no check of their own.  phi then embeds Aut(A)
+    as a group: coherence makes it a homomorphism there, and two distinct
+    automorphisms of A differ at some x, so their extensions differ at the
+    embedded image of x.  Part(A) is the certificate's `part`, read before
+    any check, so A over the point bound raises BoundExceededError."""
     part = cert.part
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")

@@ -141,11 +141,11 @@ def coherent_triples(maps: Sequence[PartialAutomorphism]
 def verify_coherence(phi: ExtensionMap, maps: Sequence[PartialAutomorphism],
                      *, triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
                      ) -> Verdict:
-    """Brute-force complete: checks phi(q) = phi(p1) o phi(p2) on exactly the
-    triples produced by coherent_triples, or on `triples` when the caller has
-    already listed them for these maps.  Each phi(p) is looked up once, and
-    each composite is compared as a plain image tuple, with no Permutation
-    built for it."""
+    """Checks phi(q) = phi(p1) o phi(p2) on `triples`, which every verifier
+    passes (P's coherent triples or Part(A)'s spanning triples), or else on
+    all of coherent_triples(maps), the brute-force reference.  Each phi(p)
+    is looked up once, and each composite is compared as a plain image
+    tuple, with no Permutation built for it."""
     image = {p: phi.lookup(p).images for p in maps}
     for p1, p2, q in coherent_triples(maps) if triples is None else triples:
         if tuple(map(image[p1].__getitem__, image[p2])) != image[q]:
@@ -179,26 +179,29 @@ def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
     check names the first listed map whose value fails it.  Each distinct
     permutation is checked at most once per call.
 
-    With `triples`, `maps` is a list P, and coherence is checked on
-    `triples` after the other checks.  Otherwise `maps` is Part(A) as a
-    base_extension.PartGroupoid: the extension check over all of it comes
-    first, then the automorphism check on its spanning maps (each root's
-    vertex group G(r) and each tree map T_t) and coherence on its spanning
-    triples, of which the vertex group's are (a, s, a o s) for a in G(r)
-    and s among its generators.  When these pass, every check passes.
-    Proof.  The triple (e, s, s) forces phi(e) = id, and every element of
-    G(r) is a positive word w in the generators, so phi(a w) = phi(a)
-    phi(w) by induction on the length of w: phi is a homomorphism on G(r).
-    Coherence on all of coherent_triples follows from that and the tree
-    triples (PartGroupoid.spanning_triples).  A map p:
-    s -> t with g(p) = T_t^-1 o p o T_s in G(r) has phi(p) = phi(T_t)
-    phi(g(p)) phi(T_s)^-1, which the spanning triples force, so phi(p) is
-    a product of checked automorphisms and their inverses.  When one fails,
-    the checks finish in the order above: the remaining automorphisms, the
-    extension verdict in hand, and the full coherence check, which names
-    the first failing triple in coherent_triples order."""
+    One sequence decides them: extension over every map, automorphisms on
+    the checked maps, then coherence on the triples, each list taken only
+    once the checks before it pass.  With `triples`, `maps` is a list P,
+    and P and `triples` are checked.  Otherwise `maps` is Part(A) as a
+    base_extension.PartGroupoid, and its spanning maps (each root's vertex
+    group G(r) and each tree map T_t) and spanning triples are checked; the
+    vertex group's are (a, s, a o s) for a in G(r) and s among its
+    generators.  When these pass, every check passes.  Proof.  The triple
+    (e, s, s) forces phi(e) = id, and every element of G(r) is a positive
+    word w in the generators, so phi(a w) = phi(a) phi(w) by induction on
+    the length of w: phi is a homomorphism on G(r).  Coherence on all of
+    coherent_triples follows from that and the tree triples
+    (PartGroupoid.spanning_triples).  A map p: s -> t with g(p) = T_t^-1 o
+    p o T_s in G(r) has phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1, which the
+    spanning triples force, so phi(p) is a product of checked automorphisms
+    and their inverses.  When a check fails, the automorphisms of every map
+    are checked, so a failing one is named at its first map; else the
+    failed check stands, coherence at the first failing checked triple.  A
+    reject lists no more than an accept."""
     if triples is None:
-        part, maps = maps, maps.maps
+        checked, listed, maps = maps.spanning_maps, maps.spanning_triples, maps.maps
+    else:
+        checked, listed = (lambda: maps), (lambda: triples)
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -219,14 +222,9 @@ def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
                                       f"phi({p.encode()}) is not an automorphism")
         return Verdict.passed()
 
-    if triples is not None:
-        return (automorphisms(maps) and verify_extension(phi, maps)
-                and verify_coherence(phi, maps, triples=triples))
-    extension = verify_extension(phi, maps)
-    if extension and automorphisms(part.spanning_maps()) and verify_coherence(
-            phi, maps, triples=part.spanning_triples()):
-        return extension
-    return automorphisms(maps) and extension and verify_coherence(phi, maps)
+    verdict = (verify_extension(phi, maps) and automorphisms(checked())
+               and verify_coherence(phi, maps, triples=listed()))
+    return verdict or (automorphisms(maps) and verdict)
 
 
 @dataclass(frozen=True)

@@ -327,9 +327,10 @@ def clique_faithful_extension(base: Structure,
 def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
     embeddings, the table over Part(A) (automorphisms, extension, and
-    coherence, decided on the spanning maps and a spanning set of coherent
-    triples, which also forces phi(id_D) = id and phi(p^-1) = phi(p)^-1),
-    a witness for every clique, and freeness from the forbidden family.  Each distinct witness
+    coherence, decided on the spanning maps and triples, a failure named
+    at the first failing one, as in verify_coherent_extension; this forces
+    phi(id_D) = id and phi(p^-1) = phi(p)^-1), a witness for every clique,
+    and freeness from the forbidden family.  Each distinct witness
     permutation is checked to be an automorphism once, at its first clique.
     Part(A) is the certificate's `part`, read after the embedding checks."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi

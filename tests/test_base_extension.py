@@ -2,11 +2,12 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from eppa import base_extension
+from eppa import base_extension, coherence
 from eppa.base_extension import (BaseEppaCertificate, PartGroupoid, _extension_candidates,
                                  _cayley, _first_homomorphism, _root_elements,
                                  _search_certificate, base_eppa, coherent_assignment,
@@ -192,9 +193,10 @@ def gauged(phi, maps, rng):
 def test_spanning_and_full_coherence_agree_on_swapped_tables(graphs_up_to_4):
     """verify_coherent_extension decides coherence over Part(A) on its
     spanning triples; on tables with 1-3 entries swapped for other extenders
-    its verdict and message are those of the check over every coherent
-    triple.  A gauged table is swapped to another gauge's value or, where
-    Aut(B) is cheap to list, to any extender in it."""
+    its condition is that of the check over every coherent triple, and its
+    verdict that of the check over the spanning triples.  A gauged table is
+    swapped to another gauge's value or, where Aut(B) is cheap to list, to
+    any extender in it."""
     cases = [(s, base_eppa(s)) for s in graphs_up_to_4 + [row[1] for row in SEARCHED_DIGESTS
                                                             if row[0] in ("U+E", "H (0,0,1)")]]
     cases = [(s, cert.extension, cert.phi) for s, cert in cases]
@@ -214,7 +216,9 @@ def test_spanning_and_full_coherence_agree_on_swapped_tables(graphs_up_to_4):
                     + [other[p.encode()]])
             mutant = dataclasses.replace(phi, table=table)
             full = verify_coherence(mutant, maps)
-            assert verify_coherent_extension(mutant, groupoid, extension) == full
+            verdict = verify_coherent_extension(mutant, groupoid, extension)
+            assert verdict.condition == full.condition
+            assert verdict == verify_coherence(mutant, maps, triples=groupoid.spanning_triples())
             verdicts[full.ok] += 1
     assert verdicts[True] > 20 and verdicts[False] > 20
 
@@ -754,6 +758,31 @@ class TestGeneratorSpanning:
         # the 4 non-generators of each S3 at {0, 1, 2}, {3, 4, 5}, {0, 1, 2, 3}
         # and {0, 3, 4, 5}; at 5 and 6 points each map has one extender
         assert swapped == 16
+
+    def test_rejected_swap_is_named_at_a_spanning_triple(self, monkeypatch, run_verify):
+        # U on 3 of 7 points (7,106 maps): a non-generator vertex-group value
+        # swapped for another extending automorphism fails coherence at a
+        # spanning triple, and no coherent triple of Part(A) is listed
+        cert = base_eppa(marked(7, 3))
+        phi, groupoid = cert.phi, cert.part
+        aut = automorphism_group(cert.extension, 12).elements
+        a, other = next(
+            (a, g) for (group, _), (_, gens, _) in zip(groupoid.forest, groupoid.cayley)
+            if len(group) >= 6 for a in [a for i, a in enumerate(group) if i not in gens]
+            for g in aut if g != phi.lookup(a)
+            and all(g(phi.embed(x)) == phi.embed(y) for x, y in a.pairs))
+        text = emit_certificate(dataclasses.replace(
+            cert, phi=dataclasses.replace(phi, table={**phi.table, a.encode(): other})))
+
+        def unlisted(maps):
+            raise AssertionError("coherent_triples called")
+        monkeypatch.setattr(coherence, "coherent_triples", unlisted)
+        code, out, err = run_verify(text)
+        assert (code, out) == (2, "fail coherence")
+        named = re.fullmatch(r"coherence: triple \((\S+), (\S+), (\S+)\): "
+                             r"phi\(q\) != phi\(p1\) o phi\(p2\)\n", err)
+        assert named and named.groups() in {
+            tuple(p.encode() for p in triple) for triple in groupoid.spanning_triples()}
 
     def test_two_symmetric_groups_of_four_build_and_verify(self):
         cert = base_eppa(marked(8, 4))

@@ -170,17 +170,19 @@ class TestTableChecksNameTheMap:
         verdict = verify_coherent_extension(self.table(**changes), self.part(), self.B)
         assert (verdict.condition, verdict.detail) == (condition, detail)
 
-    def test_coherence_failure_is_named_in_full_triple_order(self):
+    def test_coherence_failure_is_named_at_its_first_spanning_triple(self):
         # the spanning set meets (1>0, 0>1, 0>0) first, while the first
         # failing triple of coherent_triples is the identity's idempotence
         phi = self.table(**{"0>0,1>1": Permutation((0, 1, 3, 2)),
                             "0>1": Permutation((1, 0, 3, 2))})
-        spanning = verify_coherence(phi, self.K2, triples=self.part().spanning_triples())
-        assert spanning.detail == "triple (1>0, 0>1, 0>0): phi(q) != phi(p1) o phi(p2)"
+        full = verify_coherence(phi, self.K2)
+        assert full.detail == (
+            "triple (0>0,1>1, 0>0,1>1, 0>0,1>1): phi(q) != phi(p1) o phi(p2)")
         verdict = verify_coherent_extension(phi, self.part(), self.B)
-        assert verdict == verify_coherence(phi, self.K2)
+        assert verdict.condition == full.condition
+        assert verdict == verify_coherence(phi, self.K2, triples=self.part().spanning_triples())
         assert (verdict.condition, verdict.detail) == (
-            "coherence", "triple (0>0,1>1, 0>0,1>1, 0>0,1>1): phi(q) != phi(p1) o phi(p2)")
+            "coherence", "triple (1>0, 0>1, 0>0): phi(q) != phi(p1) o phi(p2)")
 
     def test_missing_entry(self):
         phi = self.table()
@@ -196,9 +198,9 @@ def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism)
     """verify_coherent_extension as it was before it checked automorphisms
     on the spanning maps only, with no code of its own shared: the key set,
     every distinct phi(p) at its first key, extension at every map, then
-    coherence on every triple of `triples` (coherent_triples(maps) in its
-    order, listed by the caller once per table family).  `automorphic` is
-    is_automorphism or a memo of it."""
+    coherence on every triple of `triples` in their order (coherent_triples
+    or spanning_triples of `maps`, listed by the caller once per table
+    family).  `automorphic` is is_automorphism or a memo of it."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -409,8 +411,10 @@ def regauged(phi, maps, rng):
 
 class TestSpanningAutomorphismCheck:
     """Over Part(A), verify_coherent_extension checks automorphisms only on
-    the spanning maps and lets coherence cover the rest; its verdict and
-    message are those of checking every distinct value (reference_verify)."""
+    the spanning maps and lets coherence cover the rest; its condition is
+    that of checking every distinct value and every coherent triple, and
+    its verdict that of checking every distinct value and the spanning
+    triples (reference_verify)."""
 
     def test_verdicts_equal_the_reference_on_mutated_stored_tables(self, monkeypatch):
         # both sides read one memo of is_automorphism, which keeps the test short
@@ -427,7 +431,7 @@ class TestSpanningAutomorphismCheck:
         conditions = Counter()
         for name, phi, groupoid, structure in stored_tables():
             maps = groupoid.maps
-            triples = coherent_triples(maps)
+            triples, spanning_order = coherent_triples(maps), spanning_triples(maps)
             keys = sorted(phi.table)
             if structure.size > 12:  # the paw: 5 spanning and 5 other entries
                 spanning = spanning_keys(maps)
@@ -440,7 +444,10 @@ class TestSpanningAutomorphismCheck:
                 if table is None:
                     continue
                 expected = reference_verify(table, maps, structure, triples, automorphic)
-                assert verify_coherent_extension(table, groupoid, structure) == expected, name
+                verdict = verify_coherent_extension(table, groupoid, structure)
+                assert verdict.condition == expected.condition, name
+                assert verdict == reference_verify(table, maps, structure, spanning_order,
+                                                   automorphic), name
                 conditions[expected.condition or "ok"] += 1
         assert {c: n > 20 for c, n in conditions.items()} == {
             "ok": True, "automorphism": True, "extension": True, "coherence": True}
