@@ -42,7 +42,7 @@ from .structures import (PartialAutomorphism, Permutation, Structure, automorphi
 class PartGroupoid:
     """Part(A) as a groupoid, whose objects are the domains and whose arrows
     are the maps: `maps` lists Part(A) once, within the point bound, and the
-    arrows, the BFS forest, its vertex groups' generators (cayley) and the
+    arrows, the spanning forest, its vertex groups' generators (cayley) and the
     moved pairs are built on first read.
 
     One groupoid serves one call: base_eppa builds it, and the certificate
@@ -80,23 +80,39 @@ class PartGroupoid:
     @cached_property
     def forest(self) -> list[tuple[list[PartialAutomorphism], dict]]:
         """Per component, in the order of its root r, the least domain by
-        (size, sorted points): (the vertex group of r, the arrows r -> r;
-        its BFS tree, which reaches exactly the component, as Part(A) is
-        closed under inverses).  A tree maps each domain t, in BFS order and
-        r first, to tree(t): r -> t, a composite of the arrows walked."""
+        (size, sorted points): (the vertex group of r, the arrows r -> r; its
+        tree, mapping each domain t, r first, to tree(t): r -> t, the
+        identity at r and else the first arrow r -> t in encoding order).
+        That is the tree a BFS through every arrow builds, read from r's
+        arrows alone: Part(A) is closed under composition, so each domain
+        the component reaches is the image of an arrow out of r, and under
+        inverses, so no arrow out of r leaves the component."""
         components: list = []
+        reached: set[frozenset[int]] = set()
         for root in sorted(self.arrows, key=lambda s: (len(s), sorted(s))):
-            if any(root in tree for _, tree in components):
+            if root in reached:
                 continue
             tree = {root: PartialAutomorphism.identity_on(root)}
-            order = [root]
-            for s in order:  # also visits the domains appended below
-                for p in self.arrows[s]:
-                    if (t := p.image()) not in tree:
-                        tree[t] = p.compose(tree[s])
-                        order.append(t)
+            for p in self.arrows[root]:
+                tree.setdefault(p.image(), p)
+            reached.update(tree)
             components.append(([p for p in self.arrows[root] if p.image() == root], tree))
         return components
+
+    @cached_property
+    def _trees(self) -> dict[frozenset[int], dict]:
+        """The tree of forest that reaches each domain."""
+        return {t: tree for _, tree in self.forest for t in tree}
+
+    def factors(self, p: PartialAutomorphism) -> tuple[PartialAutomorphism, ...]:
+        """(tree(t), g(p), tree(s)) for a map p: s -> t, where g(p) =
+        tree(t)^-1 o p o tree(s) is in the vertex group of the root r of
+        p's component, so that p = tree(t) o g(p) o tree(s)^-1."""
+        tree = self._trees[p.domain()]
+        tree_s, tree_t, m = tree[p.domain()], tree[p.image()], p.as_dict()
+        back = {y: x for x, y in tree_t.pairs}
+        return tree_t, PartialAutomorphism._unchecked(
+            tuple([(x, back[m[y]]) for x, y in tree_s.pairs])), tree_s
 
     @cached_property
     def cayley(self) -> list[tuple[int, list[int], list[list[int]]]]:
@@ -226,8 +242,8 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
 
     Coherence makes the assignment a functor from the groupoid of partial
     automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
-    Each component of part.forest has its root r and BFS tree tree(t): r ->
-    t, the trees of the verifier's spanning triples.  The one choice
+    Each component of part.forest has its root r and tree maps tree(t): r
+    -> t, the trees of the verifier's spanning triples.  The one choice
     searched is a homomorphism `hom` of r's vertex group, on the generators
     of part.cayley only: a map of a finite group that respects right
     multiplication by a generating set is a homomorphism, as every element

@@ -26,8 +26,17 @@ EXIT_VERIFICATION = 2
 EXIT_RESOURCE = 3
 
 
+def _read(path: str) -> str:
+    """The text of file `path`; a file that is not UTF-8 is a syntax error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructureSyntaxError(
+            f"{path} is not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
+
+
 def _load_structure(path: str):
-    return parse_structure(Path(path).read_text(encoding="utf-8"))
+    return parse_structure(_read(path))
 
 
 def _load_forbidden(arg: str | None):
@@ -66,8 +75,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text = Path(args.certificate).read_text(encoding="utf-8")
-    cert = parse_certificate(text)
+    cert = parse_certificate(_read(args.certificate))
     verdict = verify_certificate(cert)
     if verdict:
         print("ok")

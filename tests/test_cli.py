@@ -194,6 +194,16 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert capsys.readouterr().out == ""
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        bad = tmp_path / "bad.struct"
+        bad.write_bytes(b"structure s\xff\n")
+        for argv in (["verify", str(bad)],
+                     ["extend", "--in", str(bad), "--out", str(tmp_path / "out.cert")]):
+            result = run_fresh(argv)
+            assert (result.returncode, result.stdout) == (1, "")
+            assert result.stderr.splitlines() == [
+                f"error: {bad} is not UTF-8 text: byte 11 is 0xff"]
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out

@@ -358,6 +358,15 @@ class TestGroupoidMatchesTheReference:
                 p for group, tree in zip(groups, trees) for p in (*group, *tree.values())]
             assert groupoid.spanning_triples() == spanning_triples(groupoid.maps)
 
+    def test_factors_recompose_each_map(self, graphs_up_to_4):
+        for structure in graphs_up_to_4:
+            groupoid = PartGroupoid(structure)
+            groups = {next(iter(tree)): group for group, tree in groupoid.forest}
+            for p in groupoid.maps:
+                tree_t, g, tree_s = groupoid.factors(p)
+                assert g in groups[tree_s.domain()]
+                assert tree_t.compose(g) == p.compose(tree_s)
+
 
 def spanning_keys(maps):
     """Encodings of the maps whose values the verifier checks to be
@@ -463,6 +472,36 @@ class TestSpanningAutomorphismCheck:
         cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
         assert verify_certificate(cert)
         assert (len(checked), len(set(checked)), len(set(cert.phi.table.values()))) == (12, 12, 33)
+
+    def test_paw_reject_checks_no_more_than_its_accept(self, monkeypatch):
+        # phi(1>0), not a spanning value, replaced by phi(0>0), which does
+        # not send 1 to 0: every other value is a product of spanning values
+        checked = []
+
+        def counted(g, structure):
+            checked.append(tuple(g))
+            return is_automorphism(g, structure)
+
+        monkeypatch.setattr(coherence, "is_automorphism", counted)
+        cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
+        spanning = spanning_keys(cert.part.maps)
+        assert "1>0" not in spanning and "0>0" in spanning
+        table = {**cert.phi.table, "1>0": cert.phi.table["0>0"]}
+        verdict = verify_certificate(dataclasses.replace(cert, phi=dataclasses.replace(
+            cert.phi, table=table)))
+        assert verdict.message() == ("extension: phi(1>0) moves embedded point 1 to 1, "
+                                     "expected image of 0")
+        assert len(checked) <= 12
+
+    def test_paw_non_automorphism_off_the_spanning_maps_is_named(self):
+        cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
+        assert "1>0" not in spanning_keys(cert.part.maps)
+        images = list(cert.phi.table["1>0"].images)
+        images[0], images[1] = images[1], images[0]
+        table = {**cert.phi.table, "1>0": Permutation(tuple(images))}
+        verdict = verify_certificate(dataclasses.replace(cert, phi=dataclasses.replace(
+            cert.phi, table=table)))
+        assert verdict == Verdict.failed("automorphism", "phi(1>0) is not an automorphism")
 
     def test_extension_is_checked_once_on_a_table_that_fails_it(self, monkeypatch):
         calls = []
