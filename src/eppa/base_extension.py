@@ -30,7 +30,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config
 from .coherence import ExtensionMap, Verdict, closure, verify_coherent_extension
@@ -129,6 +129,24 @@ class PartGroupoid:
         """Per component, its vertex group and then its tree maps: the maps
         whose values verify_coherent_extension checks to be automorphisms."""
         return [p for group, tree in self.forest for p in (*group, *tree.values())]
+
+    def functor(self, values: Mapping[PartialAutomorphism, Permutation]) -> dict[str, Permutation]:
+        """The table, by encoding, of the functor on Part(A) with `values` on
+        spanning_maps(), the identity at each root: phi(p: s -> t) = value(T_t)
+        value(g(p)) value(T_s)^-1, g(p) = T_t^-1 o p o T_s (factors) looked up
+        by its pairs.  A functor is fixed by these (spanning_triples)."""
+        table: dict[str, Permutation] = {}
+        for group, tree in self.forest:
+            at = {g.pairs: values[g] for g in group}
+            lift = {t: values[tree_t] for t, tree_t in tree.items()}
+            inverse = {t: v.inverse() for t, v in lift.items()}
+            back = {t: {y: x for x, y in tree_t.pairs} for t, tree_t in tree.items()}
+            for s, tree_s in tree.items():
+                for p in self.arrows[s]:
+                    t, m = p.image(), p.as_dict()
+                    g = tuple([(x, back[t][m[y]]) for x, y in tree_s.pairs])
+                    table[p.encode()] = lift[t].compose(at[g]).compose(inverse[s])
+        return table
 
     def spanning_triples(self) -> list[tuple[PartialAutomorphism, ...]]:
         """Coherent triples of Part(A) on which coherence implies coherence on
@@ -240,27 +258,19 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
     """The first coherent, extending assignment Part(A) -> Aut(candidate),
     for the groupoid `part` of A; None when there is none.
 
-    Coherence makes the assignment a functor from the groupoid of partial
-    automorphisms (objects: domains; morphisms: the maps) to Aut(candidate).
-    Each component of part.forest has its root r and tree maps tree(t): r
-    -> t, the trees of the verifier's spanning triples.  The one choice
-    searched is a homomorphism `hom` of r's vertex group, on the generators
-    of part.cayley only: a map of a finite group that respects right
-    multiplication by a generating set is a homomorphism, as every element
-    is a positive word in the generators, and the first such map over the
-    generators is the first over every element in group order (both
-    proofs at _first_homomorphism).  With lift(t) the first extender
-    of tree(t) (the identity at r), phi(p: s -> t) = lift(t) hom(tree(t)^-1
-    p tree(s)) lift(s)^-1 extends p because each factor extends its own
-    map.  So extenders are listed only for the generators, and only the
-    first for each tree map: any other vertex-group value is a product of
+    Coherence makes the assignment a functor on the groupoid.  Per
+    component of part.forest, with root r and tree maps tree(t): r -> t,
+    the one choice searched is a homomorphism `hom` of r's vertex group, on
+    the generators of part.cayley only (_first_homomorphism proves that
+    this finds a homomorphism, and the first in group order).  With
+    lift(t) the first extender of tree(t) (the identity at r), the table is
+    part.functor of hom and the lifts: phi(p) = lift(t) hom(g(p))
+    lift(s)^-1 extends p because each factor extends its own map.  So
+    extenders are listed only for the generators, and only the first for
+    each tree map: any other vertex-group value is a product of
     automorphisms, so it is an extender of its element exactly when it
-    extends it, and every p = tree(t) g(p) tree(s)^-1 then has one, with no
-    check of its own.  Each g(p) and each vertex-group product is looked
-    up, by its pairs or in the table (_root_elements, _cayley), not built,
-    and each lift is inverted once per domain.  The search's candidates
-    have passed its only filter, on tuple counts, already
-    (_extension_candidates)."""
+    extends it.  The search's candidates have passed its only filter, on
+    tuple counts, already (_extension_candidates)."""
     emb = tuple(embedding)
     aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
 
@@ -270,27 +280,14 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
     def extenders(p: PartialAutomorphism) -> Iterator[Permutation]:
         return (g for g in aut.elements if extends(p, g))
 
-    phi: dict[str, Permutation] = {}
+    values: dict[PartialAutomorphism, Permutation] = {}
     for (group, tree), cayley in zip(part.forest, part.cayley):
         hom = _first_homomorphism(group, cayley, extenders, extends)
-        lift = {t: next(extenders(tree_t), None) for t, tree_t in tree.items()}
+        lift = {tree_t: next(extenders(tree_t), None) for tree_t in tree.values()}
         if hom is None or None in lift.values():
             return None
-        back = {t: g.inverse() for t, g in lift.items()}
-        hom_at = {g.pairs: h for g, h in hom.items()}
-        for s, t, p, g in _root_elements(tree, part.arrows):
-            phi[p.encode()] = lift[t].compose(hom_at[g]).compose(back[s])
-    return phi
-
-
-def _root_elements(tree: dict, arrows: dict) -> Iterator[tuple]:
-    """(s, t, p, pairs of g(p) = tree(t)^-1 p tree(s)) for each arrow p: s -> t
-    of the component that `tree` spans (PartGroupoid.forest), in tree, then arrow order."""
-    back = {t: {y: x for x, y in tree_t.pairs} for t, tree_t in tree.items()}
-    for s, tree_s in tree.items():
-        for p in arrows[s]:
-            t, m = p.image(), p.as_dict()
-            yield s, t, p, tuple([(x, back[t][m[y]]) for x, y in tree_s.pairs])
+        values |= hom | lift
+    return part.functor(values)
 
 
 def _first_homomorphism(group: list[PartialAutomorphism], cayley: tuple,
@@ -502,21 +499,23 @@ class _Scaffold:
 
 
 def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
-    """Generic realization over the groupoid `part` of A: the extension is the orbit
-    of the embedded copy under the actions assigned to Part(A) (a set closed
-    under inverses), each restricted to the orbit.  The action of p is
-    (pi, flips): pi its order completion, whose slot moves and image tables
-    are built once per call (_Scaffold.completion), and flips its bit flips
-    (_Scaffold.action).  It sends a point (v, chi) to (pi(v), the table
-    image of chi ^ flips[v]).  The orbit sweep applies each distinct action
-    to each point once, and the images it finds are that action's
-    Permutation, which every map with that action shares.  A symbol holds
-    on the products of fibre halves, split by their bit at the slot, whose
+    """Generic realization over the groupoid `part` of A: the extension is
+    the orbit of the embedded copy under the spanning maps' actions, and
+    the table their functor (part.functor).  The actions compose as the
+    maps do, so each is a product of spanning ones and their inverses: the
+    orbit is that under every action, and each map's action on it is its
+    functor value.  The action of p is (pi, flips): pi its order
+    completion, whose slot moves and image tables are built once per call
+    (_Scaffold.completion), and flips its bit flips (_Scaffold.action).  It
+    sends a point (v, chi) to (pi(v), the table image of chi ^ flips[v]).
+    The orbit sweep applies each distinct action to each point once, and
+    the images it finds are that action's Permutation.  A symbol holds on
+    the products of fibre halves, split by their bit at the slot, whose
     bits XOR to 1."""
     base, maps = part.structure, part.maps
     sc = _Scaffold(base)
-    pis = [p.order_completion(sc.n) for p in maps]
-    distinct = dict.fromkeys(pis)
+    pis = {p: p.order_completion(sc.n) for p in part.spanning_maps()}
+    distinct = dict.fromkeys(pis.values())
     # each completion's tables hold 2^half + 2^(slots - half) entries per point
     entries = len(distinct) * sum(2 ** sc.half + 2 ** (len(s) - sc.half) for s in sc.slots_of)
     if entries > SCAFFOLD_MAX_ENTRIES:
@@ -524,13 +523,13 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
             f"scaffold lookup tables of {entries} entries are over the bound "
             f"{SCAFFOLD_MAX_ENTRIES}; the input is too large for the generic realization")
     completions = {pi: sc.completion(pi) for pi in distinct}
-    actions = [(pi, sc.action(p, completions[pi][0])) for p, pi in zip(maps, pis)]
+    actions = {p: (pi, sc.action(p, completions[pi][0])) for p, pi in pis.items()}
     points = list(enumerate(sc.theta))
     index = {pt: i for i, pt in enumerate(points)}
     half, mask = sc.half, (1 << sc.half) - 1
     # per distinct action and vertex v: pi(v), flips[v] and v's tables
     steps = {(pi, flips): [(pi(v), flips[v], *completions[pi][1][v]) for v in range(sc.n)]
-             for pi, flips in sorted(set(actions), key=lambda a: (a[0].images, a[1]))}
+             for pi, flips in sorted(set(actions.values()), key=lambda a: (a[0].images, a[1]))}
 
     def images(step: list) -> Iterator[tuple[int, int]]:
         for v, chi in points:
@@ -538,9 +537,9 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
             c = chi ^ flip
             yield w, low[c & mask] | high[c >> half]
 
-    # the certificate is verified in full before returning, which scans every
-    # relation tuple once per partial automorphism; the orbit is refused as
-    # soon as its size puts that product beyond desk scale, at `costly` points
+    # the orbit is refused at `costly` points, where len(Part(A)) x cells of B
+    # passes the bound; the verifier scans the tuples once per distinct
+    # spanning value, not per map, but the bound keeps that unit
     def cells(size: int) -> int:
         return sum(size ** arity for _, arity in base.signature.symbols)
 
@@ -589,7 +588,7 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
 
     perms = {a: Permutation(tuple(map(index.__getitem__, images(step))))
              for a, step in steps.items()}
-    table = {p.encode(): perms[a] for p, a in zip(maps, actions)}
+    table = part.functor({p: perms[a] for p, a in actions.items()})
     emb = tuple(range(base.size))
     phi = ExtensionMap(domain_universe=base.size, codomain_universe=size,
                        embedding=emb, table=table)

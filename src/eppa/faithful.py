@@ -212,23 +212,34 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     return Permutation(tuple(images))
 
 
+CLIQUE_MAX_POINTS = 1_000_000  # a clique listing is refused past this many listed points
+
+
 def _cliques(n: int, adjacent: Callable[[int, int], bool],
              max_size: int | None) -> list[tuple[int, ...]]:
     """Nonempty sets of pairwise adjacent points of range(n), at most
-    `max_size` of them (no bound for None), in lexicographic order:
-    a depth-first search that extends a set only by later points adjacent
-    to all of its members."""
+    `max_size` of them (no bound for None), in lexicographic order: a
+    depth-first search on an explicit stack that extends a set only by
+    later points adjacent to all of its members.  Refused once the listed
+    sets hold more than CLIQUE_MAX_POINTS points in all."""
     cap = n if max_size is None else max_size
     out: list[tuple[int, ...]] = []
-
-    def extend(current: tuple[int, ...], candidates: list[int]):
-        if len(current) >= cap:
-            return
-        for i, v in enumerate(candidates):
-            out.append(current + (v,))
-            extend(current + (v,), [w for w in candidates[i + 1:] if adjacent(v, w)])
-
-    extend((), list(range(n)))
+    listed = 0
+    stack = [((), list(range(n)), 0)]  # (set, its candidates, the next one's index)
+    while stack:
+        current, candidates, i = stack.pop()
+        if len(current) >= cap or i == len(candidates):
+            continue
+        v = candidates[i]
+        clique = current + (v,)
+        out.append(clique)
+        listed += len(clique)
+        if listed > CLIQUE_MAX_POINTS:
+            raise BoundExceededError(
+                f"clique listing passed {CLIQUE_MAX_POINTS} listed points after "
+                f"{len(out)} cliques")
+        stack += [(current, candidates, i + 1),
+                  (clique, [w for w in candidates[i + 1:] if adjacent(v, w)], 0)]
     return out
 
 
@@ -273,7 +284,8 @@ def clique_faithful_extension(base: Structure,
                               base_cert: BaseEppaCertificate | None = None,
                               forbidden: Sequence[Structure] = ()) -> FaithfulCertificate:
     """Full pipeline: coherent base extension, valued extension, coherent lift
-    of every partial automorphism, and constructed witnesses moving each
+    of Part(A) (hat_extend on the spanning maps, the rest by part.functor, as
+    the lifts are coherent), and constructed witnesses moving each
     enumerated clique into the embedded copy of A.  Genericity is pairwise,
     and Gaifman neighbours share a generic tuple, so cliques are generic;
     hat_extend sends clique points to their nu points (both re-verified).
@@ -295,15 +307,12 @@ def clique_faithful_extension(base: Structure,
     family = large_sets(base_cert.extension, base_cert.embedding, size_cap)
     extension = build_valued_extension(base_cert.extension, base_cert.embedding, family)
 
-    table: dict[str, Permutation] = {}
-    for p in part.maps:
-        g = base_cert.phi.lookup(p)
-        pairs = [(extension.points[extension.nu[x]], extension.points[extension.nu[y]])
-                 for x, y in p.pairs]
-        table[p.encode()] = hat_extend(pairs, g, extension)
+    nu = [extension.points[i] for i in extension.nu]
+    lifts = {p: hat_extend([(nu[x], nu[y]) for x, y in p.pairs], base_cert.phi.lookup(p),
+                           extension) for p in dict.fromkeys(part.spanning_maps())}
     phi = ExtensionMap(domain_universe=base.size,
                        codomain_universe=extension.structure.size,
-                       embedding=extension.nu, table=table)
+                       embedding=extension.nu, table=part.functor(lifts))
 
     back = {b: a for a, b in enumerate(base_cert.embedding)}
     witnesses: dict[tuple[int, ...], Permutation] = {}

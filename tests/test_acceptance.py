@@ -39,12 +39,12 @@ CRITERION_01_DIGESTS = (
     "49b4d687e712743c07342e3e0dea7ac8dcd40b10004eb778ad3ce5033463437f",
     "8e72da90881f30ed8ea316ab3326a92a51c1540ccf9a77de3f6e232e0addd542",
     "be03606483b969e5fb73ba7d40c1f96c84596d72becf5f77ec2160f86c0694d7",
-    "1e33ac2132ba13e3e83ce89f344d4ea313799da1dec5a0e7a8d975517354c473",
+    "34e542a7f0ada775e53717b9caf356aa66d644b2b95fa48336094709a9b624ea",
     "5c216aba64473d4bc55558d0b76d6c7d28cebb3fe5fae849bad8599a0ae301cf",
     "ce370f55d1317291b5edc6288359cbf6360bb80d6b803f0f3373c1bbc8465a6b",
     "e0177140677ee24e4cefe3ac55e39d63c416ef9283edb1f421649e5cfba57125",
     "9a493fd456261f770c3edd8a184bf2ca135fbc54f11028518669d56fa7c9d5ad",
-    "c88ae680bb87dde925350ee9d32437b30a1f95628ee1a7f3c0af6e107e36dca9",
+    "7994b54314ba0c26757e495772f89fd675923a9d843b3d7727af3e9e6cf4ee1d",
     "e6771ddf1538183ce86d46942e27467b0e9713ef598cc8c148c92588760fb449",
     "2ed3486e5e805ee39333db0e99cd8cb84af7b85f5f887b4889c2da1e5837f3c8",
     "35a4055237723c61f767de010cc1582b3a5dad378f3387679ccd0a7c9a056db3",

@@ -9,7 +9,7 @@ import pytest
 
 from eppa import base_extension, coherence
 from eppa.base_extension import (BaseEppaCertificate, PartGroupoid, _extension_candidates,
-                                 _cayley, _first_homomorphism, _root_elements,
+                                 _cayley, _first_homomorphism,
                                  _search_certificate, base_eppa, coherent_assignment,
                                  scaffold_certificate, verify_base_certificate)
 from eppa.coherence import (ExtensionMap, check_forced_values, verify_coherence,
@@ -160,7 +160,7 @@ SEARCHED_DIGESTS = [
     ("U+E", Structure.make(UNARY_BINARY, 3, {"U": [(0,)], "E": [(0, 1), (1, 0)]}), 4,
      "098d430c22b02c2f510383deee5daf4d752e7109075959cfb5cdc2b26f0b31fc"),
     ("H (0,0,1)", Structure.make(Signature.make(("H", 3)), 2, {"H": [(0, 0, 1)]}), 4,
-     "4c493aaad4c40cf1bdb7bbcc65d3ab7f401b20cb97e75f056fc10dbcb33f0af1"),
+     "272f63dffed6af3fc386fe8b66358f0c57a3cdaa46761426d54913442da2fda6"),
     ("U {0, 1}", Structure.make(Signature.make(("U", 1)), 3, {"U": [(0,), (1,)]}), 3,
      "c89428f32651117206401fca1fe6f1a7c7a90351c3830bb712836ba66621a5f7"),
 ]
@@ -276,7 +276,9 @@ FIVE_VERTEX_GRAPHS = {
     "K1,4": [(0, 1), (0, 2), (0, 3), (0, 4)],
     "bull": [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],
 }
-# the paw as the base4 corpus lists it: 75 maps, 18 order completions, 29 actions
+# the paw as the base4 corpus lists it: 75 maps, 26 of them spanning, whose
+# 9 order completions and 12 actions the scaffold builds; its table has 29
+# distinct values
 PAW = graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 
 
@@ -351,8 +353,9 @@ class TestScaffold:
         assert sizes == {5: 3, 40: 3, 80: 28}
 
     def test_tables_per_completion_and_permutations_per_action(self, monkeypatch):
-        """One call builds each order completion's tables once and each
-        distinct action's Permutation once, shared by every map with that action."""
+        """One call builds, for the spanning maps only, each order
+        completion's tables once and each distinct action's Permutation
+        once; every other value is a product of those."""
         built, perms = [], []
         completion = base_extension._Scaffold.completion
 
@@ -366,7 +369,8 @@ class TestScaffold:
         monkeypatch.setattr(base_extension._Scaffold, "completion", counted_completion)
         monkeypatch.setattr(base_extension, "Permutation", counted_permutation)
         p5 = graph(5, FIVE_VERTEX_GRAPHS["P5"])
-        for structure, n_maps, completions, actions in ((PAW, 75, 18, 29), (p5, 252, 92, 142)):
+        for structure, n_maps, completions, actions, values in ((PAW, 75, 9, 12, 29),
+                                                                (p5, 252, 32, 33, 142)):
             built.clear()
             perms.clear()
             groupoid = part(structure)
@@ -374,20 +378,21 @@ class TestScaffold:
             assert len(groupoid.maps) == n_maps
             assert len(built) == len(set(built)) == completions
             assert len(perms) == actions
-            assert len({id(g) for g in cert.phi.table.values()}) == actions
+            assert len(set(cert.phi.table.values())) == values
 
     def test_table_bound_counts_entries_per_completion_and_point(self, monkeypatch):
-        # the paw: 18 completions x 4 points x (2^1 + 2^2) entries, 3 slots per point
-        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 432)
+        # the paw: 9 completions x 4 points x (2^1 + 2^2) entries, 3 slots per point
+        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 216)
         assert verify_base_certificate(scaffold_certificate(part(PAW)))
-        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 431)
+        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 215)
         with pytest.raises(BoundExceededError,
-                           match="tables of 432 entries are over the bound 431"):
+                           match="tables of 216 entries are over the bound 215"):
             scaffold_certificate(part(PAW))
 
     def test_chain_stage_over_the_table_bound_is_refused_before_any_table(self, monkeypatch):
         # the second stage of `eppa dlf` from this 3-point seed has 6 points
-        # of 91 slots each, so 65 completions would need 2^45 entries per point
+        # of 91 slots each, so each of the spanning maps' 31 completions
+        # would need 2^45 entries per point
         seed = Structure.make(Signature.make(("H", 3)), 3,
                               {"H": [(0, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 2)]})
         stage = base_eppa(seed).extension
@@ -397,15 +402,17 @@ class TestScaffold:
             raise AssertionError("a completion's tables were built")
         monkeypatch.setattr(base_extension._Scaffold, "completion", completion)
         with pytest.raises(BoundExceededError,
-                           match="^scaffold lookup tables of 41165715343933440 "):
+                           match="^scaffold lookup tables of 19632879625568256 "):
             base_eppa(stage)
 
 
-def reference_scaffold(base, maps):
+def reference_scaffold(base, maps, spanning):
     """Reference for scaffold_certificate, sharing no code with it: each
     map's slot moves are rebuilt from its order completion, each point is
-    moved bit by bit, each map gets its own Permutation, and every product
-    of fibres is tested for odd parity."""
+    moved bit by bit, the orbit is swept under the actions of the maps in
+    `spanning`, each map gets its own Permutation from its own action on
+    that orbit, not a product of spanning values, and every product of
+    fibres is tested for odd parity."""
     n = base.size
     kinds, keys = [], []
 
@@ -446,10 +453,11 @@ def reference_scaffold(base, maps):
         return pi(v), sum(1 << b for j, b in enumerate(moves[v]) if chi >> j & 1)
 
     actions = [action(p) for p in maps]
+    swept = sorted({action(p) for p in spanning}, key=lambda a: (a[0].images, a[1]))
     points = list(enumerate(theta))
     index = {pt: i for i, pt in enumerate(points)}
     for pt in points:
-        for a in sorted(set(actions), key=lambda a: (a[0].images, a[1])):
+        for a in swept:
             if act(a, pt) not in index:
                 index[act(a, pt)] = len(points)
                 points.append(act(a, pt))
@@ -487,7 +495,8 @@ def test_scaffold_emits_the_reference_certificate(name):
     structure = REFERENCE_INPUTS[name]
     groupoid = part(structure)
     assert (emit_certificate(scaffold_certificate(groupoid))
-            == emit_certificate(reference_scaffold(structure, groupoid.maps)))
+            == emit_certificate(reference_scaffold(structure, groupoid.maps,
+                                                   groupoid.spanning_maps())))
 
 
 class TestExtensionCandidates:
@@ -865,15 +874,13 @@ class TestHomomorphismSchedule:
             sizes.add((len(group), len(gens)))
         assert {(1, 0), (2, 1), (6, 2), (24, 3)} <= sizes
 
-    def test_root_elements_are_the_composites(self, graphs_up_to_4):
-        for maps, arrows, tree, group in self.vertex_groups([*graphs_up_to_4, MIXED]):
-            elements = {g.pairs for g in group}
-            seen = []
-            for s, t, p, g in _root_elements(tree, arrows):
-                assert p.domain() == s and p.image() == t
-                assert g == tree[t].inverse().compose(p).compose(tree[s]).pairs
-                assert g in elements
-                seen.append(p)
-            # every arrow of the component once, each domain's in encoding order
-            assert seen == [p for s in tree for p in arrows[s]]
-            assert len(seen) == len(group) * len(tree) ** 2
+    def test_functor_of_order_completions_is_their_table(self, graphs_up_to_4):
+        """Order completion is a coherent lift of Part(A) on the points, so
+        the functor with the spanning maps' completions gives every map its
+        own completion, in forest, then arrow order."""
+        for structure in [*graphs_up_to_4, MIXED, *SCAFFOLD_INPUTS.values()]:
+            groupoid, n = part(structure), structure.size
+            table = groupoid.functor({p: p.order_completion(n) for p in groupoid.spanning_maps()})
+            assert table == {p.encode(): p.order_completion(n) for p in groupoid.maps}
+            assert list(table) == [p.encode() for _, tree in groupoid.forest
+                                   for s in tree for p in groupoid.arrows[s]]

@@ -7,13 +7,13 @@ from typing import Sequence
 import pytest
 
 from eppa import coherence
-from eppa.base_extension import BaseEppaCertificate, PartGroupoid
+from eppa.base_extension import BaseEppaCertificate, PartGroupoid, base_eppa
 from eppa.coherence import (ExtensionMap, PermutationGroup, SetPartialMap, Verdict,
                             check_forced_values, closure, coherent_lift, coherent_triples,
                             mask_atoms, set_map_coherent_triples, verify_coherence,
                             verify_coherent_extension, verify_extension)
 from eppa.errors import EppaError
-from eppa.faithful import FaithfulCertificate
+from eppa.faithful import FaithfulCertificate, clique_faithful_extension
 from eppa.structures import (PartialAutomorphism, Permutation,
                              enumerate_partial_automorphisms, graph, is_automorphism)
 from eppa.textio import parse_certificate, verify_certificate
@@ -366,6 +366,22 @@ class TestGroupoidMatchesTheReference:
                 tree_t, g, tree_s = groupoid.factors(p)
                 assert g in groups[tree_s.domain()]
                 assert tree_t.compose(g) == p.compose(tree_s)
+
+    def test_functor_of_the_spanning_values_is_the_table(self, graphs_up_to_3, graphs_up_to_4):
+        """A coherent table is the functor of its values on the spanning
+        maps: the base certificates of the graphs with at most 4 vertices,
+        the faithful ones of those with at most 3, and every stored base and
+        faithful file."""
+        certs = [base_eppa(s) for s in graphs_up_to_4]
+        certs += [clique_faithful_extension(s) for s in graphs_up_to_3]
+        stored = [parse_certificate(path.read_text(encoding="utf-8"))
+                  for path in sorted(STORED.glob("*.cert"))]
+        certs += [c for c in stored if isinstance(c, (BaseEppaCertificate, FaithfulCertificate))]
+        assert len(certs) == 18 + 7 + 36
+        for cert in certs:
+            groupoid = PartGroupoid(cert.base)
+            values = {p: cert.phi.lookup(p) for p in groupoid.spanning_maps()}
+            assert groupoid.functor(values) == cert.phi.table
 
 
 def spanning_keys(maps):

@@ -1,14 +1,16 @@
 import dataclasses
 import itertools
+import sys
 
 import pytest
 
+from eppa import faithful
 from eppa.base_extension import (BaseEppaCertificate, base_eppa,
                                   verify_base_certificate)
 from eppa.coherence import ExtensionMap, coherent_triples
 from eppa.errors import BoundExceededError, EppaError
-from eppa.faithful import (FaithfulCertificate, ValuedPoint, build_valued_extension,
-                           clique_faithful_extension, enumerate_cliques,
+from eppa.faithful import (CLIQUE_MAX_POINTS, FaithfulCertificate, ValuedPoint, _cliques,
+                           build_valued_extension, clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
                            large_sets, projection_is_small,
                            value_permutation, verify_faithful_view)
@@ -488,3 +490,20 @@ class TestCliqueSearch:
                 len(ext.points),
                 lambda c: is_generic([ext.points[i] for i in c], ext.family), cap)
             assert generic_subsets(ext, cap) == expected
+
+    def test_deep_listing_is_refused_by_its_bound_not_the_stack(self):
+        # every point adjacent to every other: a recursive search would go
+        # one frame deeper per clique point and end in RecursionError
+        n = sys.getrecursionlimit() + 100
+        with pytest.raises(BoundExceededError,
+                           match=f"^clique listing passed {CLIQUE_MAX_POINTS} listed points"):
+            _cliques(n, lambda u, v: True, None)
+
+    def test_listing_within_the_bound_is_complete(self, monkeypatch):
+        # K5 has 31 cliques holding 80 points in all
+        k5 = graph(5, list(itertools.combinations(range(5), 2)))
+        monkeypatch.setattr(faithful, "CLIQUE_MAX_POINTS", 80)
+        assert len(enumerate_cliques(k5)) == 31
+        monkeypatch.setattr(faithful, "CLIQUE_MAX_POINTS", 79)
+        with pytest.raises(BoundExceededError, match="after 31 cliques"):
+            enumerate_cliques(k5)
