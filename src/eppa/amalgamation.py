@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoundExceededError, EppaError
+from . import config
+from .errors import EppaError
 from .structures import (Signature, Structure, embeddings, induced_substructure,
                          is_embedding, is_gaifman_clique, subset_sums)
 
@@ -93,8 +94,8 @@ def _classes(signature: Signature, max_size: int,
     points is then a member.  Other universes can lose classes."""
     if max_size < 0:
         raise EppaError(f"size must be >= 0, got size bound {max_size}")
-    if (count := sum(max_size ** arity for _, arity in signature.symbols)) > 20:
-        raise BoundExceededError(f"{count} relation slots; enumeration refused")
+    count = sum(max_size ** arity for _, arity in signature.symbols)
+    config.charge("structure enumeration", count, "relation slots", config.ENUMERATION_MAX_SLOTS)
     parents = [0]  # the one state with no slots
     for size in range(max_size + 1):
         slots = [(i, t) for i, (_, arity) in enumerate(signature.symbols)

@@ -18,7 +18,7 @@ Two realizations sit behind one verified certificate contract:
   symmetry in A) through the vertex, permuted by order-preserving
   completions of the partial maps combined with forced bit flips; for
   graphs it has at most n * 2^(n-1) points.  It refuses only inputs whose
-  orbit or verification cost leaves desk scale.
+  lookup tables, orbit or verification cost pass their bounds in config.
 
 Every certificate is verified before it is returned; realization bugs
 surface as hard errors, never as wrong certificates.
@@ -26,7 +26,6 @@ surface as hard errors, never as wrong certificates.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config
 from .coherence import ExtensionMap, Verdict, closure, verify_coherent_extension
-from .errors import BoundExceededError, VerificationError
+from .errors import VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure, automorphism_group,
                          enumerate_partial_automorphisms, is_embedding, subset_sums)
 
@@ -59,9 +58,7 @@ class PartGroupoid:
     @staticmethod
     def bounded(structure: Structure) -> Structure:
         """`structure`, refused over the point bound, past which no Part(A) is listed."""
-        if structure.size > (bound := config.max_points()):
-            raise BoundExceededError(
-                f"structure a has {structure.size} points, over the bound {bound}")
+        config.charge("structure a", structure.size, "points", config.max_points())
         return structure
 
     def carried_by(self, cert):
@@ -369,12 +366,12 @@ def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int
         name0 = base.signature.symbols[0][0]
         slots = [(name0, ((i, j), (j, i))) for i in range(m) for j in range(i + 1, m)
                  if j >= base.size]
-        most = 16
+        most = config.SEARCH_MAX_GRAPH_SLOTS
     else:
         slots = [(name, (t,)) for name, arity in base.signature.symbols
                  for t in itertools.product(range(m), repeat=arity)
                  if any(x >= base.size for x in t)]
-        most = 14
+        most = config.SEARCH_MAX_SLOTS
     if len(slots) > most:
         return
     # per point and (symbol, position): (count in base, mask of slots adding one)
@@ -426,10 +423,6 @@ def _search_certificate(part: PartGroupoid, max_extra: int) -> BaseEppaCertifica
 # distinct points.  A embeds as (v, theta_v), where theta_v marks the tuples
 # of A that v owns as their first point.  For graphs this is Hrushovski's B:
 # one bit per other vertex, so at most n * 2^(n-1) points.
-
-SCAFFOLD_MAX_POINTS = 200_000  # the orbit is refused beyond this many points
-SCAFFOLD_MAX_COST = 20_000_000  # and when len(Part(A)) x cells of B exceeds this
-SCAFFOLD_MAX_ENTRIES = 4_000_000  # the lookup tables are refused beyond this many entries
 
 
 class _Scaffold:
@@ -518,10 +511,7 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
     distinct = dict.fromkeys(pis.values())
     # each completion's tables hold 2^half + 2^(slots - half) entries per point
     entries = len(distinct) * sum(2 ** sc.half + 2 ** (len(s) - sc.half) for s in sc.slots_of)
-    if entries > SCAFFOLD_MAX_ENTRIES:
-        raise BoundExceededError(
-            f"scaffold lookup tables of {entries} entries are over the bound "
-            f"{SCAFFOLD_MAX_ENTRIES}; the input is too large for the generic realization")
+    config.charge("scaffold lookup table", entries, "entries", config.SCAFFOLD_MAX_ENTRIES)
     completions = {pi: sc.completion(pi) for pi in distinct}
     actions = {p: (pi, sc.action(p, completions[pi][0])) for p, pi in pis.items()}
     points = list(enumerate(sc.theta))
@@ -537,27 +527,20 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
             c = chi ^ flip
             yield w, low[c & mask] | high[c >> half]
 
-    # the orbit is refused at `costly` points, where len(Part(A)) x cells of B
-    # passes the bound; the verifier scans the tuples once per distinct
+    # each sweep reads the growing list of points, one point per round.  A
+    # round is refused when len(Part(A)) x cells of the orbit so far passes
+    # the cost bound; the verifier scans the tuples once per distinct
     # spanning value, not per map, but the bound keeps that unit
-    def cells(size: int) -> int:
-        return sum(size ** arity for _, arity in base.signature.symbols)
-
-    costly = bisect.bisect_right(range(SCAFFOLD_MAX_POINTS + 1), SCAFFOLD_MAX_COST,
-                                 key=lambda size: len(maps) * cells(size))
-    # each sweep reads the growing list of points, one point per round
+    arities = [arity for _, arity in base.signature.symbols]
     sweeps = [images(step) for step in steps.values()]
     for _ in points:
-        if len(points) >= costly:
-            raise BoundExceededError(
-                f"scaffold verification cost {len(maps)} x {cells(len(points))} tuple "
-                "checks is beyond desk scale; the input is too large for the "
-                "generic realization")
+        config.charge("scaffold verification",
+                      len(maps) * sum(len(points) ** arity for arity in arities),
+                      "tuple checks", config.SCAFFOLD_MAX_COST)
         for image in map(next, sweeps):
             if image not in index:
-                if len(index) >= SCAFFOLD_MAX_POINTS:
-                    raise BoundExceededError(
-                        f"scaffold orbit exceeded {SCAFFOLD_MAX_POINTS} points")
+                config.charge("scaffold orbit", len(index) + 1, "points",
+                              config.SCAFFOLD_MAX_POINTS)
                 index[image] = len(points)
                 points.append(image)
 

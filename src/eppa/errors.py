@@ -6,7 +6,7 @@ class EppaError(Exception):
 
 
 class BoundExceededError(EppaError):
-    """A configured resource bound (structure size, valuation count) was hit."""
+    """A resource bound of `config` was passed; raised by `config.charge` only."""
 
 
 class VerificationError(EppaError):

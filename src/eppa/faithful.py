@@ -26,9 +26,9 @@ from .base_extension import (BaseEppaCertificate, PartGroupoid, base_eppa,
                              verify_base_certificate)
 from .coherence import (ExtensionMap, PermutationGroup, Verdict, mask_points,
                         verify_coherent_extension)
-from .errors import BoundExceededError, EppaError, VerificationError
+from .errors import EppaError, VerificationError
 from .structures import (PartialAutomorphism, Permutation, Structure,
-                         automorphism_group, gaifman_graph, is_automorphism,
+                         automorphism_group, gaifman_masks, is_automorphism,
                          is_embedding, is_gaifman_clique)
 
 
@@ -136,12 +136,8 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
     always a point of C: Aut(B) holds the identity, so no large set lies
     inside the inner copy, and nu(a)'s value on u, at most the number of
     inner points in u, stays below |u|."""
-    bound = config.max_valued_points()
-    count = valuation_count(extension, family)
-    if count > bound:
-        raise BoundExceededError(
-            f"valued extension would have {count} points (bound {bound}); "
-            "pass a smaller size_cap")
+    config.charge("valued extension C", valuation_count(extension, family), "points",
+                  config.max_valued_points())
 
     points = [ValuedPoint(owner=b, values=values)
               for b in range(extension.size)
@@ -151,22 +147,21 @@ def build_valued_extension(extension: Structure, embedding: Sequence[int],
     for i, pt in enumerate(points):
         over[pt.owner].append(i)
 
+    # each B-tuple's combinations of points over it, all counted before any is built
+    combinations = sum(math.prod(len(over[b]) for b in t)
+                       for t in itertools.chain.from_iterable(extension.relations))
+    config.charge("relation materialization of C", combinations, "tuple combinations",
+                  config.VALUED_MAX_COMBINATIONS)
     inner = set(embedding)
     nu_points = [index[ValuedPoint(owner=b, values=tuple(
         [x for x in mask_points(u) if x in inner].index(b) + 1 if u >> b & 1 else 0
         for u in family.sets))] for b in embedding]
 
     rels: dict[str, list[tuple[int, ...]]] = {}
-    budget = 2_000_000
-    produced = 0
     for name, arity in extension.signature.symbols:
         tuples = set()
         for t in extension.tuples(name):
-            pools = [over[b] for b in t]
-            produced += math.prod(map(len, pools))
-            if produced > budget:
-                raise BoundExceededError("relation materialization of C too large")
-            for combo in itertools.product(*pools):
+            for combo in itertools.product(*(over[b] for b in t)):
                 chosen = sorted(set(combo))
                 if is_generic([points[i] for i in chosen], family):
                     tuples.add(combo)
@@ -212,16 +207,13 @@ def hat_extend(valued_pairs: Sequence[tuple[ValuedPoint, ValuedPoint]],
     return Permutation(tuple(images))
 
 
-CLIQUE_MAX_POINTS = 1_000_000  # a clique listing is refused past this many listed points
-
-
 def _cliques(n: int, adjacent: Callable[[int, int], bool],
              max_size: int | None) -> list[tuple[int, ...]]:
     """Nonempty sets of pairwise adjacent points of range(n), at most
     `max_size` of them (no bound for None), in lexicographic order: a
     depth-first search on an explicit stack that extends a set only by
     later points adjacent to all of its members.  Refused once the listed
-    sets hold more than CLIQUE_MAX_POINTS points in all."""
+    sets hold more than config.CLIQUE_MAX_POINTS points in all."""
     cap = n if max_size is None else max_size
     out: list[tuple[int, ...]] = []
     listed = 0
@@ -234,10 +226,7 @@ def _cliques(n: int, adjacent: Callable[[int, int], bool],
         clique = current + (v,)
         out.append(clique)
         listed += len(clique)
-        if listed > CLIQUE_MAX_POINTS:
-            raise BoundExceededError(
-                f"clique listing passed {CLIQUE_MAX_POINTS} listed points after "
-                f"{len(out)} cliques")
+        config.charge("clique listing", listed, "listed points", config.CLIQUE_MAX_POINTS)
         stack += [(current, candidates, i + 1),
                   (clique, [w for w in candidates[i + 1:] if adjacent(v, w)], 0)]
     return out
@@ -247,8 +236,8 @@ def enumerate_cliques(structure: Structure, max_size: int | None = None) -> list
     """All nonempty Gaifman cliques up to the size bound, lexicographically."""
     if max_size is not None and max_size < 0:
         raise EppaError(f"clique size bound must be >= 0, got {max_size}")
-    edges = gaifman_graph(structure).tuple_set("E")
-    return _cliques(structure.size, lambda u, v: (u, v) in edges, max_size)
+    masks = gaifman_masks(structure)
+    return _cliques(structure.size, lambda u, v: masks[u] >> v & 1, max_size)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from functools import cached_property
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .config import DEFAULT_AUT_DEGREE_BOUND
-from .errors import BoundExceededError, EppaError
+from . import config
+from .errors import EppaError
 
 
 @dataclass(frozen=True)
@@ -667,23 +667,31 @@ def _keeps(h: dict[int, int], through: list, inside: int) -> bool:
 
 
 def automorphism_group(structure: Structure,
-                       degree_bound: int = DEFAULT_AUT_DEGREE_BOUND):
+                       degree_bound: int = config.DEFAULT_AUT_DEGREE_BOUND):
     """Materialized Aut(A), elements in lexicographic order; refuses degrees
     above the bound."""
     from .coherence import PermutationGroup  # cycle: groups live with coherence
 
-    if structure.size > degree_bound:
-        raise BoundExceededError(
-            f"automorphism search on {structure.size} points exceeds bound {degree_bound}")
+    config.charge("automorphism search", structure.size, "points", degree_bound)
     elements = tuple(Permutation(g) for g in embeddings(structure, structure))
     return PermutationGroup(degree=structure.size, elements=elements)
 
 
+def gaifman_masks(structure: Structure) -> list[int]:
+    """Per point, the bitmask of its Gaifman neighbours: the other points
+    that share a satisfied tuple with it."""
+    masks = [0] * structure.size
+    for t in itertools.chain.from_iterable(structure.relations):
+        joint = _bits(t)
+        for x in t:
+            masks[x] |= joint
+    return [mask & ~(1 << x) for x, mask in enumerate(masks)]
+
+
 def gaifman_graph(structure: Structure) -> Structure:
     """Co-occurrence graph: distinct points adjacent iff they share a satisfied tuple."""
-    edges = {pair for t in itertools.chain.from_iterable(structure.relations)
-             for pair in itertools.combinations(sorted(set(t)), 2)}
-    return graph(structure.size, edges)
+    return graph(structure.size, [(x, y) for x, mask in enumerate(gaifman_masks(structure))
+                                  for y in range(x + 1, structure.size) if mask >> y & 1])
 
 
 def is_gaifman_clique(structure: Structure, points: Iterable[int] | None = None) -> bool:
@@ -692,5 +700,5 @@ def is_gaifman_clique(structure: Structure, points: Iterable[int] | None = None)
     for x in pts:
         if not 0 <= x < structure.size:
             raise EppaError(f"point {x} outside universe")
-    edges = gaifman_graph(structure).tuple_set("E")
-    return all((u, v) in edges for u, v in itertools.combinations(pts, 2))
+    masks = gaifman_masks(structure)
+    return all(masks[u] >> v & 1 for u, v in itertools.combinations(pts, 2))

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from eppa import base_extension, coherence
+from eppa import base_extension, coherence, config
 from eppa.base_extension import (BaseEppaCertificate, PartGroupoid, _extension_candidates,
                                  _cayley, _first_homomorphism,
                                  _search_certificate, base_eppa, coherent_assignment,
@@ -122,7 +122,8 @@ class TestBaseEppa:
                  for mask in range(1 << n)}
         cert = BaseEppaCertificate(base=a, extension=a,
                                    phi=ExtensionMap(n, n, ident.images, table))
-        with pytest.raises(BoundExceededError, match="has 13 points"):
+        with pytest.raises(BoundExceededError,
+                           match="^structure a needs 13 points, over the bound 12$"):
             verify_base_certificate(cert)
 
     def test_a_table_that_fails_verification_raises(self, k2, monkeypatch):
@@ -319,10 +320,13 @@ class TestScaffold:
         self.scaffold(SCAFFOLD_INPUTS["H (0,0,1)"])
 
     def test_ternary_on_three_points_exceeds_cost_bound(self):
-        # 96 points: 29 maps x 96^3 cells is over the verification-cost bound
+        # its orbit grows towards 96 points, and is refused on reaching 89:
+        # 29 maps x 89^3 cells is over the verification-cost bound
         sig = Signature.make(("H", 3))
         hyper = Structure.make(sig, 3, {"H": [(0, 1, 2)]})
-        with pytest.raises(BoundExceededError, match="verification cost"):
+        assert 29 * 89 ** 3 == 20444101
+        with pytest.raises(BoundExceededError, match="^scaffold verification needs 20444101 "
+                                                     "tuple checks, over the bound 20000000$"):
             scaffold_certificate(part(hyper))
 
     def test_agrees_with_search_on_trivial_inputs(self):
@@ -382,11 +386,11 @@ class TestScaffold:
 
     def test_table_bound_counts_entries_per_completion_and_point(self, monkeypatch):
         # the paw: 9 completions x 4 points x (2^1 + 2^2) entries, 3 slots per point
-        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 216)
+        monkeypatch.setattr(config, "SCAFFOLD_MAX_ENTRIES", 216)
         assert verify_base_certificate(scaffold_certificate(part(PAW)))
-        monkeypatch.setattr(base_extension, "SCAFFOLD_MAX_ENTRIES", 215)
+        monkeypatch.setattr(config, "SCAFFOLD_MAX_ENTRIES", 215)
         with pytest.raises(BoundExceededError,
-                           match="tables of 216 entries are over the bound 215"):
+                           match="^scaffold lookup table needs 216 entries, over the bound 215$"):
             scaffold_certificate(part(PAW))
 
     def test_chain_stage_over_the_table_bound_is_refused_before_any_table(self, monkeypatch):
@@ -402,7 +406,8 @@ class TestScaffold:
             raise AssertionError("a completion's tables were built")
         monkeypatch.setattr(base_extension._Scaffold, "completion", completion)
         with pytest.raises(BoundExceededError,
-                           match="^scaffold lookup tables of 19632879625568256 "):
+                           match="^scaffold lookup table needs 19632879625568256 entries, "
+                                 "over the bound 4000000$"):
             base_eppa(stage)
 
 

@@ -64,7 +64,7 @@ class TestBuildChain:
         # stage takes as an input over the default bound of 12 points
         with pytest.raises(BoundExceededError) as refused:
             build_dlf_chain([], 2, PAW)
-        assert str(refused.value) == "structure a has 32 points, over the bound 12"
+        assert str(refused.value) == "structure a needs 32 points, over the bound 12"
 
     @pytest.mark.parametrize("forbidden,stages,seed,digest", CHAIN_DIGESTS)
     def test_pinned_digest(self, forbidden, stages, seed, digest):

@@ -94,15 +94,16 @@ class TestExtendVerify:
         assert main(["dlf", "--stages", "2", "--seed", str(seed), "--out", str(out)]) == 3
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err
-        assert err.startswith("resource bound: scaffold lookup tables of ")
-        assert "over the bound 4000000" in err
+        assert err.startswith("resource bound: scaffold lookup table needs ")
+        assert "entries, over the bound 4000000" in err
         assert not out.exists()
 
     def test_scaffold_is_refused_on_cost_as_its_orbit_grows(self, tmp_path, capsys):
         # the directed path on 7 points has 2,237 partial automorphisms, so
         # verifying an extension of 95 or more points costs over 20M tuple
-        # checks; the refusal comes at about that size, not after the orbit
-        # of several thousand points is complete (11 s)
+        # checks; the refusal comes at about that size (the round that starts
+        # with 104 points), not after the orbit of several thousand points is
+        # complete (11 s)
         sig = Signature.make(("E", 2))
         path = tmp_path / "dp7.struct"
         path.write_text(emit_structure(
@@ -113,8 +114,9 @@ class TestExtendVerify:
                      "--out", str(tmp_path / "cert.txt")]) == 3
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
-        assert err.startswith("resource bound: scaffold verification cost 2237 x ")
-        assert "beyond desk scale" in err
+        assert err == ("resource bound: scaffold verification needs 24195392 tuple checks, "
+                       "over the bound 20000000\n")
+        assert 2237 * 104 ** 2 == 24195392
         assert elapsed < 3.0
 
     @pytest.mark.parametrize("variable, mode", [("EPPA_MAX_POINTS", "base"),

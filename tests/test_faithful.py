@@ -1,15 +1,16 @@
 import dataclasses
 import itertools
+import math
 import sys
 
 import pytest
 
-from eppa import faithful
+from eppa import config, faithful
 from eppa.base_extension import (BaseEppaCertificate, base_eppa,
                                   verify_base_certificate)
 from eppa.coherence import ExtensionMap, coherent_triples
 from eppa.errors import BoundExceededError, EppaError
-from eppa.faithful import (CLIQUE_MAX_POINTS, FaithfulCertificate, ValuedPoint, _cliques,
+from eppa.faithful import (FaithfulCertificate, ValuedPoint, _cliques,
                            build_valued_extension, clique_faithful_extension, enumerate_cliques,
                            forb_e_eppa, generic_subsets, hat_extend, is_generic,
                            large_sets, projection_is_small,
@@ -168,6 +169,26 @@ class TestBuildValuedExtension:
         ext = build_valued_extension(cert.extension, cert.embedding, family)
         assert expected == 0
         assert ext.structure.size == expected
+
+    def test_relation_budget_is_charged_before_any_tuple(self, path3, monkeypatch):
+        # the budget counts, over every tuple of B, the combinations of the
+        # points over its entries, and the whole sum is charged first
+        cert = base_eppa(path3)
+        family = large_sets(cert.extension, cert.embedding)
+        owners = [pt.owner for pt in
+                  build_valued_extension(cert.extension, cert.embedding, family).points]
+        total = sum(math.prod(map(owners.count, t)) for t in cert.extension.tuples("E"))
+        monkeypatch.setattr(config, "VALUED_MAX_COMBINATIONS", total)
+        build_valued_extension(cert.extension, cert.embedding, family)
+
+        def built(points, family):
+            raise AssertionError("a tuple of C was built")
+        monkeypatch.setattr(config, "VALUED_MAX_COMBINATIONS", total - 1)
+        monkeypatch.setattr(faithful, "is_generic", built)
+        with pytest.raises(BoundExceededError) as refused:
+            build_valued_extension(cert.extension, cert.embedding, family)
+        assert str(refused.value) == (f"relation materialization of C needs {total} "
+                                      f"tuple combinations, over the bound {total - 1}")
 
     def test_nu_is_generic_embedding(self, path3):
         fc = clique_faithful_extension(path3)
@@ -401,7 +422,8 @@ class TestForbE:
         cert = FaithfulCertificate(
             base=a, base_extension=a, structure=a, base_embedding=ident.images,
             phi=ExtensionMap(n, n, ident.images, {"-": ident}), clique_witnesses={})
-        with pytest.raises(BoundExceededError, match="has 13 points"):
+        with pytest.raises(BoundExceededError,
+                           match="^structure a needs 13 points, over the bound 12$"):
             verify_faithful_view(cert)
 
     def test_forbidden_edge_gives_edgeless_extension(self, k2):
@@ -495,15 +517,16 @@ class TestCliqueSearch:
         # every point adjacent to every other: a recursive search would go
         # one frame deeper per clique point and end in RecursionError
         n = sys.getrecursionlimit() + 100
-        with pytest.raises(BoundExceededError,
-                           match=f"^clique listing passed {CLIQUE_MAX_POINTS} listed points"):
+        with pytest.raises(BoundExceededError, match="^clique listing needs [0-9]+ listed points, "
+                                                     f"over the bound {config.CLIQUE_MAX_POINTS}$"):
             _cliques(n, lambda u, v: True, None)
 
     def test_listing_within_the_bound_is_complete(self, monkeypatch):
-        # K5 has 31 cliques holding 80 points in all
+        # K5 has 31 cliques holding 80 points in all; the 31st passes 79
         k5 = graph(5, list(itertools.combinations(range(5), 2)))
-        monkeypatch.setattr(faithful, "CLIQUE_MAX_POINTS", 80)
+        monkeypatch.setattr(config, "CLIQUE_MAX_POINTS", 80)
         assert len(enumerate_cliques(k5)) == 31
-        monkeypatch.setattr(faithful, "CLIQUE_MAX_POINTS", 79)
-        with pytest.raises(BoundExceededError, match="after 31 cliques"):
+        monkeypatch.setattr(config, "CLIQUE_MAX_POINTS", 79)
+        with pytest.raises(BoundExceededError,
+                           match="^clique listing needs 80 listed points, over the bound 79$"):
             enumerate_cliques(k5)
