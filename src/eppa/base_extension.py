@@ -269,7 +269,7 @@ def coherent_assignment(part: PartGroupoid, candidate: Structure,
     extends it.  The search's candidates have passed its only filter, on
     tuple counts, already (_extension_candidates)."""
     emb = tuple(embedding)
-    aut = automorphism_group(candidate, degree_bound=max(candidate.size, 1))
+    aut = automorphism_group(candidate, degree_bound=config.SEARCH_TARGET_SIZE)
 
     def extends(p: PartialAutomorphism, g: Permutation) -> bool:
         return all(g.images[emb[x]] == emb[y] for x, y in p.pairs)

@@ -119,6 +119,14 @@ def _cmd_dlf(args) -> int:
 
 
 def _cmd_minforb(args) -> int:
+    """The minimal forbidden structures of Forb_e(F) on at most --max points,
+    swept only over U: the structures that embed in a member q of F with
+    |q| <= --max.  That loses none.  Let s be minimal forbidden: some q in F
+    embeds in s, and if the embedding missed a point v, q would embed in
+    s - v, a member; so the embedding is onto, s is isomorphic to q, and s
+    is in U.  U is hereditary and closed under isomorphism, so `_classes`
+    reaches every class in U, in the order and with the representatives it
+    gives without a universe: the output is the unrestricted sweep's."""
     forbidden = _load_forbidden(args.forbid)
     if not forbidden:
         print("--class-forbid requires at least one structure", file=sys.stderr)
@@ -128,8 +136,9 @@ def _cmd_minforb(args) -> int:
         if q.signature != signature:
             print("forbidden structures must share a signature", file=sys.stderr)
             return EXIT_ERROR
-    found = minimal_forbidden(lambda s: forb_e_member(s, forbidden),
-                              args.max, signature)
+    small = [q for q in forbidden if q.size <= args.max]
+    found = minimal_forbidden(lambda s: forb_e_member(s, forbidden), args.max, signature,
+                              lambda s: any(exists_embedding(s, q) is not None for q in small))
     for i, structure in enumerate(found):
         sys.stdout.write(emit_structure(structure, f"minforb{i}"))
     return EXIT_OK

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -8,18 +9,35 @@ from pathlib import Path
 import pytest
 
 import eppa
+from eppa import cli
+from eppa.amalgamation import canonical_form, forb_e_member, minimal_forbidden
 from eppa.base_extension import BaseEppaCertificate, base_eppa
 from eppa.cli import build_parser, main
 from eppa.coherence import ExtensionMap
 from eppa.faithful import clique_faithful_extension
 from eppa.quotient import special_extension
-from eppa.structures import (PartialAutomorphism, Permutation, Signature, Structure,
-                             graph)
+from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation, Signature,
+                             Structure, graph)
 from eppa.textio import emit_certificate, emit_structure
 
 K2 = graph(2, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph(3, [(0, 1), (1, 2)])
+K4 = graph(4, itertools.combinations(range(4), 2))
+C4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+MINFORB_FAMILIES = {
+    "K3": [K3],
+    "K3,K4": [K3, K4],
+    "C4": [C4],
+    "P3": [PATH3],
+    "K3,C4,P3": [K3, C4, PATH3],
+    "loop,arc": [Structure.make(GRAPH_SIGNATURE, 1, {"E": {(0, 0)}}),
+                 Structure.make(GRAPH_SIGNATURE, 2, {"E": {(0, 1)}})],
+    "K4": [K4],
+    "2K1": [graph(2, [])],
+    "K5": [graph(5, itertools.combinations(range(5), 2))],
+    "empty": [graph(0, [])],
+}
 STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify"
 
 
@@ -271,7 +289,6 @@ class TestOtherVerbs:
     def test_minforb_reproduces_forbidder(self, files, capsys):
         assert main(["minforb", "--class-forbid", files["k3"], "--max", "3"]) == 0
         text = capsys.readouterr().out
-        from eppa.amalgamation import canonical_form
         from eppa.textio import parse_structure
         blocks = text.strip().split("end")
         structures = [parse_structure(b + "end\n") for b in blocks if b.strip()]
@@ -287,6 +304,39 @@ class TestOtherVerbs:
         assert captured.out == ""
         assert "25 relation slots" in captured.err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("family", list(MINFORB_FAMILIES))
+    def test_minforb_prints_the_unrestricted_sweep(self, tmp_path, capsys, family, n):
+        """The verb sweeps only structures that embed in a member of F; it
+        prints what the sweep over every structure finds."""
+        forbidden = MINFORB_FAMILIES[family]
+        paths = []
+        for i, q in enumerate(forbidden):
+            paths.append(tmp_path / f"q{i}.struct")
+            paths[-1].write_text(emit_structure(q, f"q{i}"), encoding="utf-8")
+        expected = "".join(emit_structure(s, f"minforb{i}") for i, s in enumerate(
+            minimal_forbidden(lambda s: forb_e_member(s, forbidden), n, GRAPH_SIGNATURE)))
+        assert main(["minforb", "--class-forbid", ",".join(map(str, paths)),
+                     "--max", str(n)]) == 0
+        assert capsys.readouterr().out == expected
+        # nothing is found exactly when every member of F is over the bound, as K5 is
+        assert bool(expected) == any(q.size <= n for q in forbidden)
+
+    def test_minforb_tests_only_the_forbidders_substructures(self, files, capsys,
+                                                            monkeypatch):
+        # K3 at --max 4: the classes of the empty graph, K1, K2 and K3, each
+        # tested once and K3's three deletions once more (the sweep over
+        # every structure on at most 4 points tests 3,250)
+        calls = []
+
+        def counted(structure, forbidden):
+            calls.append(structure)
+            return forb_e_member(structure, forbidden)
+        monkeypatch.setattr(cli, "forb_e_member", counted)
+        assert main(["minforb", "--class-forbid", files["k3"], "--max", "4"]) == 0
+        assert capsys.readouterr().out == emit_structure(canonical_form(K3), "minforb0")
+        assert len(calls) <= 10
 
     def test_console_entry_point(self, files, tmp_path):
         out = tmp_path / "cert.txt"
