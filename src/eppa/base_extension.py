@@ -97,21 +97,6 @@ class PartGroupoid:
         return components
 
     @cached_property
-    def _trees(self) -> dict[frozenset[int], dict]:
-        """The tree of forest that reaches each domain."""
-        return {t: tree for _, tree in self.forest for t in tree}
-
-    def factors(self, p: PartialAutomorphism) -> tuple[PartialAutomorphism, ...]:
-        """(tree(t), g(p), tree(s)) for a map p: s -> t, where g(p) =
-        tree(t)^-1 o p o tree(s) is in the vertex group of the root r of
-        p's component, so that p = tree(t) o g(p) o tree(s)^-1."""
-        tree = self._trees[p.domain()]
-        tree_s, tree_t, m = tree[p.domain()], tree[p.image()], p.as_dict()
-        back = {y: x for x, y in tree_t.pairs}
-        return tree_t, PartialAutomorphism._unchecked(
-            tuple([(x, back[m[y]]) for x, y in tree_s.pairs])), tree_s
-
-    @cached_property
     def cayley(self) -> list[tuple[int, list[int], list[list[int]]]]:
         """Per component, in the order of forest, the vertex group's
         generators and their right-multiplication table (_cayley)."""
@@ -123,15 +108,15 @@ class PartGroupoid:
         return {(x, y) for p in self.maps for x, y in p.pairs if x != y}
 
     def spanning_maps(self) -> list[PartialAutomorphism]:
-        """Per component, its vertex group and then its tree maps: the maps
-        whose values verify_coherent_extension checks to be automorphisms."""
-        return [p for group, tree in self.forest for p in (*group, *tree.values())]
+        """Per component, its vertex group and then its tree maps but the root's
+        identity, each map once: those verify_coherent_extension checks."""
+        return [p for group, tree in self.forest for p in group + list(tree.values())[1:]]
 
     def functor(self, values: Mapping[PartialAutomorphism, Permutation]) -> dict[str, Permutation]:
         """The table, by encoding, of the functor on Part(A) with `values` on
         spanning_maps(), the identity at each root: phi(p: s -> t) = value(T_t)
-        value(g(p)) value(T_s)^-1, g(p) = T_t^-1 o p o T_s (factors) looked up
-        by its pairs.  A functor is fixed by these (spanning_triples)."""
+        value(g(p)) value(T_s)^-1, g(p) = T_t^-1 o p o T_s looked up by its
+        pairs in the root's group.  A functor is fixed by these (spanning_triples)."""
         table: dict[str, Permutation] = {}
         for group, tree in self.forest:
             at = {g.pairs: values[g] for g in group}
@@ -231,15 +216,14 @@ class BaseEppaCertificate:
 
 
 def verify_base_certificate(cert: BaseEppaCertificate) -> Verdict:
-    """Full re-check: embedding, then the table over Part(A): automorphisms,
-    extension and coherence, decided on the spanning maps and triples, a
-    failure named at the first failing one (verify_coherent_extension).
-    Coherence over Part(A) forces phi(id_D) = id and phi(p^-1) =
-    phi(p)^-1, so they need no check of their own.  phi then embeds Aut(A)
-    as a group: coherence makes it a homomorphism there, and two distinct
-    automorphisms of A differ at some x, so their extensions differ at the
-    embedded image of x.  Part(A) is the certificate's `part`, read before
-    any check, so A over the point bound raises BoundExceededError."""
+    """Full re-check: embedding, then the table over Part(A) in the one
+    sequence of verify_coherent_extension.  Coherence over Part(A) forces
+    phi(id_D) = id and phi(p^-1) = phi(p)^-1, so they need no check of
+    their own.  phi then embeds Aut(A) as a group: coherence makes it a
+    homomorphism there, and two distinct automorphisms of A differ at some
+    x, so their extensions differ at the embedded image of x.  Part(A) is
+    the certificate's `part`, read before any check, so A over the point
+    bound, or a Part(A) over the map bound, raises BoundExceededError."""
     part = cert.part
     if not is_embedding(cert.embedding, cert.base, cert.extension):
         return Verdict.failed("embedding", "A is not induced in B along the embedding")
@@ -360,20 +344,22 @@ def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int
     one per slot.  The filter is exact: an automorphism keeps each point's
     counts, so a map that moves x to y has no extender, and
     coherent_assignment would return None.  With no pairs in `moved`,
-    every state is built."""
-    m = base.size + extra
+    every state is built.  Tuple slots past the search's gate are counted,
+    not listed, and with no fresh point none is listed: listing walks all
+    m^arity tuples of each symbol."""
+    n, m = base.size, base.size + extra
     if base.is_graphlike():
         name0 = base.signature.symbols[0][0]
         slots = [(name0, ((i, j), (j, i))) for i in range(m) for j in range(i + 1, m)
-                 if j >= base.size]
-        most = config.SEARCH_MAX_GRAPH_SLOTS
+                 if j >= n]
+        if len(slots) > config.SEARCH_MAX_GRAPH_SLOTS:
+            return
+    elif sum(m ** a - n ** a for _, a in base.signature.symbols) > config.SEARCH_MAX_SLOTS:
+        return
     else:
         slots = [(name, (t,)) for name, arity in base.signature.symbols
                  for t in itertools.product(range(m), repeat=arity)
-                 if any(x >= base.size for x in t)]
-        most = config.SEARCH_MAX_SLOTS
-    if len(slots) > most:
-        return
+                 if any(x >= n for x in t)] if extra else []
     # per point and (symbol, position): (count in base, mask of slots adding one)
     counts = [[(sum(t[i] == x for t in tuples),
                 sum(1 << k for k, (slot_name, added) in enumerate(slots)
@@ -506,6 +492,13 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
     the products of fibre halves, split by their bit at the slot, whose
     bits XOR to 1."""
     base, maps = part.structure, part.maps
+    arities = [arity for _, arity in base.signature.symbols]
+
+    def verification(size: int) -> None:
+        config.charge("scaffold verification", len(maps) * sum(size ** a for a in arities),
+                      "tuple checks", config.SCAFFOLD_MAX_COST)
+
+    verification(base.size)  # the first round's, before _Scaffold lists n^arity tuples
     sc = _Scaffold(base)
     pis = {p: p.order_completion(sc.n) for p in part.spanning_maps()}
     distinct = dict.fromkeys(pis.values())
@@ -529,20 +522,18 @@ def scaffold_certificate(part: PartGroupoid) -> BaseEppaCertificate:
 
     # each sweep reads the growing list of points, one point per round.  A
     # round is refused when len(Part(A)) x cells of the orbit so far passes
-    # the cost bound; the verifier scans the tuples once per distinct
-    # spanning value, not per map, but the bound keeps that unit
-    arities = [arity for _, arity in base.signature.symbols]
+    # the cost bound, charged for the first round above and for each next
+    # one at the end of its predecessor; the verifier scans the tuples once
+    # per distinct spanning value, not per map, but the bound keeps that unit
     sweeps = [images(step) for step in steps.values()]
     for _ in points:
-        config.charge("scaffold verification",
-                      len(maps) * sum(len(points) ** arity for arity in arities),
-                      "tuple checks", config.SCAFFOLD_MAX_COST)
         for image in map(next, sweeps):
             if image not in index:
                 config.charge("scaffold orbit", len(index) + 1, "points",
                               config.SCAFFOLD_MAX_POINTS)
                 index[image] = len(points)
                 points.append(image)
+        verification(len(points))
 
     size = len(points)
     over = [[] for _ in range(base.size)]

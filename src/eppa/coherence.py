@@ -175,43 +175,34 @@ def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
                               triples: Sequence[tuple[PartialAutomorphism, ...]] | None = None
                               ) -> Verdict:
     """The checks every certificate makes of its phi table, in this order:
-    its keys are exactly the encodings of the maps, each phi(p) is an
-    automorphism of `structure`, phi(p) extends p, and phi is coherent.
-    The verdict names the first check that fails, and a failed automorphism
-    check names the first listed map whose value fails it.  Each distinct
-    permutation is checked at most once per call.
+    its keys are exactly the encodings of the maps, phi(p) extends p for
+    every map, the checked maps' values are automorphisms of `structure`,
+    and phi is coherent on the checked triples.  The verdict names the
+    first check that fails: an extension or automorphism failure at the
+    first map whose value fails it, in list order, a coherence failure at
+    the first failing triple.  Each list is taken only once the checks
+    before it pass, and each distinct permutation is checked to be an
+    automorphism at most once per call.
 
-    One sequence decides them: extension over every map, automorphisms on
-    the checked maps, then coherence on the triples, each list taken only
-    once the checks before it pass.  With `triples`, `maps` is a list P,
-    and P and `triples` are checked.  Otherwise `maps` is Part(A) as a
-    base_extension.PartGroupoid, and its spanning maps (each root's vertex
-    group G(r) and each tree map T_t) and spanning triples are checked; the
-    vertex group's are (a, s, a o s) for a in G(r) and s among its
-    generators.  When these pass, every check passes.  Proof.  The triple
-    (e, s, s) forces phi(e) = id, and every element of G(r) is a positive
-    word w in the generators, so phi(a w) = phi(a) phi(w) by induction on
-    the length of w: phi is a homomorphism on G(r).  Coherence on all of
-    coherent_triples follows from that and the tree triples
-    (PartGroupoid.spanning_triples).  A map p: s -> t with g(p) = T_t^-1 o
-    p o T_s in G(r) has phi(p) = phi(T_t) phi(g(p)) phi(T_s)^-1, which the
-    spanning triples force, so phi(p) is a product of checked automorphisms
-    and their inverses.
-
-    When a check fails, the automorphisms of every map are decided in map
-    order, so a failing one is named at its first map; else the failed
-    check stands, coherence at the first failing checked triple.  Over
-    Part(A) the spanning values are checked first; any other value equal
-    to phi(T_t) phi(g(p)) phi(T_s)^-1 (PartGroupoid.factors), each factor
-    a known automorphism, is a product of automorphisms and needs no check.
-    Only the values left are checked, in map order, so each check of a
-    reject is one an accept makes or one on a value no product covers: 12
-    on the stored 256-point paw certificate with one non-spanning entry
-    replaced by another map's value, not one for each of its 33 values.
-    A reject lists no more triples than an accept."""
-    part = maps if triples is None else None
-    if part is not None:
-        checked, listed, maps = part.spanning_maps, part.spanning_triples, part.maps
+    With `triples`, `maps` is a list P, and all of P and `triples` are
+    checked.  Otherwise `maps` is Part(A) as a base_extension.PartGroupoid,
+    and its spanning maps (each root's vertex group G(r) and each tree map
+    T_t, t != r) and spanning triples are checked; the vertex group's are
+    (a, s, a o s) for a in G(r) and s among its generators.  When these
+    pass, every check passes.  Proof.  The triple (e, s, s) forces phi(e) =
+    id, and every element of G(r) is a positive word w in the generators, so
+    phi(a w) = phi(a) phi(w) by induction on the length of w: phi is a
+    homomorphism on G(r).  Coherence on all of coherent_triples follows from
+    that and the tree triples (PartGroupoid.spanning_triples).  A map p: s
+    -> t with g(p) = T_t^-1 o p o T_s in G(r) has phi(p) = phi(T_t)
+    phi(g(p)) phi(T_s)^-1, which the spanning triples force, so phi(p) is a
+    product of checked automorphisms and their inverses.  So a table is
+    accepted exactly when every value is an extending automorphism and every
+    coherent triple holds.  A reject checks no automorphism an accept does
+    not: a value off the spanning maps that is no automorphism but extends
+    its map fails coherence, at the first spanning triple through it."""
+    if triples is None:  # `maps` is Part(A) as a groupoid
+        checked, listed, maps = maps.spanning_maps, maps.spanning_triples, maps.maps
     else:
         checked, listed = (lambda: maps), (lambda: triples)
     keys = {p.encode() for p in maps}
@@ -221,31 +212,20 @@ def verify_coherent_extension(phi: ExtensionMap, maps, structure: Structure, *,
     extra = sorted(phi.table.keys() - keys)
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
-    known: dict[Permutation, bool] = {}
 
-    def product(p: PartialAutomorphism, g: Permutation) -> bool:
-        """Is g phi(T_t) phi(g(p)) phi(T_s)^-1, each factor a known automorphism?"""
-        tree_t, h, tree_s = map(phi.lookup, part.factors(p))
-        return (all(map(known.get, (tree_t, h, tree_s)))
-                and tuple(map(g.images.__getitem__, tree_s.images))
-                == tuple(map(tree_t.images.__getitem__, h.images)))
-
-    def automorphisms(ps: Iterable[PartialAutomorphism], factored: bool = False) -> Verdict:
+    def automorphisms(ps: Iterable[PartialAutomorphism]) -> Verdict:
+        known: set[Permutation] = set()
         for p in ps:
             g = phi.lookup(p)
-            ok = known.get(g)
-            if ok is None:
-                ok = known[g] = (factored and product(p, g)) or is_automorphism(g.images, structure)
-            if not ok:
-                return Verdict.failed("automorphism",
-                                      f"phi({p.encode()}) is not an automorphism")
+            if g not in known:
+                if not is_automorphism(g.images, structure):
+                    return Verdict.failed("automorphism",
+                                          f"phi({p.encode()}) is not an automorphism")
+                known.add(g)
         return Verdict.passed()
 
-    verdict = (verify_extension(phi, maps) and automorphisms(checked())
-               and verify_coherence(phi, maps, triples=listed()))
-    if not verdict and part is not None:
-        automorphisms(checked())  # the spanning values first, each checked
-    return verdict or (automorphisms(maps, part is not None) and verdict)
+    return (verify_extension(phi, maps) and automorphisms(checked())
+            and verify_coherence(phi, maps, triples=listed()))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import os
 from .errors import BoundExceededError, EppaError
 
 DEFAULT_MAX_POINTS = 12            # points of a structure whose Part(A) is listed
+PART_MAX_MAPS = 500_000            # maps of Part(A), counted as they are listed
 DEFAULT_MAX_VALUED_POINTS = 20000  # points of the valued extension C
 DEFAULT_AUT_DEGREE_BOUND = 10      # points of a structure whose Aut is searched
 VALUED_MAX_COMBINATIONS = 2_000_000  # candidate tuples of C, over all tuples of B

@@ -298,7 +298,7 @@ def clique_faithful_extension(base: Structure,
 
     nu = [extension.points[i] for i in extension.nu]
     lifts = {p: hat_extend([(nu[x], nu[y]) for x, y in p.pairs], base_cert.phi.lookup(p),
-                           extension) for p in dict.fromkeys(part.spanning_maps())}
+                           extension) for p in part.spanning_maps()}
     phi = ExtensionMap(domain_universe=base.size,
                        codomain_universe=extension.structure.size,
                        embedding=extension.nu, table=part.functor(lifts))
@@ -324,13 +324,12 @@ def clique_faithful_extension(base: Structure,
 
 def verify_faithful_view(cert: FaithfulCertificate) -> Verdict:
     """Verify a faithful certificate from its contents alone: both
-    embeddings, the table over Part(A) (automorphisms, extension, and
-    coherence, decided on the spanning maps and triples, a failure named
-    at the first failing one, as in verify_coherent_extension; this forces
-    phi(id_D) = id and phi(p^-1) = phi(p)^-1), a witness for every clique,
-    and freeness from the forbidden family.  Each distinct witness
-    permutation is checked to be an automorphism once, at its first clique.
-    Part(A) is the certificate's `part`, read after the embedding checks."""
+    embeddings, the table over Part(A) in the one sequence of
+    verify_coherent_extension (which forces phi(id_D) = id and phi(p^-1) =
+    phi(p)^-1), a witness for every clique, and freeness from the forbidden
+    family.  Each distinct witness permutation is checked to be an
+    automorphism once, at its first clique.  Part(A) is the certificate's
+    `part`, read after the embedding checks."""
     base, c_structure, phi = cert.base, cert.structure, cert.phi
     if not is_embedding(cert.base_embedding, base, cert.base_extension):
         return Verdict.failed("embedding", "A is not induced in the base extension")

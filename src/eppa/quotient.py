@@ -128,7 +128,7 @@ def special_extension(base: Structure, maps: Sequence[PartialAutomorphism],
 
 def verify_structural(cert: SpecialCertificate) -> Verdict:
     """Structure-level checks: embedding, the phi and psi tables over P
-    (automorphisms, extension, coherence on P's coherent triples, listed once
+    (extension, automorphisms, coherence on P's coherent triples, listed once
     for both), homomorphism and equivariance."""
     if not is_embedding(cert.phi.embedding, cert.base, cert.extension):
         return Verdict.failed("iota-embedding", "A is not induced along iota")

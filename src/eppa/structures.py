@@ -602,7 +602,7 @@ def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomor
     x > max(D), so D in order, then x ascending, is combination order, and
     the parents of D + x in image order, then y ascending, is image order.
     The maps are built unchecked: their pairs are sorted by construction,
-    and injective since y is free."""
+    and injective since y is free.  Each domain charges the count so far."""
     n = structure.size
     units, rows, symmetric_rows, _, hyper = structure.pattern_index
     masks = structure.masks
@@ -625,6 +625,7 @@ def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomor
     unchecked = PartialAutomorphism._unchecked
     out = [unchecked(())]
     level = [((), [()], [0])]  # per domain, its images and their masks
+    listed = 1
     for _ in range(n):
         below, level = level, []
         for dom, images, takens in below:
@@ -650,6 +651,8 @@ def enumerate_partial_automorphisms(structure: Structure) -> list[PartialAutomor
                         new_images.append(image)
                         new_takens.append(taken | low)
                 level.append((grown, new_images, new_takens))
+                listed += len(new_images)
+                config.charge("Part(A)", listed, "maps", config.PART_MAX_MAPS)
         out += [unchecked(tuple(zip(dom, img)))
                 for dom, images, _ in level for img in images]
     return out

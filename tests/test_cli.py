@@ -137,6 +137,49 @@ class TestExtendVerify:
         assert 2237 * 104 ** 2 == 24195392
         assert elapsed < 3.0
 
+    def test_empty_high_arity_symbol_is_certified_at_once(self, tmp_path, capsys):
+        # A is its own extension.  The search counts the 3^30 - 2^30 slots
+        # that one more point would add before listing any, and lists no
+        # tuple for A itself, so it walks none of the 2^30 tuples of H
+        path = tmp_path / "h30.struct"
+        path.write_text("structure h\nrel H 30\nsize 2\nend\n", encoding="utf-8")
+        out = tmp_path / "cert.txt"
+        start = time.perf_counter()
+        assert main(["extend", "--in", str(path), "--mode", "base", "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.strip() == "ok"
+        assert "structure b\nrel H 30\nsize 2\nend\n" in out.read_text(encoding="utf-8")
+
+    def test_empty_high_arity_symbol_is_refused_before_the_scaffold(self, tmp_path, capsys):
+        # 6 isolated points have 13,327 partial automorphisms, so the orbit
+        # sweep's first round, over A's 6^12 tuples, is over the cost bound;
+        # it is charged before the scaffold lists those tuples
+        path = tmp_path / "h12.struct"
+        path.write_text("structure h\nrel H 12\nsize 6\nend\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["extend", "--in", str(path), "--mode", "base",
+                     "--out", str(tmp_path / "cert.txt")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"resource bound: scaffold verification needs {13327 * 6 ** 12} tuple checks, "
+            "over the bound 20000000\n")
+
+    def test_extend_over_the_map_bound_is_refused(self, tmp_path):
+        # the empty graph on 9 points has 17,572,114 partial automorphisms;
+        # the listing stops once it passes 500,000 (in a fresh process, which
+        # keeps the 0.25 GB that the listing reaches out of this one)
+        path = tmp_path / "empty9.struct"
+        path.write_text(emit_structure(graph(9, []), "empty9"), encoding="utf-8")
+        start = time.perf_counter()
+        result = run_fresh(["extend", "--in", str(path), "--mode", "base",
+                            "--out", str(tmp_path / "cert.txt")])
+        assert time.perf_counter() - start < 5.0
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("resource bound: Part(A) needs ")
+        assert result.stderr.endswith(" maps, over the bound 500000\n")
+        assert not (tmp_path / "cert.txt").exists()
+
     @pytest.mark.parametrize("variable, mode", [("EPPA_MAX_POINTS", "base"),
                                                 ("EPPA_MAX_VALUED_POINTS", "faithful")])
     def test_non_integer_bound_is_usage_error(self, files, monkeypatch, capsys,
@@ -458,6 +501,24 @@ class TestReaderBounds:
                                          "forbid 0"]))
         assert code == 1
         assert "line 3:" in err
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_base_over_the_map_bound_is_refused(self, tmp_path, stamp, n):
+        # n isolated points: 1,441,729 partial automorphisms on 8 points and
+        # 17,572,114 on 9, refused once the listing passes 500,000 (in a
+        # fresh process, as for `eppa extend` above)
+        points = " ".join(map(str, range(n)))
+        path = tmp_path / "isolated.cert"
+        path.write_text(stamp(["certificate base-eppa", "format 1",
+                               "structure a", "rel E 2", f"size {n}", "end",
+                               "structure b", "rel E 2", f"size {n}", "end",
+                               f"embed {points}", f"phi - : {points}"]), encoding="utf-8")
+        start = time.perf_counter()
+        result = run_fresh(["verify", str(path)])
+        assert time.perf_counter() - start < 5.0
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("resource bound: Part(A) needs ")
+        assert result.stderr.endswith(" maps, over the bound 500000\n")
 
     def test_base_over_the_point_bound_is_refused(self, run_verify):
         # 13 points, each alone in its own unary relation: Part(A) is just

@@ -194,13 +194,17 @@ class TestTableChecksNameTheMap:
                 check(phi, self.K2)
 
 
-def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism):
-    """verify_coherent_extension as it was before it checked automorphisms
-    on the spanning maps only, with no code of its own shared: the key set,
-    every distinct phi(p) at its first key, extension at every map, then
-    coherence on every triple of `triples` in their order (coherent_triples
-    or spanning_triples of `maps`, listed by the caller once per table
-    family).  `automorphic` is is_automorphism or a memo of it."""
+def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism,
+                     checked=None):
+    """verify_coherent_extension with no code of its own shared.  Without
+    `checked`, in the order it had before one sequence decided accept and
+    reject: the key set, every distinct phi(p) at its first key, extension
+    at every map, then coherence on every triple of `triples` in their
+    order (coherent_triples or spanning_triples of `maps`, listed by the
+    caller once per table family).  With `checked`, in the order of that
+    sequence: the key set, extension at every map, the distinct phi(p) for
+    p in `checked` at their first key, then coherence on `triples`.
+    `automorphic` is is_automorphism or a memo of it."""
     keys = {p.encode() for p in maps}
     missing = sorted(keys - phi.table.keys())
     if missing:
@@ -208,26 +212,58 @@ def reference_verify(phi, maps, structure, triples, automorphic=is_automorphism)
     extra = sorted(phi.table.keys() - keys)
     if extra:
         return Verdict.failed("table", f"table entry for {extra[0]} is not a listed map")
-    checked = set()
-    for p in maps:
-        g = phi.table[p.encode()]
-        if g not in checked:
-            if not automorphic(g.images, structure):
-                return Verdict.failed("automorphism", f"phi({p.encode()}) is not an automorphism")
-            checked.add(g)
-    emb = phi.embedding
-    for p in maps:
-        g = phi.table[p.encode()]
-        for x, y in p.pairs:
-            if g(emb[x]) != emb[y]:
-                return Verdict.failed(
-                    "extension", f"phi({p.encode()}) moves embedded point {x} to "
-                                 f"{g(emb[x])}, expected image of {y}")
-    for p1, p2, q in triples:
-        if phi.table[p1.encode()].compose(phi.table[p2.encode()]) != phi.table[q.encode()]:
-            return Verdict.failed("coherence", f"triple ({p1.encode()}, {p2.encode()}, "
-                                               f"{q.encode()}): phi(q) != phi(p1) o phi(p2)")
+
+    def automorphisms(ps):
+        seen = set()
+        for p in ps:
+            g = phi.table[p.encode()]
+            if g not in seen:
+                if not automorphic(g.images, structure):
+                    return Verdict.failed("automorphism",
+                                          f"phi({p.encode()}) is not an automorphism")
+                seen.add(g)
+        return Verdict.passed()
+
+    def extension():
+        emb = phi.embedding
+        for p in maps:
+            g = phi.table[p.encode()]
+            for x, y in p.pairs:
+                if g(emb[x]) != emb[y]:
+                    return Verdict.failed(
+                        "extension", f"phi({p.encode()}) moves embedded point {x} to "
+                                     f"{g(emb[x])}, expected image of {y}")
+        return Verdict.passed()
+
+    def coherence():
+        for p1, p2, q in triples:
+            if phi.table[p1.encode()].compose(phi.table[p2.encode()]) != phi.table[q.encode()]:
+                return Verdict.failed("coherence", f"triple ({p1.encode()}, {p2.encode()}, "
+                                                   f"{q.encode()}): phi(q) != phi(p1) o phi(p2)")
+        return Verdict.passed()
+
+    steps = ([lambda: automorphisms(maps), extension] if checked is None
+             else [extension, lambda: automorphisms(checked)])
+    for step in steps + [coherence]:
+        verdict = step()
+        if not verdict:
+            return verdict
     return Verdict.passed()
+
+
+def really_fails(verdict, phi, structure):
+    """Does the map or triple that a failed `verdict` names fail its
+    condition in `phi`, read from the message alone?"""
+    if verdict.condition == "coherence":
+        p1, p2, q = verdict.detail[len("triple ("):verdict.detail.index(")")].split(", ")
+        return phi.table[p1].compose(phi.table[p2]) != phi.table[q]
+    key = verdict.detail[len("phi("):verdict.detail.index(")")]
+    g = phi.table[key]
+    if verdict.condition == "automorphism":
+        return not is_automorphism(g.images, structure)
+    assert verdict.condition == "extension"
+    emb = phi.embedding
+    return any(g(emb[x]) != emb[y] for x, y in PartialAutomorphism.decode(key).pairs)
 
 
 def stored_tables():
@@ -354,18 +390,9 @@ class TestGroupoidMatchesTheReference:
             assert [group for group, _ in groupoid.forest] == groups
             assert [list(tree.items()) for _, tree in groupoid.forest] == [
                 list(tree.items()) for tree in trees]
-            assert groupoid.spanning_maps() == [
-                p for group, tree in zip(groups, trees) for p in (*group, *tree.values())]
+            assert groupoid.spanning_maps() == [  # the root's identity once, in its group
+                p for group, tree in zip(groups, trees) for p in group + list(tree.values())[1:]]
             assert groupoid.spanning_triples() == spanning_triples(groupoid.maps)
-
-    def test_factors_recompose_each_map(self, graphs_up_to_4):
-        for structure in graphs_up_to_4:
-            groupoid = PartGroupoid(structure)
-            groups = {next(iter(tree)): group for group, tree in groupoid.forest}
-            for p in groupoid.maps:
-                tree_t, g, tree_s = groupoid.factors(p)
-                assert g in groups[tree_s.domain()]
-                assert tree_t.compose(g) == p.compose(tree_s)
 
     def test_functor_of_the_spanning_values_is_the_table(self, graphs_up_to_3, graphs_up_to_4):
         """A coherent table is the functor of its values on the spanning
@@ -384,16 +411,20 @@ class TestGroupoidMatchesTheReference:
             assert groupoid.functor(values) == cert.phi.table
 
 
-def spanning_keys(maps):
-    """Encodings of the maps whose values the verifier checks to be
-    automorphisms: each root's vertex group and each tree map."""
+def spanning_maps(maps):
+    """The maps whose values the verifier checks to be automorphisms, in its
+    order: per tree, the root's vertex group, then each tree map but the
+    root's identity."""
     arrows, trees = spanning_trees(maps)
-    keys = set()
+    out = []
     for tree in trees:
         root = next(iter(tree))
-        keys.update(p.encode() for p in arrows[root] if p.image() == root)
-        keys.update(p.encode() for p in tree.values())
-    return keys
+        out += [p for p in arrows[root] if p.image() == root] + list(tree.values())[1:]
+    return out
+
+
+def spanning_keys(maps):
+    return {p.encode() for p in spanning_maps(maps)}
 
 
 def mutants(phi, key, rng):
@@ -436,10 +467,10 @@ def regauged(phi, maps, rng):
 
 class TestSpanningAutomorphismCheck:
     """Over Part(A), verify_coherent_extension checks automorphisms only on
-    the spanning maps and lets coherence cover the rest; its condition is
-    that of checking every distinct value and every coherent triple, and
-    its verdict that of checking every distinct value and the spanning
-    triples (reference_verify)."""
+    the spanning maps and lets coherence cover the rest; it accepts the
+    tables that checking every distinct value and every coherent triple
+    accepts, and its verdict is the first failure of its one sequence
+    (reference_verify with `checked`)."""
 
     def test_verdicts_equal_the_reference_on_mutated_stored_tables(self, monkeypatch):
         # both sides read one memo of is_automorphism, which keeps the test short
@@ -465,15 +496,17 @@ class TestSpanningAutomorphismCheck:
             tables = [regauged(phi, maps, rng) for _ in range(3)]
             tables += [dataclasses.replace(phi, table={**phi.table, key: value})
                        for key in keys for value in mutants(phi, key, rng)]
+            checked = spanning_maps(maps)
             for table in tables:
                 if table is None:
                     continue
-                expected = reference_verify(table, maps, structure, triples, automorphic)
+                full = reference_verify(table, maps, structure, triples, automorphic)
                 verdict = verify_coherent_extension(table, groupoid, structure)
-                assert verdict.condition == expected.condition, name
+                assert verdict.ok == full.ok, name
                 assert verdict == reference_verify(table, maps, structure, spanning_order,
-                                                   automorphic), name
-                conditions[expected.condition or "ok"] += 1
+                                                   automorphic, checked), name
+                assert verdict or really_fails(verdict, table, structure), name
+                conditions[verdict.condition or "ok"] += 1
         assert {c: n > 20 for c, n in conditions.items()} == {
             "ok": True, "automorphism": True, "extension": True, "coherence": True}
 
@@ -491,7 +524,7 @@ class TestSpanningAutomorphismCheck:
 
     def test_paw_reject_checks_no_more_than_its_accept(self, monkeypatch):
         # phi(1>0), not a spanning value, replaced by phi(0>0), which does
-        # not send 1 to 0: every other value is a product of spanning values
+        # not send 1 to 0: extension, checked first, fails
         checked = []
 
         def counted(g, structure):
@@ -507,17 +540,30 @@ class TestSpanningAutomorphismCheck:
             cert.phi, table=table)))
         assert verdict.message() == ("extension: phi(1>0) moves embedded point 1 to 1, "
                                      "expected image of 0")
-        assert len(checked) <= 12
+        assert checked == []
 
-    def test_paw_non_automorphism_off_the_spanning_maps_is_named(self):
+    @pytest.mark.parametrize("key, i, j, verdict", [
+        # the embedded images 0 and 1 swapped: phi(1>0) no longer extends 1>0
+        ("1>0", 0, 1, Verdict.failed(
+            "extension", "phi(1>0) moves embedded point 1 to 4, expected image of 0")),
+        # two images outside the embedded copy swapped: still extending, no
+        # automorphism, and off the spanning maps, so coherence fails at
+        # the first spanning triple through it
+        ("1>0", 4, 5, Verdict.failed(
+            "coherence", "triple (1>0, 0>1, 0>0): phi(q) != phi(p1) o phi(p2)")),
+        # the same swap in a spanning value is checked
+        ("0>1", 4, 5, Verdict.failed("automorphism", "phi(0>1) is not an automorphism")),
+    ], ids=["extension", "coherence", "automorphism"])
+    def test_paw_non_automorphism_off_the_spanning_maps_is_named(self, key, i, j, verdict):
         cert = parse_certificate((STORED / PAW).read_text(encoding="utf-8"))
-        assert "1>0" not in spanning_keys(cert.part.maps)
-        images = list(cert.phi.table["1>0"].images)
-        images[0], images[1] = images[1], images[0]
-        table = {**cert.phi.table, "1>0": Permutation(tuple(images))}
-        verdict = verify_certificate(dataclasses.replace(cert, phi=dataclasses.replace(
-            cert.phi, table=table)))
-        assert verdict == Verdict.failed("automorphism", "phi(1>0) is not an automorphism")
+        assert ("1>0" in spanning_keys(cert.part.maps), "0>1" in spanning_keys(cert.part.maps)) \
+            == (False, True)
+        assert cert.phi.embedding == (0, 1, 2, 3)
+        images = list(cert.phi.table[key].images)
+        images[i], images[j] = images[j], images[i]
+        table = {**cert.phi.table, key: Permutation(tuple(images))}
+        assert verify_certificate(dataclasses.replace(cert, phi=dataclasses.replace(
+            cert.phi, table=table))) == verdict
 
     def test_extension_is_checked_once_on_a_table_that_fails_it(self, monkeypatch):
         calls = []
