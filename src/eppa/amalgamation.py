@@ -11,8 +11,9 @@ from typing import Callable, Iterator, Sequence
 
 from . import config
 from .errors import EppaError
-from .structures import (Signature, Structure, embeddings, induced_substructure,
-                         is_embedding, is_gaifman_clique, subset_sums)
+from .structures import (Signature, Structure, embeddings, gaifman_masks,
+                         induced_substructure, is_embedding, is_gaifman_clique,
+                         subset_sums)
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,10 @@ def _classes(signature: Signature, max_size: int,
             yield Structure(signature, size, encode(least))
 
 
-def _is_minimal_forbidden(s: Structure, member: Callable[[Structure], bool]) -> bool:
-    """s is a non-member all of whose one-point deletions are members."""
-    return not member(s) and all(
-        member(induced_substructure(s, [x for x in range(s.size) if x != v])[0])
-        for v in range(s.size))
+def _deletions(s: Structure) -> Iterator[Structure]:
+    """The one-point deletions s - v, by v, each built when it is reached."""
+    return (induced_substructure(s, [x for x in range(s.size) if x != v])[0]
+            for v in range(s.size))
 
 
 def minimal_forbidden(member: Callable[[Structure], bool], max_size: int,
@@ -160,7 +160,7 @@ def minimal_forbidden(member: Callable[[Structure], bool], max_size: int,
     """Non-members all of whose one-point deletions are members, up to
     isomorphism, for sizes <= max_size, each tested as it is enumerated."""
     return [s for s in _classes(signature, max_size, universe)
-            if _is_minimal_forbidden(s, member)]
+            if not member(s) and all(map(member, _deletions(s)))]
 
 
 @dataclass(frozen=True)
@@ -184,48 +184,43 @@ def check_clique_characterization(member: Callable[[Structure], bool],
                                   ) -> CharacterizationReport:
     """Check both sides of the characterization on structures of bounded size
     and report a witness for whichever side fails, testing each structure as
-    it is enumerated.  `member` and `universe`, on the enumerated structures
-    and the amalgams alike, are each called once per distinct structure.
+    it is enumerated.  `member` is called once per distinct structure, on the
+    enumerated structures, their one-point deletions and their closed
+    neighbourhoods; `universe` only by the sweep, once per class reached.
 
     Closure is decided on one-point amalgams, which is exact when `member`
     and `universe` are hereditary and closed under isomorphism.  Glue L and
     R over S, R with points r1..rm outside S, as D_m: D_0 = L, and D_i glues
     D_(i-1) and R_i = R on S + r1..ri over R_(i-1).  Each D_i is induced in
     D_m, so in the universe and the bound, and each R_i is a member; so if
-    no one-point amalgam of members fails, by induction no D_i does."""
+    no one-point amalgam of members fails, by induction no D_i does.  A
+    one-point amalgam D of L and R = S + r over S has every tuple through
+    v = r in S + v, so D - v = L and D[N[v]] (induced in R) are members and
+    D's class is enumerated; conversely, D is the free amalgam of D - v and
+    D[N[v]] over D[N(v)], N(v) the Gaifman neighbours of v.  So the witness
+    is (D - v, D[N[v]], D[N(v)], D) for the first non-member D and point v
+    whose two parts are members, and no amalgam is built."""
     member = functools.cache(member)
-    universe = functools.cache(universe) if universe is not None else None
-    minimal, members = [], []
+    minimal, closure_witness = [], None
     for s in _classes(signature, max_size, universe):
         if member(s):
-            members.append(s)
-        elif _is_minimal_forbidden(s, member):
+            continue
+        deletions = list(_deletions(s))
+        if all(map(member, deletions)):
             minimal.append(s)
+        for v, mask in enumerate(gaifman_masks(s) if closure_witness is None else ()):
+            near = [x for x in range(s.size) if mask >> x & 1]
+            closed, shared = (induced_substructure(s, pts)[0] for pts in ([v, *near], near))
+            if member(deletions[v]) and member(closed):
+                closure_witness = (deletions[v], closed, shared, s)
+                break
     non_clique = next((f for f in minimal if not is_gaifman_clique(f)), None)
-    closure_witness = next(((left, right, shared, glued)
-                            for left, right, shared, glued in _free_amalgams(members, max_size)
-                            if (universe is None or universe(glued)) and not member(glued)), None)
-
     return CharacterizationReport(
         cliques_side=non_clique is None,
         closure_side=closure_witness is None,
         non_clique_witness=non_clique,
         closure_witness=closure_witness,
         minimal=tuple(minimal))
-
-
-def _free_amalgams(members: Sequence[Structure], max_size: int):
-    """(left, right, shared, glued) for the free amalgams of members on at most
-    `max_size` points whose right has one point outside shared, which is induced
-    on points of left and embedded into right by image set, then lexicographically."""
-    for left, right in itertools.product(members, repeat=2):
-        if not 0 < right.size <= left.size + 1 <= max_size:
-            continue
-        for pts_left in itertools.combinations(range(left.size), right.size - 1):
-            shared, _ = induced_substructure(left, pts_left)
-            for into_right in sorted(embeddings(shared, right), key=sorted):
-                inst = AmalgamInstance(shared, left, right, pts_left, into_right)
-                yield left, right, shared, free_amalgam(inst)[0]
 
 
 def is_graph_universe(structure: Structure) -> bool:

@@ -336,8 +336,11 @@ def _first_homomorphism(group: list[PartialAutomorphism], cayley: tuple,
 def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int, int]]):
     """Extensions of `base` by `extra` fresh points, in canonical bitmask
     order over the new slots.  A slot is (symbol, the tuples it adds): on a
-    graph one edge, added as both arcs on the first symbol, so that graph
-    inputs stay graphs; otherwise one tuple through a fresh point.  No
+    graph one edge, added as both arcs, so that graph inputs stay graphs, on
+    each symbol that holds a tuple of A; otherwise one tuple through a fresh
+    point.  A symbol empty in A stays empty, which loses no extension:
+    emptying a relation that A does not hold keeps A induced and each
+    automorphism an automorphism.  No
     Structure is built for a state in which a moved pair (x, y) of Part(A)
     joins base points with different counts of tuples at some (symbol,
     position): x's count in `base` plus the set slots that add one, at most
@@ -349,9 +352,9 @@ def _extension_candidates(base: Structure, extra: int, moved: Iterable[tuple[int
     m^arity tuples of each symbol."""
     n, m = base.size, base.size + extra
     if base.is_graphlike():
-        name0 = base.signature.symbols[0][0]
-        slots = [(name0, ((i, j), (j, i))) for i in range(m) for j in range(i + 1, m)
-                 if j >= n]
+        slots = [(name, ((i, j), (j, i)))
+                 for (name, _), tuples in zip(base.signature.symbols, base.relations) if tuples
+                 for i in range(m) for j in range(i + 1, m) if j >= n]
         if len(slots) > config.SEARCH_MAX_GRAPH_SLOTS:
             return
     elif sum(m ** a - n ** a for _, a in base.signature.symbols) > config.SEARCH_MAX_SLOTS:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .amalgamation import forb_e_member
 from .base_extension import base_eppa
 from .coherence import PermutationGroup, Verdict
-from .errors import EppaError
+from .errors import EppaError, VerificationError
 from .faithful import forb_e_eppa
 from .structures import (PartialAutomorphism, Permutation, Structure,
                          automorphism_group, is_automorphism, is_embedding,
@@ -87,7 +87,7 @@ def build_dlf_chain(forbidden: Sequence[Structure], stage_count: int,
                             forbidden=forbidden)
     verdict = verify_chain(cert)
     if not verdict:
-        raise EppaError(f"chain construction failed verification: {verdict.message()}")
+        raise VerificationError(f"chain construction failed verification: {verdict.message()}")
     return cert
 
 

@@ -421,9 +421,9 @@ class TestCharacterization:
 
 
 def reference_free_amalgams(members, max_size):
-    """Reference for `_free_amalgams`, sharing no code with it: the free
-    amalgams of two members with at most `max_size` points over shared parts
-    of every size, in the same order."""
+    """Reference for the closure side of `check_clique_characterization`,
+    sharing no code with it: the free amalgams of two members with at most
+    `max_size` points over shared parts of every size."""
     for left in members:
         for right in members:
             for k in range(min(left.size, right.size) + 1):
@@ -471,45 +471,69 @@ DIGRAPH_CLASSES = {
 }
 
 
-class TestOnePointAmalgams:
-    """Closure is decided on the free amalgams whose right side has one point
-    outside the shared part; the reference glues over shared parts of every
-    size."""
+def no_tuple_within_u(structure: Structure) -> bool:
+    marked = {x for x, in structure.tuples("U")}
+    return not any(a in marked and b in marked for a, b in structure.tuples("E"))
 
-    @pytest.mark.parametrize("universe, member, size", [
-        *(pytest.param(is_graph_universe, member, size, id=f"graphs-{name}-{size}")
+
+# U/1 + E/2 classes, hereditary and closed under isomorphism; "no-two-U" is
+# not closed under free amalgams (two U points glued over nothing)
+UE_CLASSES = {
+    "no-UU-edge": no_tuple_within_u,
+    "no-two-U": lambda structure: len(structure.tuples("U")) <= 1,
+    **DIGRAPH_CLASSES,
+}
+
+
+def reference_characterization(member, size, signature, universe):
+    """(cliques_side, closure_side, minimal) with closure decided on every
+    free amalgam of members.  A member on `size` points is left out of the
+    gluing: within the bound it glues with a second member only over the
+    whole of that member, which gives a copy of itself."""
+    classes = [s for n in range(size + 1) for s in enumerate_structures(signature, n, universe)]
+    minimal = [s for s in classes if is_minimal_non_member(member, s)]
+    smaller = [s for s in classes if s.size < size and member(s)]
+    closed = all(member(glued) for *_, glued in reference_free_amalgams(smaller, size)
+                 if universe is None or universe(glued))
+    return all(map(is_gaifman_clique, minimal)), closed, minimal
+
+
+class TestOnePointAmalgams:
+    """Closure is read off the enumerated non-members, a one-point amalgam
+    at a time; the reference glues members over shared parts of every size."""
+
+    @pytest.mark.parametrize("signature, universe, member, size", [
+        *(pytest.param(GRAPH_SIGNATURE, is_graph_universe, member, size,
+                       id=f"graphs-{name}-{size}")
           for name, member in GRAPH_CLASSES.items() for size in (2, 3, 4)),
-        *(pytest.param(None, member, size, id=f"E2-{name}-{size}")
+        *(pytest.param(GRAPH_SIGNATURE, None, member, size, id=f"E2-{name}-{size}")
           for name, member in DIGRAPH_CLASSES.items() for size in (2, 3)),
+        *(pytest.param(UNARY_BINARY, None, member, size, id=f"U1E2-{name}-{size}")
+          for name, member in UE_CLASSES.items() for size in (2, 3)),
     ])
-    def test_decides_as_every_amalgam(self, monkeypatch, universe, member, size):
-        report = check_clique_characterization(member, size, GRAPH_SIGNATURE, universe)
-        monkeypatch.setattr(amalgamation, "_free_amalgams", reference_free_amalgams)
-        reference = check_clique_characterization(member, size, GRAPH_SIGNATURE, universe)
-        assert report.closure_side == reference.closure_side == report.cliques_side
+    def test_decides_as_every_amalgam(self, signature, universe, member, size):
+        report = check_clique_characterization(member, size, signature, universe)
+        cliques, closed, minimal = reference_characterization(member, size, signature, universe)
+        assert (report.cliques_side, report.closure_side) == (cliques, closed)
+        assert list(report.minimal) == minimal
+        assert report.closure_side == report.cliques_side
         if report.closure_witness is not None:
             left, right, shared, glued = report.closure_witness
             assert right.size == shared.size + 1 and glued.size == left.size + 1 <= size
             assert (universe is None or universe(glued)) and not member(glued)
+            assert member(left) and member(right)
 
     def test_three_independent_points_first_witness(self):
-        # 2K1 glued with K1 over nothing; over every shared part, K1 with 2K1 came first
+        # 3K1 is the first non-member; deleting point 0 leaves 2K1, and its
+        # closed neighbourhood is K1 over the empty neighbourhood
         report = check_clique_characterization(GRAPH_CLASSES["3K1-free"], 3, GRAPH_SIGNATURE,
                                                is_graph_universe)
         assert report.closure_witness == (graph(2, []), graph(1, []), graph(0, []), THREE_K1)
 
-    def test_triangle_free_closure_builds_259_amalgams(self, monkeypatch):
-        built = []
-
-        def counted(instance):
-            built.append(instance)
-            return free_amalgam(instance)
-        monkeypatch.setattr(amalgamation, "free_amalgam", counted)
-        assert check_clique_characterization(GRAPH_CLASSES["K3-free"], 4, GRAPH_SIGNATURE,
-                                             is_graph_universe).closure_side
-        assert len(built) == 259
-        built.clear()
-        monkeypatch.setattr(amalgamation, "_free_amalgams", reference_free_amalgams)
-        check_clique_characterization(GRAPH_CLASSES["K3-free"], 4, GRAPH_SIGNATURE,
-                                      is_graph_universe)
-        assert len(built) == 751
+    def test_triangle_free_closure_builds_no_amalgam(self, monkeypatch):
+        def refused(instance):
+            raise AssertionError("an amalgam was built")
+        monkeypatch.setattr(amalgamation, "free_amalgam", refused)
+        report = check_clique_characterization(GRAPH_CLASSES["K3-free"], 4, GRAPH_SIGNATURE,
+                                               is_graph_universe)
+        assert report.cliques_side and report.closure_side

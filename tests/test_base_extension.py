@@ -529,6 +529,23 @@ class TestExtensionCandidates:
                     rels[name].append(t)
             assert candidate == Structure.make(sig, 2, rels)
 
+    @pytest.mark.parametrize("relations, size, extension_size", [
+        ({"E": [(0, 1)], "F": [(1, 2)]}, 3, 4),
+        ({"E": [], "F": [(0, 1)]}, 3, 4),
+        # F empty gets no slots: 9 edge slots at 6 points, inside the gate of
+        # 16 (slots on F too would make 18, and B a 16-point scaffold)
+        ({"E": [(0, 1)], "F": []}, 4, 6),
+    ], ids=["E01-F12", "F01", "K2+2K1-F-empty"])
+    def test_every_symbol_holding_an_edge_gets_edge_slots(self, relations, size,
+                                                          extension_size):
+        sig = Signature.make(("E", 2), ("F", 2))
+        base = Structure.make(sig, size, {name: [t for a, b in pairs for t in ((a, b), (b, a))]
+                                          for name, pairs in relations.items()})
+        cert = base_eppa(base)
+        assert cert.extension.size == extension_size
+        for name, pairs in relations.items():  # an empty symbol stays empty
+            assert bool(cert.extension.tuples(name)) == bool(pairs)
+
 
 def bitmask_runs(graphs_up_to_4):
     """(A, extra) for every graph with at most 4 vertices at up to 2 extra
@@ -718,8 +735,9 @@ class TestColourRejection:
             assert got == aut_first_assignment(groupoid.maps, candidate, emb), candidate
             total += 1
             hits += got is not None
-        # per graph on 1, 2 and 3 vertices: 1 + 2 + 8, 1 + 4 + 32 and 1 + 8 + 128
-        assert total == 11 + 2 * 37 + 4 * 137 + 64
+        # per graph on 1, 2 and 3 vertices with an edge: 1 + 4 + 32 and 1 + 8 +
+        # 128; an edgeless graph gets no edge slots, so one candidate per size
+        assert total == 3 * 3 + 37 + 3 * 137 + 64
         assert 0 < hits < total
 
     def test_search_builds_few_automorphism_groups(self, graphs_up_to_4, monkeypatch):

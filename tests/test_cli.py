@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import eppa
-from eppa import cli
+from eppa import chains, cli
 from eppa.amalgamation import canonical_form, forb_e_member, minimal_forbidden
 from eppa.base_extension import BaseEppaCertificate, base_eppa
 from eppa.cli import build_parser, main
-from eppa.coherence import ExtensionMap
+from eppa.coherence import ExtensionMap, Verdict
 from eppa.faithful import clique_faithful_extension
 from eppa.quotient import special_extension
 from eppa.structures import (GRAPH_SIGNATURE, PartialAutomorphism, Permutation, Signature,
@@ -328,6 +328,18 @@ class TestOtherVerbs:
         assert main(["dlf", "--class", files["k3"], "--stages", "1",
                      "--seed", files["k2"], "--out", out]) == 0
         assert main(["verify", out]) == 0
+
+    def test_dlf_chain_failing_its_own_verification_exit_code(self, files, monkeypatch,
+                                                               capsys):
+        # a built chain that fails verify_chain is a failed check, as for
+        # the other constructions, not a usage error
+        monkeypatch.setattr(chains, "verify_chain",
+                            lambda cert: Verdict.failed("handled", "patched to fail"))
+        out = files["tmp"] / "chain.txt"
+        assert main(["dlf", "--class", files["k3"], "--stages", "1",
+                     "--seed", files["k2"], "--out", str(out)]) == 2
+        assert "handled: patched to fail" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_minforb_reproduces_forbidder(self, files, capsys):
         assert main(["minforb", "--class-forbid", files["k3"], "--max", "3"]) == 0
